@@ -11,21 +11,20 @@ Three published statistic sets are computed:
 
 The coefficients that turn statistics into a MOS prediction are not
 reproduced here; they are supplied by the caller or fitted by ordinary
-least squares on a labeled dataset.
+least squares on a labeled dataset.  ``evaluation.baseline_runner``
+turns either into a linear model over :func:`baseline_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import UsageError
-from .fitting import LabeledDataset, lstsq_min_norm
+from .fitting import LabeledDataset, solve
 from .model import (
     DEFAULT_BINNING,
-    MAX_MOS,
-    MIN_MOS,
     BinningConfig,
     SessionTrace,
     classify_switch,
@@ -131,19 +130,17 @@ class BaselineCoefficients:
             raise UsageError(f"bad coefficients record: {exc!r}") from None
 
 
-def baseline_predict(
-    features: BaselineFeatures, coefficients: BaselineCoefficients
-) -> float:
-    """Linear combination of statistics, clamped to the MOS scale [1, 5]."""
-    stats = features.as_dict()
-    total = coefficients.intercept
-    for name, coefficient in coefficients.coefficients.items():
-        if name not in stats:
-            raise UsageError(
-                f"unknown statistic {name!r}; known statistics: {sorted(stats)}"
-            )
-        total += coefficient * stats[name]
-    return min(max(float(total), MIN_MOS), MAX_MOS)
+def baseline_matrix(sessions, names, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
+    """The named statistics plus an intercept column of ones, one session per row."""
+    known = [f.name for f in fields(BaselineFeatures)]
+    for name in names:
+        if name not in known:
+            raise UsageError(f"unknown statistic {name!r}; known statistics: {sorted(known)}")
+    rows = []
+    for session in sessions:
+        stats = extract_baseline_features(session, config).as_dict()
+        rows.append([stats[name] for name in names] + [1.0])
+    return np.asarray(rows, dtype=float)
 
 
 def fit_baseline_coefficients(
@@ -157,45 +154,9 @@ def fit_baseline_coefficients(
             f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
         )
     names = MODEL_STATISTICS[model]
-    rows = []
-    for session in dataset.sessions:
-        stats = extract_baseline_features(session, config).as_dict()
-        rows.append([stats[name] for name in names] + [1.0])
-    solution, _ = lstsq_min_norm(np.asarray(rows, dtype=float), dataset.labels())
+    solution, _ = solve(baseline_matrix(dataset.sessions, names, config), dataset.labels())
     return BaselineCoefficients(
         model=model,
         coefficients=dict(zip(names, (float(v) for v in solution[:-1]))),
         intercept=float(solution[-1]),
     )
-
-
-def baseline_runner(
-    model: str,
-    coefficients: BaselineCoefficients | None = None,
-    config: BinningConfig = DEFAULT_BINNING,
-):
-    """A split-protocol model runner for a comparison model.
-
-    With fixed ``coefficients`` the training set is ignored; otherwise
-    coefficients are refit on each training set.
-    """
-    if model not in MODEL_STATISTICS:
-        raise UsageError(
-            f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
-        )
-
-    def runner(train: LabeledDataset):
-        fitted = coefficients or fit_baseline_coefficients(train, model, config)
-
-        def predictor(sessions) -> np.ndarray:
-            return np.array(
-                [
-                    baseline_predict(extract_baseline_features(s, config), fitted)
-                    for s in sessions
-                ],
-                dtype=float,
-            )
-
-        return predictor
-
-    return runner

@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import io
-from .baselines import baseline_runner, baseline_predict, extract_baseline_features, fit_baseline_coefficients
 from .errors import DegenerateMetricError, UsageError, ValidationError
 from .evaluation import (
+    LinearModel,
     SplitProtocol,
+    baseline_runner,
     evaluate_predictions,
     fixed_weights_runner,
     refit_runner,
@@ -84,6 +86,29 @@ def cmd_fit(args) -> None:
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
+def _linear_model(args) -> LinearModel:
+    if args.weights is not None:
+        return fixed_weights_runner(io.read_weights(args.weights))
+    if args.refit:
+        return refit_runner(nonnegative=args.nonnegative)
+    if args.coefficients:
+        return baseline_runner(args.baseline, io.read_baseline_coefficients(args.coefficients))
+    return baseline_runner(args.baseline)
+
+
+def _external_predictions(path: str, n_sessions: int) -> list[float]:
+    table = io.read_external_predictions(path)
+    ids = set(range(n_sessions))
+    for problem, bad in (("missing", ids - set(table)), ("name unknown", set(table) - ids)):
+        if bad:
+            raise UsageError(f"external predictions {problem} session ids {sorted(bad)[:5]}")
+    predictions = [table[k] for k in range(n_sessions)]
+    not_finite = [k for k, value in enumerate(predictions) if not math.isfinite(value)]
+    if not_finite:
+        raise UsageError(f"external predictions for session ids {not_finite[:5]} are not finite")
+    return predictions
+
+
 def cmd_evaluate(args) -> None:
     dataset = LabeledDataset(tuple(io.read_sessions(args.input)))
     truths = dataset.labels()
@@ -110,49 +135,22 @@ def cmd_evaluate(args) -> None:
             test_pool=args.test_pool,
             rng_seed=args.seed,
         )
-        if args.weights is not None:
-            runner = fixed_weights_runner(io.read_weights(args.weights))
-        elif args.refit:
-            runner = refit_runner(nonnegative=args.nonnegative)
-        else:
-            coefficients = (
-                io.read_baseline_coefficients(args.coefficients)
-                if args.coefficients
-                else None
-            )
-            runner = baseline_runner(args.baseline, coefficients)
         report = run_split_protocol(
             dataset,
             protocol,
-            runner,
+            _linear_model(args),
             compensate=compensate,
             compensation_on=args.compensate_on,
         )
     else:
         if args.refit:
             raise UsageError("--refit only makes sense with --splits")
-        if args.weights is not None:
-            weights = io.read_weights(args.weights)
-            predictions = [predict(s, weights) for s in dataset.sessions]
-        elif args.baseline is not None:
-            coefficients = (
-                io.read_baseline_coefficients(args.coefficients)
-                if args.coefficients
-                else fit_baseline_coefficients(dataset, args.baseline)
-            )
-            predictions = [
-                baseline_predict(extract_baseline_features(s), coefficients)
-                for s in dataset.sessions
-            ]
+        if args.external_predictions is not None:
+            predictions = _external_predictions(args.external_predictions, len(dataset))
         else:
-            table = io.read_external_predictions(args.external_predictions)
-            missing = [k for k in range(len(dataset)) if k not in table]
-            if missing:
-                raise UsageError(
-                    f"external predictions missing session ids {missing[:5]}"
-                    f"{'...' if len(missing) > 5 else ''}"
-                )
-            predictions = [table[k] for k in range(len(dataset))]
+            model = _linear_model(args)
+            every_row = np.ones(len(dataset), dtype=bool)
+            predictions = model.fit_predict(model.matrix(dataset.sessions), truths, every_row)
         report = evaluate_predictions(predictions, truths, compensate=compensate)
 
     if args.format == "csv":

@@ -1,10 +1,10 @@
 """Prediction-quality metrics and the repeated random train/test protocol.
 
-A *model runner* is a callable taking a training :class:`LabeledDataset`
-and returning a predictor, itself a callable mapping a sequence of
-sessions to an array of predicted MOS.  ``refit_runner`` refits the
-histogram model on every training set; ``fixed_weights_runner``
-evaluates one frozen weight set and ignores the training data.
+Every model scored here is a :class:`LinearModel`, least squares over a
+per-session statistic matrix: the histogram model refit on every
+training set (``refit_runner``) or frozen (``fixed_weights_runner``), or
+a comparison model (``baseline_runner``).  The protocol builds the matrix
+once per dataset and selects each split's rows with a boolean mask.
 
 Split ``k`` of a protocol run draws its RNG substream from
 ``SeedSequence(rng_seed).spawn(n_repetitions)[k]``, so results are
@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
+from .baselines import MODEL_STATISTICS, BaselineCoefficients, baseline_matrix
 from .errors import DegenerateMetricError, UsageError
-from .fitting import LabeledDataset, fit
-from .model import DEFAULT_BINNING, BinningConfig, ModelWeights, SessionTrace, predict
-
-ModelRunner = Callable[[LabeledDataset], Callable[[Sequence[SessionTrace]], np.ndarray]]
+from .fitting import LabeledDataset, design_matrix, solve
+from .model import MAX_MOS, MIN_MOS, ModelWeights
 
 
 def _as_pair(predictions, truths, min_length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,59 +137,74 @@ class SplitProtocol:
     def __post_init__(self) -> None:
         if self.n_repetitions < 1:
             raise UsageError(f"n_repetitions {self.n_repetitions} must be >= 1")
-        if self.test_size < 1:
-            raise UsageError(f"test_size {self.test_size} must be >= 1")
+        if self.test_size < 2:
+            raise UsageError(f"test_size {self.test_size} must be >= 2 for PCC")
 
 
-def _weights_predictor(weights: ModelWeights, config: BinningConfig):
-    def predictor(sessions) -> np.ndarray:
-        return np.array([predict(s, weights, config) for s in sessions], dtype=float)
+@dataclass(frozen=True)
+class LinearModel:
+    """Least squares over a per-session statistic matrix, clamped to the MOS scale.
 
-    return predictor
+    ``statistics`` is ``"histogram"`` (22 signed columns, floored at
+    1.0) or baseline statistic names (plus an intercept column, clamped
+    to [1, 5]).  ``weights`` fixes one weight per column; ``None``
+    refits them on each training set (w >= 0 if ``nonnegative``).
+    """
+
+    statistics: str | tuple[str, ...]
+    weights: tuple[float, ...] | None = None
+    nonnegative: bool = False
+
+    def matrix(self, sessions) -> np.ndarray:
+        """The statistic matrix, one session per row."""
+        if self.statistics == "histogram":
+            return design_matrix(sessions)
+        return baseline_matrix(sessions, self.statistics)
+
+    def fit_predict(self, matrix, labels, train) -> np.ndarray:
+        """Clamped ``matrix @ w`` for every row; a refit solves ``w`` on the ``train`` rows."""
+        histogram = self.statistics == "histogram"
+        weights = self.weights
+        if weights is None:
+            weights, _ = solve(
+                matrix[train], labels[train], nonnegative=self.nonnegative, warn=histogram
+            )
+        raw = matrix @ np.asarray(weights, dtype=float)
+        return np.maximum(raw, MIN_MOS) if histogram else np.clip(raw, MIN_MOS, MAX_MOS)
 
 
-def refit_runner(
-    config: BinningConfig = DEFAULT_BINNING, *, nonnegative: bool = False
-) -> ModelRunner:
-    """Model runner that refits the histogram model on each training set."""
-
-    def runner(train: LabeledDataset):
-        report = fit(train, config, nonnegative=nonnegative)
-        return _weights_predictor(report.weights, config)
-
-    return runner
+def refit_runner(*, nonnegative: bool = False) -> LinearModel:
+    """The histogram model, refit on each training set."""
+    return LinearModel("histogram", nonnegative=nonnegative)
 
 
-def fixed_weights_runner(
-    weights: ModelWeights, config: BinningConfig = DEFAULT_BINNING
-) -> ModelRunner:
-    """Model runner that evaluates one frozen weight set (training data ignored)."""
-
-    def runner(train: LabeledDataset):
-        return _weights_predictor(weights, config)
-
-    return runner
+def fixed_weights_runner(weights: ModelWeights) -> LinearModel:
+    """The histogram model with one frozen weight set (training data ignored)."""
+    return LinearModel("histogram", weights.as_vector())
 
 
-def run_split_protocol(
-    dataset: LabeledDataset,
-    protocol: SplitProtocol,
-    model: ModelRunner,
-    *,
-    compensate: bool = False,
-    compensation_on: str = "train",
-) -> EvaluationReport:
-    """Run the repeated random train/test protocol.
+def baseline_runner(model: str, coefficients: BaselineCoefficients | None = None) -> LinearModel:
+    """A comparison model, with fixed ``coefficients`` or refit on each training set."""
+    if model not in MODEL_STATISTICS:
+        raise UsageError(
+            f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
+        )
+    if coefficients is None:
+        return LinearModel(MODEL_STATISTICS[model])
+    if coefficients.model != model:
+        raise UsageError(f"coefficients are for baseline {coefficients.model!r}, not {model!r}")
+    return LinearModel(
+        tuple(coefficients.coefficients),
+        (*coefficients.coefficients.values(), coefficients.intercept),
+    )
+
+
+def split_masks(sessions, protocol: SplitProtocol) -> list[np.ndarray]:
+    """One boolean test-set mask over ``sessions`` per repetition of ``protocol``.
 
     Each repetition draws ``test_size`` sessions without replacement
     from the test pool; the remaining sessions form the training set.
-    With ``compensate=True`` a linear correction is fitted on the
-    portion named by ``compensation_on`` ("train" or "test") and applied
-    to the test predictions before scoring.
     """
-    if compensation_on not in ("train", "test"):
-        raise UsageError(f"compensation_on must be 'train' or 'test', got {compensation_on!r}")
-    sessions = dataset.sessions
     pool = [
         k
         for k, s in enumerate(sessions)
@@ -206,48 +219,61 @@ def run_split_protocol(
         raise UsageError("test_size leaves no sessions to train on")
 
     substreams = np.random.SeedSequence(protocol.rng_seed).spawn(protocol.n_repetitions)
-    per_split: list[SplitMetrics] = []
-    for k, substream in enumerate(substreams):
+    masks = []
+    for substream in substreams:
         rng = np.random.default_rng(substream)
         drawn = rng.choice(pool, size=protocol.test_size, replace=False)
-        test_indices = frozenset(int(i) for i in drawn)
-        train_sessions = tuple(
-            s for m, s in enumerate(sessions) if m not in test_indices
-        )
-        test_sessions = tuple(sessions[m] for m in sorted(test_indices))
+        masks.append(np.isin(np.arange(len(sessions)), drawn))
+    return masks
 
-        predictor = model(LabeledDataset(train_sessions))
-        predictions = np.asarray(predictor(test_sessions), dtype=float)
-        truths = np.array([s.ground_truth_mos for s in test_sessions], dtype=float)
+
+def run_split_protocol(
+    dataset: LabeledDataset,
+    protocol: SplitProtocol,
+    model: LinearModel,
+    *,
+    compensate: bool = False,
+    compensation_on: str = "train",
+) -> EvaluationReport:
+    """Run the repeated random train/test protocol.
+
+    The statistic matrix is built once; each repetition of
+    :func:`split_masks` fits on its training rows and scores its test
+    rows.  With ``compensate=True`` a linear correction is fitted on the
+    portion named by ``compensation_on`` ("train" or "test") and applied
+    to the test predictions before scoring.
+    """
+    if compensation_on not in ("train", "test"):
+        raise UsageError(f"compensation_on must be 'train' or 'test', got {compensation_on!r}")
+    masks = split_masks(dataset.sessions, protocol)
+    matrix = model.matrix(dataset.sessions)
+    labels = dataset.labels()
+
+    per_split: list[SplitMetrics] = []
+    for k, test in enumerate(masks):
+        predictions = model.fit_predict(matrix, labels, ~test)
+        scored, truths = predictions[test], labels[test]
 
         slope = intercept = None
         if compensate:
-            if compensation_on == "train":
-                reference = predictor(train_sessions)
-                reference_truths = np.array(
-                    [s.ground_truth_mos for s in train_sessions], dtype=float
-                )
-            else:
-                reference = predictions
-                reference_truths = truths
-            slope, intercept, _ = linear_compensate(reference, reference_truths)
-            predictions = slope * predictions + intercept
+            reference = ~test if compensation_on == "train" else test
+            slope, intercept, _ = linear_compensate(predictions[reference], labels[reference])
+            scored = slope * scored + intercept
 
         per_split.append(
             SplitMetrics(
                 split=k,
-                pcc=pcc(predictions, truths),
-                rmse=rmse(predictions, truths),
+                pcc=pcc(scored, truths),
+                rmse=rmse(scored, truths),
                 slope=slope,
                 intercept=intercept,
             )
         )
 
-    mean = lambda values: float(np.mean(values))  # noqa: E731
     return EvaluationReport(
-        pcc=mean([m.pcc for m in per_split]),
-        rmse=mean([m.rmse for m in per_split]),
-        slope=mean([m.slope for m in per_split]) if compensate else None,
-        intercept=mean([m.intercept for m in per_split]) if compensate else None,
+        pcc=float(np.mean([m.pcc for m in per_split])),
+        rmse=float(np.mean([m.rmse for m in per_split])),
+        slope=float(np.mean([m.slope for m in per_split])) if compensate else None,
+        intercept=float(np.mean([m.intercept for m in per_split])) if compensate else None,
         per_split=tuple(per_split),
     )

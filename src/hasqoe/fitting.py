@@ -24,7 +24,6 @@ import numpy as np
 from .errors import UsageError
 from .model import (
     DEFAULT_BINNING,
-    N_PARAMETERS,
     BinningConfig,
     ModelWeights,
     SessionTrace,
@@ -107,28 +106,9 @@ def fit(
     With ``nonnegative=True`` the solve is constrained to w >= 0 using
     an active-set method; by default the solve is unconstrained.
     """
-    if len(dataset) < N_PARAMETERS:
-        warnings.warn(
-            f"fitting {N_PARAMETERS} weights from only {len(dataset)} sessions; "
-            "the solution will be underdetermined",
-            stacklevel=2,
-        )
     matrix = design_matrix(dataset.sessions, config)
     labels = dataset.labels()
-    if nonnegative:
-        from scipy.optimize import nnls
-
-        solution, _ = nnls(matrix, labels)
-        rank = int(np.linalg.matrix_rank(matrix))
-    else:
-        solution, rank = lstsq_min_norm(matrix, labels)
-    deficient = rank < matrix.shape[1]
-    if deficient:
-        warnings.warn(
-            f"design matrix is rank-deficient (rank {rank} of {matrix.shape[1]}); "
-            "returning the minimum-norm solution",
-            stacklevel=2,
-        )
+    solution, deficient = solve(matrix, labels, nonnegative=nonnegative, warn=True)
     clamped = np.maximum(matrix @ solution, 1.0)
     residual = clamped - labels
     return FitReport(
@@ -137,3 +117,34 @@ def fit(
         training_pcc=_training_pcc(clamped, labels),
         condition_warning=deficient,
     )
+
+
+def solve(
+    matrix: np.ndarray, labels: np.ndarray, *, nonnegative: bool = False, warn: bool = False
+) -> tuple[np.ndarray, bool]:
+    """Least-squares solution of ``matrix @ w ~ labels`` (see :func:`fit`) and rank deficiency.
+
+    ``warn=True`` warns of fewer rows than columns and of rank deficiency.
+    """
+    n_rows, n_columns = matrix.shape
+    if warn and n_rows < n_columns:
+        warnings.warn(
+            f"fitting {n_columns} weights from only {n_rows} sessions; "
+            "the solution will be underdetermined",
+            stacklevel=3,
+        )
+    if nonnegative:
+        from scipy.optimize import nnls
+
+        solution, _ = nnls(matrix, labels)
+        rank = int(np.linalg.matrix_rank(matrix))
+    else:
+        solution, rank = lstsq_min_norm(matrix, labels)
+    deficient = rank < n_columns
+    if warn and deficient:
+        warnings.warn(
+            f"design matrix is rank-deficient (rank {rank} of {n_columns}); "
+            "returning the minimum-norm solution",
+            stacklevel=3,
+        )
+    return solution, deficient

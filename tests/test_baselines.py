@@ -9,7 +9,6 @@ from hasqoe import (
     LabeledDataset,
     SessionTrace,
     UsageError,
-    baseline_predict,
     baseline_runner,
     extract_baseline_features,
     fit_baseline_coefficients,
@@ -17,6 +16,12 @@ from hasqoe import (
     generate_sessions,
     paper_weights,
 )
+
+
+def predict_all(model, sessions) -> np.ndarray:
+    """Predictions of a baseline model with fixed coefficients (no labels needed)."""
+    every_row = np.ones(len(sessions), dtype=bool)
+    return model.fit_predict(model.matrix(sessions), np.zeros(len(sessions)), every_row)
 
 
 def test_statistics_of_stepped_session() -> None:
@@ -68,21 +73,24 @@ def test_mean_sq_down_amplitude_zero_iff_no_drops() -> None:
 
 
 def test_baseline_predict_identity_on_mean() -> None:
-    coefficients = BaselineCoefficients("vriendt", {"mean_quality": 1.0}, 0.0)
-    stats = extract_baseline_features(SessionTrace((4.0, 4.0, 4.0)))
-    assert baseline_predict(stats, coefficients) == 4.0
+    model = baseline_runner(
+        "vriendt", BaselineCoefficients("vriendt", {"mean_quality": 1.0}, 0.0)
+    )
+    assert predict_all(model, [SessionTrace((4.0, 4.0, 4.0))]).tolist() == [4.0]
 
 
 def test_baseline_predict_clamps_to_mos_scale() -> None:
-    stats = extract_baseline_features(SessionTrace((4.0, 4.0)))
-    assert baseline_predict(stats, BaselineCoefficients("guo", {}, 0.0)) == 1.0
-    assert baseline_predict(stats, BaselineCoefficients("guo", {}, 9.0)) == 5.0
+    sessions = [SessionTrace((4.0, 4.0))]
+    low = baseline_runner("guo", BaselineCoefficients("guo", {}, 0.0))
+    high = baseline_runner("guo", BaselineCoefficients("guo", {}, 9.0))
+    assert predict_all(low, sessions).tolist() == [1.0]
+    assert predict_all(high, sessions).tolist() == [5.0]
 
 
 def test_baseline_predict_rejects_unknown_statistic() -> None:
-    stats = extract_baseline_features(SessionTrace((4.0, 4.0)))
+    model = baseline_runner("guo", BaselineCoefficients("guo", {"sharpness": 1.0}, 0.0))
     with pytest.raises(UsageError, match="unknown statistic"):
-        baseline_predict(stats, BaselineCoefficients("guo", {"sharpness": 1.0}, 0.0))
+        predict_all(model, [SessionTrace((4.0, 4.0))])
 
 
 def test_coefficients_round_trip() -> None:
@@ -126,24 +134,24 @@ def test_fit_baseline_rejects_unknown_model() -> None:
 
 def test_fit_then_predict_is_bit_stable() -> None:
     dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=41), 80, paper_weights())
-    coefficients = fit_baseline_coefficients(dataset, "vriendt")
-    first = [
-        baseline_predict(extract_baseline_features(s), coefficients)
-        for s in dataset.sessions
-    ]
-    second = [
-        baseline_predict(extract_baseline_features(s), coefficients)
-        for s in dataset.sessions
-    ]
-    assert first == second
+    model = baseline_runner("vriendt", fit_baseline_coefficients(dataset, "vriendt"))
+    first = predict_all(model, dataset.sessions)
+    second = predict_all(model, dataset.sessions)
+    assert first.tolist() == second.tolist()
 
 
 def test_baseline_runner_fits_on_train_when_no_coefficients() -> None:
     dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=43), 60, paper_weights())
-    predictor = baseline_runner("liu")(dataset)
-    values = predictor(dataset.sessions[:10])
-    assert values.shape == (10,)
+    model = baseline_runner("liu")
+    assert model.weights is None
+    train = np.arange(60) >= 10
+    values = model.fit_predict(model.matrix(dataset.sessions), dataset.labels(), train)
+    assert values.shape == (60,)
     assert np.all((values >= 1.0) & (values <= 5.0))
+    # the refit uses the training rows only
+    fitted = fit_baseline_coefficients(LabeledDataset(dataset.sessions[10:]), "liu")
+    expected = predict_all(baseline_runner("liu", fitted), dataset.sessions)
+    assert np.abs(values - expected).max() < 1e-12
 
 
 def test_model_statistics_cover_all_feature_names() -> None:

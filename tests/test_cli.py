@@ -306,6 +306,23 @@ def test_evaluate_baseline_fitted_and_from_file(tmp_path, capsys, labeled_path) 
     assert -1.0 <= report["pcc"] <= 1.0
 
 
+def test_evaluate_baseline_rejects_coefficients_of_another_model(
+    tmp_path, capsys, labeled_path
+) -> None:
+    from hasqoe import fit_baseline_coefficients
+
+    dataset = LabeledDataset(tuple(io.read_sessions(labeled_path)))
+    path = tmp_path / "guo.json"
+    io.write_baseline_coefficients(fit_baseline_coefficients(dataset, "guo"), str(path))
+    for splits in ((), ("--splits", "2", "--test-size", "20", "--test-pool", "all")):
+        assert (
+            run_cli("evaluate", "--input", labeled_path, "--baseline", "liu",
+                    "--coefficients", str(path), *splits)
+            == 1
+        )
+        assert "'guo', not 'liu'" in capsys.readouterr().err
+
+
 def test_evaluate_baseline_protocol(capsys, labeled_path) -> None:
     assert (
         run_cli("evaluate", "--input", labeled_path, "--baseline", "liu",
@@ -341,6 +358,32 @@ def test_evaluate_external_predictions_missing_id(tmp_path, labeled_path) -> Non
                 "--external-predictions", str(csv_path))
         == 1
     )
+
+
+@pytest.mark.parametrize("bad_row", ["5000,3.5", "-3,3.5"])
+def test_evaluate_external_predictions_unknown_id(tmp_path, labeled_path, bad_row) -> None:
+    csv_path = tmp_path / "extra.csv"
+    rows = [f"{k},3.5" for k in range(80)] + [bad_row]
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert (
+        run_cli("evaluate", "--input", labeled_path,
+                "--external-predictions", str(csv_path))
+        == 1
+    )
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_external_predictions_not_finite(tmp_path, capsys, labeled_path, value) -> None:
+    csv_path = tmp_path / "nan.csv"
+    rows = [f"{k},{3.0 + k / 100}" for k in range(80)]
+    rows[7] = f"7,{value}"
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert (
+        run_cli("evaluate", "--input", labeled_path,
+                "--external-predictions", str(csv_path))
+        == 1
+    )
+    assert capsys.readouterr().out == ""
 
 
 def test_evaluate_external_predictions_reject_splits(tmp_path, labeled_path) -> None:

@@ -21,6 +21,7 @@ from hasqoe import (
     run_split_protocol,
     generate_labeled_dataset,
 )
+from hasqoe.evaluation import split_masks
 
 
 def brute_force_pcc(xs, ys):
@@ -147,24 +148,17 @@ def test_protocol_is_deterministic(dataset) -> None:
 
 
 def test_protocol_splits_are_disjoint_and_cover_dataset(dataset) -> None:
-    seen = {}
-
-    def spying_runner(train: LabeledDataset):
-        seen["train"] = train.sessions
-
-        def predictor(sessions):
-            seen["test"] = tuple(sessions)
-            return np.array([predict(s, paper_weights()) for s in sessions])
-
-        return predictor
-
-    protocol = SplitProtocol(n_repetitions=1, test_size=40, test_pool="all", rng_seed=3)
-    run_split_protocol(dataset, protocol, spying_runner)
-    train, test = seen["train"], seen["test"]
-    assert len(train) + len(test) == len(dataset.sessions)
-    assert len(test) == 40
-    combined = sorted(map(id, train + test))
-    assert combined == sorted(map(id, dataset.sessions))
+    protocol = SplitProtocol(n_repetitions=3, test_size=40, test_pool="all", rng_seed=3)
+    masks = split_masks(dataset.sessions, protocol)
+    assert len(masks) == 3
+    for k, test in enumerate(masks):
+        # the test rows are the draw of split k's substream; every other
+        # row, and only those, trains
+        assert test.dtype == bool and test.shape == (len(dataset.sessions),)
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(3)[k])
+        drawn = rng.choice(range(len(dataset.sessions)), size=40, replace=False)
+        assert np.flatnonzero(test).tolist() == sorted(int(i) for i in drawn)
+    assert not np.array_equal(masks[0], masks[1])
 
 
 def test_single_split_equals_direct_evaluation(dataset) -> None:
@@ -192,16 +186,9 @@ def test_protocol_pool_selection(dataset) -> None:
         run_split_protocol(dataset, protocol, fixed_weights_runner(paper_weights()))
 
     ok = SplitProtocol(n_repetitions=2, test_size=20, test_pool="multi-factor", rng_seed=0)
-
-    def tag_checking_runner(train: LabeledDataset):
-        def predictor(sessions):
-            if len(sessions) == 20:  # the test portion
-                assert all(s.tag == "multi-factor" for s in sessions)
-            return np.array([predict(s, paper_weights()) for s in sessions])
-
-        return predictor
-
-    run_split_protocol(dataset, ok, tag_checking_runner)
+    for test in split_masks(dataset.sessions, ok):
+        assert int(test.sum()) == 20
+        assert all(dataset.sessions[k].tag == "multi-factor" for k in np.flatnonzero(test))
 
 
 def test_protocol_compensation_flags(dataset) -> None:
@@ -229,6 +216,8 @@ def test_protocol_validation() -> None:
         SplitProtocol(n_repetitions=0)
     with pytest.raises(UsageError):
         SplitProtocol(test_size=0)
+    with pytest.raises(UsageError, match="test_size"):
+        SplitProtocol(test_size=1)
 
 
 def test_per_split_metrics_shape(dataset) -> None:
