@@ -17,6 +17,7 @@ turns either into a linear model over :func:`baseline_matrix`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -121,13 +122,17 @@ class BaselineCoefficients:
         if not isinstance(data, dict):
             raise UsageError("coefficients record must be an object")
         try:
-            return cls(
+            coefficients = cls(
                 model=str(data["model"]),
                 coefficients={str(k): float(v) for k, v in data["coefficients"].items()},
                 intercept=float(data.get("intercept", 0.0)),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise UsageError(f"bad coefficients record: {exc!r}") from None
+        values = (*coefficients.coefficients.values(), coefficients.intercept)
+        if not all(map(math.isfinite, values)):
+            raise UsageError("bad coefficients record: every value must be a finite number")
+        return coefficients
 
 
 def baseline_matrix(sessions, names, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:

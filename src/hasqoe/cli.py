@@ -29,7 +29,7 @@ from .evaluation import (
     run_split_protocol,
 )
 from .fitting import LabeledDataset, fit
-from .model import extract_features, predict
+from .model import feature_matrix, predict_matrix
 from .synth import GeneratorConfig, generate_labeled_dataset, generate_sessions
 
 EXIT_OK = 0
@@ -58,17 +58,19 @@ def _read_input_sessions(spec: str):
 
 def cmd_predict(args) -> None:
     weights = io.read_weights(args.weights)
-    sessions = _read_input_sessions(args.input)
-    features = [extract_features(s) for s in sessions]
-    values = [predict(s, weights) for s in sessions]
+    features = feature_matrix(_read_input_sessions(args.input))
+    scores = predict_matrix(features, weights)
+    if not np.isfinite(scores).all():
+        raise DegenerateMetricError(
+            "predictions overflow the float range; the weights are too large"
+        )
+    values = scores.tolist()
     if args.format == "json":
-        payload = []
-        for k, value in enumerate(values):
-            record: dict = {"index": k, "prediction": value}
-            if args.features:
-                record["features"] = list(features[k].as_vector())
-            payload.append(record)
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        payload = [{"index": k, "prediction": value} for k, value in enumerate(values)]
+        if args.features:
+            for record, row in zip(payload, features.tolist()):
+                record["features"] = row
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     else:
         _emit(
             io.predictions_csv_text(values, features if args.features else None),
@@ -83,7 +85,7 @@ def cmd_fit(args) -> None:
     if args.report:
         io.write_json(report.to_dict(), args.report)
     else:
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
 
 
 def _linear_model(args) -> LinearModel:
@@ -156,7 +158,7 @@ def cmd_evaluate(args) -> None:
     if args.format == "csv":
         _emit(io.per_split_csv_text(report), args.output)
     else:
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
+        _emit(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n", args.output)
 
 
 def cmd_gen(args) -> None:

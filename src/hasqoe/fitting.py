@@ -27,7 +27,7 @@ from .model import (
     BinningConfig,
     ModelWeights,
     SessionTrace,
-    extract_features,
+    feature_matrix,
 )
 
 
@@ -62,18 +62,17 @@ class FitReport:
     condition_warning: bool = False
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; an undefined (NaN) training PCC is written as ``None``."""
         return {
             "training_rmse": self.training_rmse,
-            "training_pcc": self.training_pcc,
+            "training_pcc": None if math.isnan(self.training_pcc) else self.training_pcc,
             "condition_warning": self.condition_warning,
         }
 
 
 def design_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
     """Signed feature rows, one session per row, 22 columns."""
-    rows = np.array(
-        [extract_features(s, config).as_vector() for s in sessions], dtype=float
-    )
+    rows = feature_matrix(sessions, config)
     rows[:, 5:] *= -1.0
     return rows
 

@@ -40,7 +40,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(data, path: str) -> None:
-    atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(data, indent=2, allow_nan=False) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -142,18 +142,19 @@ def read_external_predictions(path: str) -> dict[int, float]:
     return predictions
 
 
-def predictions_csv_text(predictions, feature_vectors=None) -> str:
-    """CSV of per-session predictions; feature columns are optional."""
+def predictions_csv_text(predictions, features=None) -> str:
+    """CSV of per-session predictions; ``features``, a ``feature_matrix``, adds its 22 columns."""
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["index", "prediction"]
-    if feature_vectors is not None:
+    if features is not None:
         header += _feature_column_names()
+        features = features.tolist()
     writer.writerow(header)
     for k, value in enumerate(predictions):
         row = [str(k), f"{value:.6f}"]
-        if feature_vectors is not None:
-            row += [f"{v:.6f}" for v in feature_vectors[k].as_vector()]
+        if features is not None:
+            row += [f"{v:.6f}" for v in features[k]]
         writer.writerow(row)
     return buffer.getvalue()
 

@@ -13,6 +13,15 @@ frequencies:
 Predicted QoE is a weighted linear combination of those frequencies,
 floored at 1.0 MOS.  ``paper_weights`` returns the published reference
 weight set bundled with the package.
+
+Features come from one batch pass: :func:`feature_matrix` bins the
+concatenated segments and stalls of many sessions in numpy and counts
+them per session, taking runs of whole sessions of a few thousand
+segments at a time so its temporaries stay small whatever the dataset
+size.  :func:`extract_features` is a batch of one, and
+:func:`predict_matrix` scores a feature matrix in :func:`predict`'s
+summation order.  :func:`bin_quality` and :func:`classify_switch` are
+the per-value definitions of the bins that pass counts.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
+
+import numpy as np
 
 from .errors import UsageError, ValidationError
 
@@ -54,6 +66,21 @@ def _check_mos(value: float, label: str) -> float:
     return value
 
 
+#: The Python types a JSON number decodes to.  ``bool`` is a subclass of
+#: ``int``, so fields are checked with ``type``, not ``isinstance``.
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_number(value, label: str) -> float:
+    """A number field of a JSON record as a float; booleans, strings and null are not numbers."""
+    if type(value) not in _JSON_NUMBER_TYPES:
+        raise UsageError(f"{label} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError(f"{label} {value} is too large") from None
+
+
 @dataclass(frozen=True)
 class InterruptionEvent:
     """A playback stall after ``after_segment`` segments, lasting ``duration_s``."""
@@ -62,7 +89,12 @@ class InterruptionEvent:
     duration_s: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "after_segment", int(self.after_segment))
+        after_segment = int(self.after_segment)
+        if after_segment != self.after_segment:
+            raise ValidationError(
+                f"after_segment {self.after_segment!r} must be a whole number"
+            )
+        object.__setattr__(self, "after_segment", after_segment)
         object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.after_segment < 1:
             # A stall before any playback is initial delay, which this
@@ -83,11 +115,13 @@ class InterruptionEvent:
         if not isinstance(data, dict):
             raise UsageError(f"interruption record must be an object, got {data!r}")
         try:
-            return cls(data["after_segment"], data["duration_s"])
+            after_segment = _json_number(data["after_segment"], "'after_segment'")
+            duration_s = _json_number(data["duration_s"], "'duration_s'")
         except KeyError as exc:
             raise UsageError(f"interruption record missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad interruption record {data!r}: {exc}") from None
+        if not after_segment.is_integer():
+            raise UsageError(f"'after_segment' must be a whole number, got {after_segment!r}")
+        return cls(int(after_segment), duration_s)
 
 
 @dataclass(frozen=True)
@@ -105,13 +139,16 @@ class SessionTrace:
     tag: str | None = None
 
     def __post_init__(self) -> None:
-        segments = tuple(float(q) for q in self.segments)
+        segments = tuple(map(float, self.segments))
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "interruptions", tuple(self.interruptions))
         if not segments:
             raise ValidationError("session must contain at least one segment")
         for k, q in enumerate(segments):
-            _check_mos(q, f"segment {k} quality")
+            if not MIN_MOS <= q <= MAX_MOS:  # also false for NaN
+                raise ValidationError(
+                    f"segment {k} quality {q!r} outside [{MIN_MOS}, {MAX_MOS}]"
+                )
         for event in self.interruptions:
             if not isinstance(event, InterruptionEvent):
                 raise ValidationError(f"interruption {event!r} is not an InterruptionEvent")
@@ -145,26 +182,24 @@ class SessionTrace:
         if "segments" not in data:
             raise UsageError("session record missing 'segments'")
         segments = data["segments"]
-        if not isinstance(segments, (list, tuple)):
+        if not isinstance(segments, (list, tuple)) or not _JSON_NUMBER_TYPES.issuperset(
+            map(type, segments)
+        ):
             raise UsageError("'segments' must be an array of numbers")
-        try:
-            segments = tuple(float(q) for q in segments)
-        except (TypeError, ValueError):
-            raise UsageError("'segments' must be an array of numbers") from None
         raw_events = data.get("interruptions", [])
         if not isinstance(raw_events, (list, tuple)):
             raise UsageError("'interruptions' must be an array of objects")
         events = tuple(InterruptionEvent.from_dict(e) for e in raw_events)
         mos = data.get("mos")
         if mos is not None:
-            try:
-                mos = float(mos)
-            except (TypeError, ValueError):
-                raise UsageError(f"'mos' must be a number, got {mos!r}") from None
+            mos = _json_number(mos, "'mos'")
         tag = data.get("tag")
         if tag is not None and not isinstance(tag, str):
             raise UsageError(f"'tag' must be a string, got {tag!r}")
-        return cls(segments, events, mos, tag)
+        try:
+            return cls(segments, events, mos, tag)
+        except OverflowError:  # an integer beyond the float range
+            raise UsageError("'segments' must be an array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -294,6 +329,84 @@ class FeatureVector:
         )
 
 
+def _switch_columns() -> np.ndarray:
+    """Feature column of a boundary, indexed by (starting level i, amplitude bin j + 4).
+
+    Down-switches map to their ``DOWN_SWITCH_BINS`` column, maintaining
+    and up-switches to the grouped column; -1 marks pairs no boundary
+    lands in.
+    """
+    table = np.full((6, 9), -1, dtype=np.intp)
+    table[1:, 4:] = 5 + len(DOWN_SWITCH_BINS)
+    for column, (i, j) in enumerate(DOWN_SWITCH_BINS, start=5):
+        table[i, j + 4] = column
+    table.flags.writeable = False
+    return table
+
+
+_SWITCH_COLUMN = _switch_columns()
+_FIRST_INTERRUPTION_COLUMN = 6 + len(DOWN_SWITCH_BINS)
+
+#: Segments per run of sessions that :func:`feature_matrix` counts at once,
+#: which bounds the size of its temporaries.
+_CHUNK_SEGMENTS = 8192
+
+
+def _count_into(out: np.ndarray, sessions, config: BinningConfig) -> None:
+    """Write the 22 frequencies of each of ``sessions`` into its row of ``out``."""
+    lengths = np.fromiter((len(s.segments) for s in sessions), np.intp, len(sessions))
+    n_stalls = np.fromiter((len(s.interruptions) for s in sessions), np.intp, len(sessions))
+    ends = np.cumsum(lengths)
+    q = np.fromiter(chain.from_iterable(s.segments for s in sessions), float, ends[-1])
+    durations = np.fromiter((e.duration_s for s in sessions for e in s.interruptions), float)
+
+    # The float operations of bin_quality and classify_switch.  Qualities
+    # lie in [1, 5] (SessionTrace checks), which keeps levels in 1..5 and
+    # amplitude bins in -4..4 without their clamps.
+    levels = np.floor(q + config.half_width).astype(np.intp)
+    amplitudes = np.floor(q[1:] - q[:-1] + config.half_width).astype(np.intp)
+    # A drop that rounds below the bottom level lands in the deepest bin.
+    amplitudes = np.maximum(amplitudes, 1 - levels[:-1])
+
+    # Each value is counted at a flat index row * 22 + column of ``out``.
+    row_starts = np.arange(0, out.size, N_PARAMETERS)
+    segment_rows = np.repeat(row_starts, lengths)
+    switches = segment_rows[:-1] + _SWITCH_COLUMN[levels[:-1], amplitudes + 4]
+    switches[ends[:-1] - 1] = out.size  # a boundary between two sessions: dropped below
+    stalls = (
+        np.repeat(row_starts, n_stalls)
+        + _FIRST_INTERRUPTION_COLUMN
+        + np.searchsorted(config.interruption_edges, durations, side="left")
+    )
+    cells = np.concatenate((segment_rows + (levels - 1), switches, stalls))
+    counts = np.bincount(cells, minlength=out.size + 1)[:-1].reshape(out.shape)
+    out[:, :5] = counts[:, :5] / lengths[:, None]
+    # A session without events has no event counts, so any divisor gives its zeros.
+    out[:, 5:] = counts[:, 5:] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]
+
+
+def feature_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
+    """The 22 histogram frequencies of every session, one row each.
+
+    Columns follow :meth:`FeatureVector.as_vector` and are unsigned.  The
+    bins of the concatenated segments and stalls are counted in runs of
+    whole sessions of about ``_CHUNK_SEGMENTS`` segments (a longer
+    session is a run of its own), so memory use does not grow with the
+    dataset beyond the sessions and the result.
+    """
+    sessions = tuple(sessions)
+    matrix = np.zeros((len(sessions), N_PARAMETERS))
+    start = size = 0
+    for k, session in enumerate(sessions):
+        if size and size + len(session.segments) > _CHUNK_SEGMENTS:
+            _count_into(matrix[start:k], sessions[start:k], config)
+            start, size = k, 0
+        size += len(session.segments)
+    if sessions:
+        _count_into(matrix[start:], sessions[start:], config)
+    return matrix
+
+
 def extract_features(
     trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING
 ) -> FeatureVector:
@@ -301,43 +414,15 @@ def extract_features(
 
     Every consecutive-segment boundary counts as an event, including
     zero-amplitude quality maintaining; maintaining and up-switches are
-    grouped into the single ``f_um`` frequency.
+    grouped into the single ``f_um`` frequency.  This is
+    :func:`feature_matrix` of one session.
     """
-    segments = trace.segments
-    n = len(segments)
-
-    quality_counts = [0] * config.n_quality_bins
-    for q in segments:
-        quality_counts[bin_quality(q, config) - 1] += 1
-
-    down_counts = {b: 0 for b in DOWN_SWITCH_BINS}
-    um_count = 0
-    for before, after in zip(segments, segments[1:]):
-        event = classify_switch(before, after, config)
-        if event.amplitude_bin >= 0:
-            um_count += 1
-        else:
-            down_counts[(event.starting_quality_bin, event.amplitude_bin)] += 1
-
-    interruption_counts = [0] * config.n_interruption_bins
-    for event in trace.interruptions:
-        interruption_counts[bin_interruption(event.duration_s, config) - 1] += 1
-
-    total_events = (n - 1) + len(trace.interruptions)
-    if total_events == 0:
-        f_down = {b: 0.0 for b in DOWN_SWITCH_BINS}
-        f_um = 0.0
-        f_interruption = (0.0,) * config.n_interruption_bins
-    else:
-        f_down = {b: c / total_events for b, c in down_counts.items()}
-        f_um = um_count / total_events
-        f_interruption = tuple(c / total_events for c in interruption_counts)
-
+    values = feature_matrix((trace,), config)[0].tolist()
     return FeatureVector(
-        f_quality=tuple(c / n for c in quality_counts),
-        f_downswitch=f_down,
-        f_um=f_um,
-        f_interruption=f_interruption,
+        f_quality=values[:5],
+        f_downswitch=dict(zip(DOWN_SWITCH_BINS, values[5:15])),
+        f_um=values[15],
+        f_interruption=values[16:],
     )
 
 
@@ -415,7 +500,7 @@ class ModelWeights:
             beta_down = {
                 (entry["i"], entry["j"]): entry["w"] for entry in data["beta_down"]
             }
-            return cls(
+            weights = cls(
                 alpha=tuple(data["alpha"]),
                 beta_down=beta_down,
                 beta_um=data["beta_um"],
@@ -423,6 +508,9 @@ class ModelWeights:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad weights record: {exc!r}") from None
+        if not all(map(math.isfinite, weights.as_vector())):
+            raise UsageError("bad weights record: every weight must be a finite number")
+        return weights
 
 
 def paper_weights() -> ModelWeights:
@@ -443,6 +531,31 @@ def perceptual_quality(features: FeatureVector, weights: ModelWeights) -> float:
 def interruption_degradation(features: FeatureVector, weights: ModelWeights) -> float:
     """Penalty contributed by playback interruptions."""
     return float(sum(g * f for g, f in zip(weights.gamma, features.f_interruption)))
+
+
+def _ordered_sum(weights, columns: np.ndarray) -> np.ndarray:
+    """Row sums of ``weights * columns``, added term by term like ``sum(w * f ...)``."""
+    total = np.zeros(len(columns))
+    for weight, column in zip(weights, columns.T):
+        total += weight * column
+    return total
+
+
+def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """:func:`predict` for every row of a :func:`feature_matrix`.
+
+    The terms are added in the order :func:`perceptual_quality` and
+    :func:`interruption_degradation` add them, not as one matrix
+    product, so each value equals :func:`predict` of its session bit for
+    bit.
+    """
+    w = weights.as_vector()
+    quality = (
+        _ordered_sum(w[:5], features[:, :5])
+        - _ordered_sum(w[5:15], features[:, 5:15])
+        - w[15] * features[:, 15]
+    )
+    return np.maximum(quality - _ordered_sum(w[16:], features[:, 16:]), MIN_MOS)
 
 
 def predict(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,20 @@ from hasqoe import (
 from hasqoe.cli import main
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run_cli(*args: str) -> int:
     return main(list(args))
+
+
+def strict_json(text: str):
+    """Parse JSON that must not contain NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +173,80 @@ def test_predict_garbage_json_is_usage_error(tmp_path) -> None:
     assert run_cli("predict", "--input", str(bad), "--weights", "paper") == 1
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"segments": [True, 3.0]},
+        {"segments": [3.0, "3.5"]},
+        {"segments": [3.0], "mos": True},
+        {"segments": [3.0, 3.0], "interruptions": [{"after_segment": True, "duration_s": 1.0}]},
+        {"segments": [3.0, 3.0], "interruptions": [{"after_segment": 1, "duration_s": True}]},
+        {"segments": [3.0, 3.0], "interruptions": [{"after_segment": 1.5, "duration_s": 1.0}]},
+        {"segments": [3.0, 3.0, 3.0], "interruptions": [{"after_segment": 2.7, "duration_s": 1.0}]},
+        {"segments": [3.0, 10**400]},
+    ],
+)
+def test_predict_rejects_coerced_session_fields(tmp_path, capsys, record) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"segments": [4.0]}, record]))
+    assert run_cli("predict", "--input", str(bad), "--weights", "paper") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "session 1" in captured.err
+
+
+def test_predict_accepts_integral_after_segment(tmp_path, capsys) -> None:
+    data = tmp_path / "sessions.json"
+    data.write_text(json.dumps(
+        {"segments": [5, 5, 5], "interruptions": [{"after_segment": 3.0, "duration_s": 4}]}
+    ))
+    assert run_cli("predict", "--input", str(data), "--weights", "paper") == 0
+    assert capsys.readouterr().out == "index,prediction\n0,1.000000\n"
+
+
+@pytest.mark.parametrize(
+    ("name", "args"),
+    [
+        ("predict_features.csv", ()),
+        ("predict_features.json", ("--format", "json")),
+    ],
+)
+def test_predict_output_is_pinned(tmp_path, name, args) -> None:
+    # Recorded from the per-segment implementation; the input holds every
+    # quality and stall bin edge, single-segment and event-free sessions.
+    out = tmp_path / name
+    assert (
+        run_cli("predict", "--input", str(DATA / "predict_input.json"), "--weights", "paper",
+                "--features", *args, "--output", str(out))
+        == 0
+    )
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_predict_overflowing_weights_is_numerical_error(tmp_path, capsys, fmt) -> None:
+    weights = paper_weights().to_dict()
+    weights["alpha"] = [1.7e308] * 5
+    weights["beta_down"] = [dict(entry, w=-1.7e308) for entry in weights["beta_down"]]
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(weights))
+    data = tmp_path / "sessions.json"
+    data.write_text(json.dumps({"segments": [5.0, 3.0]}))
+    assert run_cli("predict", "--input", str(data), "--weights", str(path), "--format", fmt) == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_predict_rejects_non_finite_weights(tmp_path, capsys) -> None:
+    weights = paper_weights().to_dict()
+    weights["gamma"][2] = float("nan")
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(weights))
+    assert run_cli("predict", "--input", "example", "--weights", str(path),
+                   "--format", "json") == 1
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -197,6 +284,20 @@ def test_fit_is_deterministic(tmp_path, labeled_path) -> None:
     run_cli("fit", "--input", labeled_path, "--output", str(w2), "--report", str(r2))
     assert w1.read_bytes() == w2.read_bytes()
     assert r1.read_bytes() == r2.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:fitting 22 weights", "ignore:design matrix is rank-deficient")
+def test_fit_report_writes_undefined_pcc_as_null(tmp_path, capsys) -> None:
+    # Constant labels leave the training PCC undefined.
+    data = tmp_path / "constant.json"
+    data.write_text(json.dumps([{"segments": [float(q)], "mos": 3.0} for q in range(1, 6)]))
+    weights_out, report_out = tmp_path / "w.json", tmp_path / "report.json"
+    assert run_cli("fit", "--input", str(data), "--output", str(weights_out)) == 0
+    assert strict_json(capsys.readouterr().out)["training_pcc"] is None
+    assert run_cli("fit", "--input", str(data), "--output", str(weights_out),
+                   "--report", str(report_out)) == 0
+    assert strict_json(report_out.read_text())["training_pcc"] is None
+    strict_json(weights_out.read_text())
 
 
 def test_fit_rejects_unlabeled_dataset(tmp_path) -> None:
@@ -321,6 +422,21 @@ def test_evaluate_baseline_rejects_coefficients_of_another_model(
             == 1
         )
         assert "'guo', not 'liu'" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_finite_weights_and_coefficients(tmp_path, capsys, labeled_path) -> None:
+    weights = paper_weights().to_dict()
+    weights["alpha"][0] = float("inf")
+    weights_path = tmp_path / "weights.json"
+    weights_path.write_text(json.dumps(weights))
+    coefficients_path = tmp_path / "coefficients.json"
+    coefficients_path.write_text(
+        '{"model": "guo", "coefficients": {"median_quality": NaN, "min_quality": 1.0}}'
+    )
+    for mode in (("--weights", str(weights_path)),
+                 ("--baseline", "guo", "--coefficients", str(coefficients_path))):
+        assert run_cli("evaluate", "--input", labeled_path, *mode) == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_evaluate_baseline_protocol(capsys, labeled_path) -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -178,3 +179,13 @@ def test_training_metrics_use_clamped_predictions() -> None:
     unclamped_rmse = float(np.sqrt(np.mean((raw - labels) ** 2)))
     assert report.training_rmse == pytest.approx(clamped_rmse, abs=1e-12)
     assert report.training_rmse < unclamped_rmse
+
+
+@pytest.mark.filterwarnings("ignore:fitting 22 weights", "ignore:design matrix is rank-deficient")
+def test_constant_labels_leave_training_pcc_undefined() -> None:
+    dataset = LabeledDataset(
+        tuple(SessionTrace((float(q),), ground_truth_mos=3.0) for q in range(1, 6))
+    )
+    report = fit(dataset)
+    assert math.isnan(report.training_pcc)
+    assert report.to_dict()["training_pcc"] is None

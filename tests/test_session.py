@@ -20,11 +20,27 @@ def test_trace_rejects_out_of_range_quality() -> None:
         SessionTrace((3.0, 7.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.999])
+def test_trace_names_the_first_bad_segment(bad) -> None:
+    with pytest.raises(ValidationError, match=f"segment 2 quality {bad!r} outside"):
+        SessionTrace((3.0, 4.0, bad, 9.0))
+
+
 def test_interruption_rejects_nonpositive_duration() -> None:
     with pytest.raises(ValidationError):
         InterruptionEvent(1, 0.0)
     with pytest.raises(ValidationError):
         InterruptionEvent(1, -2.5)
+
+
+def test_interruption_after_segment_must_be_whole() -> None:
+    assert InterruptionEvent(3.0, 1.0).after_segment == 3
+    assert type(InterruptionEvent(3.0, 1.0).after_segment) is int
+    with pytest.raises(ValidationError, match="whole number"):
+        InterruptionEvent(2.7, 1.0)
+    with pytest.raises(UsageError, match="whole number"):
+        InterruptionEvent.from_dict({"after_segment": 2.7, "duration_s": 1.0})
+    assert InterruptionEvent.from_dict({"after_segment": 2.0, "duration_s": 1}) == InterruptionEvent(2, 1.0)
 
 
 def test_interruption_before_first_segment_is_rejected() -> None:
@@ -65,6 +81,26 @@ def test_from_dict_structural_errors_are_usage_errors() -> None:
         SessionTrace.from_dict({"segments": [3.0], "interruptions": [{"duration_s": 1.0}]})
     with pytest.raises(UsageError):
         SessionTrace.from_dict({"segments": [3.0], "mos": "great"})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"segments": [True, 3.0]},
+        {"segments": [3.0, None]},
+        {"segments": ["3.5"]},
+        {"segments": [3.0], "mos": True},
+        {"segments": [3.0], "mos": "4.0"},
+        {"segments": [3.0], "interruptions": [{"after_segment": True, "duration_s": 1.0}]},
+        {"segments": [3.0], "interruptions": [{"after_segment": 1, "duration_s": False}]},
+        {"segments": [3.0], "interruptions": [{"after_segment": float("nan"), "duration_s": 1.0}]},
+        {"segments": [3.0, 10**400]},
+        {"segments": [3.0], "mos": 10**400},
+    ],
+)
+def test_from_dict_rejects_values_that_are_not_json_numbers(record) -> None:
+    with pytest.raises(UsageError):
+        SessionTrace.from_dict(record)
 
 
 def test_from_dict_domain_errors_are_validation_errors() -> None:
