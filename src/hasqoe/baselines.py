@@ -24,12 +24,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fitting import LabeledDataset, solve
-from .model import (
-    DEFAULT_BINNING,
-    BinningConfig,
-    SessionTrace,
-    classify_switch,
-)
+from .model import SessionTrace, _json_number, classify_switch
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -58,22 +53,11 @@ class BaselineFeatures:
     stall_count: int
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "median_quality": self.median_quality,
-            "min_quality": self.min_quality,
-            "switch_count": float(self.switch_count),
-            "mean_quality": self.mean_quality,
-            "std_quality": self.std_quality,
-            "weighted_quality_sum": self.weighted_quality_sum,
-            "mean_sq_down_amplitude": self.mean_sq_down_amplitude,
-            "stall_duration_sum": self.stall_duration_sum,
-            "stall_count": float(self.stall_count),
-        }
+        """Every statistic as a float, in field order."""
+        return {name: float(value) for name, value in vars(self).items()}
 
 
-def extract_baseline_features(
-    trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING
-) -> BaselineFeatures:
+def extract_baseline_features(trace: SessionTrace) -> BaselineFeatures:
     """Compute all comparison-model statistics for one session."""
     q = np.asarray(trace.segments, dtype=float)
     deltas = np.diff(q)
@@ -82,7 +66,7 @@ def extract_baseline_features(
     switch_count = sum(
         1
         for before, after in zip(trace.segments, trace.segments[1:])
-        if classify_switch(before, after, config).amplitude_bin != 0
+        if classify_switch(before, after).amplitude_bin != 0
     )
     down = deltas[deltas < 0.0]
     mean_sq_down = float(np.mean(down**2)) if down.size else 0.0
@@ -122,12 +106,18 @@ class BaselineCoefficients:
         if not isinstance(data, dict):
             raise UsageError("coefficients record must be an object")
         try:
+            model = data["model"]
+            if not isinstance(model, str):
+                raise UsageError(f"'model' must be a string, got {model!r}")
             coefficients = cls(
-                model=str(data["model"]),
-                coefficients={str(k): float(v) for k, v in data["coefficients"].items()},
-                intercept=float(data.get("intercept", 0.0)),
+                model=model,
+                coefficients={
+                    str(k): _json_number(v, f"coefficient {k!r}")
+                    for k, v in data["coefficients"].items()
+                },
+                intercept=_json_number(data.get("intercept", 0.0), "'intercept'"),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, AttributeError) as exc:
             raise UsageError(f"bad coefficients record: {exc!r}") from None
         values = (*coefficients.coefficients.values(), coefficients.intercept)
         if not all(map(math.isfinite, values)):
@@ -135,7 +125,7 @@ class BaselineCoefficients:
         return coefficients
 
 
-def baseline_matrix(sessions, names, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
+def baseline_matrix(sessions, names) -> np.ndarray:
     """The named statistics plus an intercept column of ones, one session per row."""
     known = [f.name for f in fields(BaselineFeatures)]
     for name in names:
@@ -143,23 +133,19 @@ def baseline_matrix(sessions, names, config: BinningConfig = DEFAULT_BINNING) ->
             raise UsageError(f"unknown statistic {name!r}; known statistics: {sorted(known)}")
     rows = []
     for session in sessions:
-        stats = extract_baseline_features(session, config).as_dict()
+        stats = extract_baseline_features(session).as_dict()
         rows.append([stats[name] for name in names] + [1.0])
     return np.asarray(rows, dtype=float)
 
 
-def fit_baseline_coefficients(
-    dataset: LabeledDataset,
-    model: str,
-    config: BinningConfig = DEFAULT_BINNING,
-) -> BaselineCoefficients:
+def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:
     """Fit one comparison model's coefficients by OLS on a labeled dataset."""
     if model not in MODEL_STATISTICS:
         raise UsageError(
             f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
         )
     names = MODEL_STATISTICS[model]
-    solution, _ = solve(baseline_matrix(dataset.sessions, names, config), dataset.labels())
+    solution, _ = solve(baseline_matrix(dataset.sessions, names), dataset.labels())
     return BaselineCoefficients(
         model=model,
         coefficients=dict(zip(names, (float(v) for v in solution[:-1]))),

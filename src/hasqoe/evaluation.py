@@ -170,6 +170,10 @@ class LinearModel:
                 matrix[train], labels[train], nonnegative=self.nonnegative, warn=histogram
             )
         raw = matrix @ np.asarray(weights, dtype=float)
+        if not np.isfinite(raw).all():
+            raise DegenerateMetricError(
+                "predictions overflow the float range; the weights are too large"
+            )
         return np.maximum(raw, MIN_MOS) if histogram else np.clip(raw, MIN_MOS, MAX_MOS)
 
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DegenerateMetricError, UsageError
 from .model import (
     DEFAULT_BINNING,
+    EVENT_SLOTS,
     BinningConfig,
     ModelWeights,
     SessionTrace,
@@ -73,7 +74,7 @@ class FitReport:
 def design_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
     """Signed feature rows, one session per row, 22 columns."""
     rows = feature_matrix(sessions, config)
-    rows[:, 5:] *= -1.0
+    rows[:, EVENT_SLOTS] *= -1.0
     return rows
 
 
@@ -81,17 +82,6 @@ def lstsq_min_norm(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
     """Minimum-norm least-squares solution and the rank of the matrix."""
     solution, _, rank, _ = np.linalg.lstsq(matrix, targets, rcond=None)
     return solution, int(rank)
-
-
-def _training_pcc(predictions: np.ndarray, labels: np.ndarray) -> float:
-    # NaN (rather than an error) when the correlation is undefined, so a
-    # degenerate training set still yields a usable report.
-    p = predictions - predictions.mean()
-    t = labels - labels.mean()
-    denom = math.sqrt(float(p @ p) * float(t @ t))
-    if denom == 0.0:
-        return float("nan")
-    return float(p @ t) / denom
 
 
 def fit(
@@ -103,17 +93,24 @@ def fit(
     """Fit the 22 weights to a labeled dataset by least squares.
 
     With ``nonnegative=True`` the solve is constrained to w >= 0 using
-    an active-set method; by default the solve is unconstrained.
+    an active-set method; by default the solve is unconstrained.  An
+    undefined training PCC (constant predictions or labels) is NaN.
     """
+    from .evaluation import pcc  # evaluation imports this module
+
     matrix = design_matrix(dataset.sessions, config)
     labels = dataset.labels()
     solution, deficient = solve(matrix, labels, nonnegative=nonnegative, warn=True)
     clamped = np.maximum(matrix @ solution, 1.0)
     residual = clamped - labels
+    try:
+        training_pcc = pcc(clamped, labels)
+    except (DegenerateMetricError, UsageError):
+        training_pcc = math.nan
     return FitReport(
         weights=ModelWeights.from_vector(solution),
         training_rmse=float(np.sqrt(np.mean(residual**2))),
-        training_pcc=_training_pcc(clamped, labels),
+        training_pcc=training_pcc,
         condition_warning=deficient,
     )
 

@@ -19,7 +19,7 @@ from io import StringIO
 
 from .baselines import BaselineCoefficients
 from .errors import UsageError, ValidationError
-from .model import ModelWeights, SessionTrace, paper_weights
+from .model import FEATURE_NAMES, ModelWeights, SessionTrace, paper_weights
 from .synth import GeneratorConfig
 
 
@@ -148,7 +148,7 @@ def predictions_csv_text(predictions, features=None) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["index", "prediction"]
     if features is not None:
-        header += _feature_column_names()
+        header += FEATURE_NAMES
         features = features.tolist()
     writer.writerow(header)
     for k, value in enumerate(predictions):
@@ -157,16 +157,6 @@ def predictions_csv_text(predictions, features=None) -> str:
             row += [f"{v:.6f}" for v in features[k]]
         writer.writerow(row)
     return buffer.getvalue()
-
-
-def _feature_column_names() -> list[str]:
-    from .model import DOWN_SWITCH_BINS
-
-    names = [f"quality_bin_{n}" for n in range(1, 6)]
-    names += [f"down_switch_{i}_{j}" for i, j in DOWN_SWITCH_BINS]
-    names.append("non_negative_switch")
-    names += [f"interruption_bin_{k}" for k in range(1, 7)]
-    return names
 
 
 def per_split_csv_text(report) -> str:

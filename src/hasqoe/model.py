@@ -22,6 +22,11 @@ size.  :func:`extract_features` is a batch of one, and
 :func:`predict_matrix` scores a feature matrix in :func:`predict`'s
 summation order.  :func:`bin_quality` and :func:`classify_switch` are
 the per-value definitions of the bins that pass counts.
+
+The 22-slot layout is defined once, by ``FEATURE_NAMES`` and the group
+slices next to it; only the interruption edges can change, from Python
+(:class:`BinningConfig`).  The JSON readers take ``true``, strings and
+``null`` for no number (exit 1); an overflowing prediction exits 3.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
 
@@ -54,9 +59,26 @@ DOWN_SWITCH_BINS: tuple[tuple[int, int], ...] = (
     (5, -4), (5, -3), (5, -2), (5, -1),
 )
 
-#: 5 quality weights + 10 down-switch weights + 1 grouped weight + 6
-#: interruption weights.
-N_PARAMETERS = 22
+#: The name of each of the 22 slots of a feature row or weight vector, in
+#: canonical order: the 5 quality levels, the ``DOWN_SWITCH_BINS``, the
+#: grouped maintaining/up-switch bin and the 6 interruption-duration bins.
+#: Feature CSV columns carry these names.
+FEATURE_NAMES: tuple[str, ...] = (
+    *(f"quality_bin_{n}" for n in range(1, 6)),
+    *(f"down_switch_{i}_{j}" for i, j in DOWN_SWITCH_BINS),
+    "non_negative_switch",
+    *(f"interruption_bin_{k}" for k in range(1, len(DEFAULT_INTERRUPTION_EDGES) + 2)),
+)
+N_PARAMETERS = len(FEATURE_NAMES)
+_DOWN_SWITCH_SET = frozenset(DOWN_SWITCH_BINS)
+
+# Where each group sits in FEATURE_NAMES, in feature rows and in weight vectors.
+QUALITY_SLOTS = slice(0, 5)
+DOWN_SWITCH_SLOTS = slice(QUALITY_SLOTS.stop, QUALITY_SLOTS.stop + len(DOWN_SWITCH_BINS))
+GROUPED_SLOT = DOWN_SWITCH_SLOTS.stop
+INTERRUPTION_SLOTS = slice(GROUPED_SLOT + 1, N_PARAMETERS)
+#: The event frequencies: normalized by the event count, subtracted by the model.
+EVENT_SLOTS = slice(DOWN_SWITCH_SLOTS.start, N_PARAMETERS)
 
 
 def _check_mos(value: float, label: str) -> float:
@@ -79,6 +101,14 @@ def _json_number(value, label: str) -> float:
         return float(value)
     except OverflowError:
         raise UsageError(f"{label} {value} is too large") from None
+
+
+def _json_integer(value, label: str) -> int:
+    """A whole-number field of a JSON record (``3`` or ``3.0``, not ``2.7``) as an int."""
+    number = _json_number(value, label)
+    if not number.is_integer():
+        raise UsageError(f"{label} must be a whole number, got {number!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -115,13 +145,11 @@ class InterruptionEvent:
         if not isinstance(data, dict):
             raise UsageError(f"interruption record must be an object, got {data!r}")
         try:
-            after_segment = _json_number(data["after_segment"], "'after_segment'")
+            after_segment = _json_integer(data["after_segment"], "'after_segment'")
             duration_s = _json_number(data["duration_s"], "'duration_s'")
         except KeyError as exc:
             raise UsageError(f"interruption record missing key {exc}") from None
-        if not after_segment.is_integer():
-            raise UsageError(f"'after_segment' must be a whole number, got {after_segment!r}")
-        return cls(int(after_segment), duration_s)
+        return cls(after_segment, duration_s)
 
 
 @dataclass(frozen=True)
@@ -204,28 +232,19 @@ class SessionTrace:
 
 @dataclass(frozen=True)
 class BinningConfig:
-    """Bin layout shared by feature extraction and prediction.
+    """The interruption-duration bin edges used by feature extraction and prediction.
 
-    The quality and amplitude axes use unit-wide half-open intervals
-    [n - 0.5, n + 0.5); the layout is part of the 22-parameter model
-    contract, so only the interruption edge values are tunable.
+    The quality and amplitude axes are fixed by the 22-slot layout:
+    unit-wide half-open intervals [n - 0.5, n + 0.5).  Only the five
+    interruption edge values can be chosen, from Python.
     """
 
-    n_quality_bins: int = 5
-    max_amplitude: int = 4
-    half_width: float = 0.5
     interruption_edges: tuple[float, ...] = DEFAULT_INTERRUPTION_EDGES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "interruption_edges", tuple(float(e) for e in self.interruption_edges))
-        if self.n_quality_bins != 5:
-            raise ValidationError("the model defines exactly 5 quality bins")
-        if self.max_amplitude != 4:
-            raise ValidationError("the model defines amplitude bins -4..4")
-        if self.half_width != 0.5:
-            raise ValidationError("bins must tile the MOS scale; half_width is fixed at 0.5")
         edges = self.interruption_edges
-        if len(edges) != 5:
+        if len(edges) != len(DEFAULT_INTERRUPTION_EDGES):
             raise ValidationError("the model defines exactly 6 interruption bins (5 edges)")
         if edges[0] <= 0.0 or any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValidationError(
@@ -252,15 +271,13 @@ class SwitchEvent:
     amplitude_bin: int
 
 
-def bin_quality(q: float, config: BinningConfig = DEFAULT_BINNING) -> int:
+def bin_quality(q: float) -> int:
     """Map a quality value in [1, 5] to its level bin 1..5.
 
     Bins are half-open on the right, so a value exactly on an edge
     (e.g. 4.5) belongs to the upper bin.
     """
-    q = _check_mos(q, "quality value")
-    n = int(math.floor(q + config.half_width))
-    return min(max(n, 1), config.n_quality_bins)
+    return int(math.floor(_check_mos(q, "quality value") + 0.5))
 
 
 def bin_interruption(duration_s: float, config: BinningConfig = DEFAULT_BINNING) -> int:
@@ -273,16 +290,15 @@ def bin_interruption(duration_s: float, config: BinningConfig = DEFAULT_BINNING)
     return bisect_left(config.interruption_edges, duration_s) + 1
 
 
-def classify_switch(
-    q_before: float, q_after: float, config: BinningConfig = DEFAULT_BINNING
-) -> SwitchEvent:
-    """Classify the boundary between two consecutive segments."""
+def classify_switch(q_before: float, q_after: float) -> SwitchEvent:
+    """Classify the boundary between two consecutive segments.
+
+    Both values lie in [1, 5], so the amplitude bin lies in -4..4.
+    """
     q_before = _check_mos(q_before, "quality value")
     q_after = _check_mos(q_after, "quality value")
-    i = bin_quality(q_before, config)
-    delta = q_after - q_before
-    j = int(math.floor(delta + config.half_width))
-    j = max(-config.max_amplitude, min(config.max_amplitude, j))
+    i = bin_quality(q_before)
+    j = int(math.floor(q_after - q_before + 0.5))
     if j < 0 and i + j < 1:
         # Rounding at bin edges can suggest a drop below the bottom
         # level; land it in the deepest bin that actually exists.
@@ -290,8 +306,50 @@ def classify_switch(
     return SwitchEvent(i, j)
 
 
+class _SlotGroups:
+    """The 22 slots as the four fields of a frozen dataclass.
+
+    In order: a tuple of the quality levels, a dict keyed by
+    ``DOWN_SWITCH_BINS``, the grouped value and a tuple of the
+    interruption bins.  ``_NOUN`` names the 22 values in error messages.
+    """
+
+    def __post_init__(self) -> None:
+        levels, down, grouped, stalls = self.__dataclass_fields__
+        for name, slots in ((levels, QUALITY_SLOTS), (stalls, INTERRUPTION_SLOTS)):
+            values = tuple(map(float, getattr(self, name)))
+            if len(values) != slots.stop - slots.start:
+                raise ValidationError(f"{name} must have {slots.stop - slots.start} entries")
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, grouped, float(getattr(self, grouped)))
+        bins = getattr(self, down)
+        if bins.keys() != _DOWN_SWITCH_SET:
+            raise ValidationError(
+                f"{down} must cover exactly the valid down-switch bins {sorted(DOWN_SWITCH_BINS)}"
+            )
+        object.__setattr__(self, down, {b: float(bins[b]) for b in DOWN_SWITCH_BINS})
+
+    def as_vector(self) -> tuple[float, ...]:
+        """The 22 values in ``FEATURE_NAMES`` order."""
+        levels, down, grouped, stalls = (getattr(self, name) for name in self.__dataclass_fields__)
+        return (*levels, *(down[b] for b in DOWN_SWITCH_BINS), grouped, *stalls)
+
+    @classmethod
+    def from_vector(cls, values):
+        """The inverse of :meth:`as_vector`."""
+        values = list(values)  # converted to floats by __post_init__
+        if len(values) != N_PARAMETERS:
+            raise ValidationError(f"expected {N_PARAMETERS} {cls._NOUN}, got {len(values)}")
+        return cls(
+            values[QUALITY_SLOTS],
+            dict(zip(DOWN_SWITCH_BINS, values[DOWN_SWITCH_SLOTS])),
+            values[GROUPED_SLOT],
+            values[INTERRUPTION_SLOTS],
+        )
+
+
 @dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(_SlotGroups):
     """Normalized histogram frequencies for one session.
 
     ``f_quality`` is normalized by the segment count; ``f_downswitch``,
@@ -305,28 +363,13 @@ class FeatureVector:
     f_um: float
     f_interruption: tuple[float, ...]
 
+    _NOUN = "frequencies"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f_quality", tuple(float(v) for v in self.f_quality))
-        object.__setattr__(self, "f_interruption", tuple(float(v) for v in self.f_interruption))
-        object.__setattr__(self, "f_um", float(self.f_um))
-        if len(self.f_quality) != 5:
-            raise ValidationError("f_quality must have 5 entries")
-        if len(self.f_interruption) != 6:
-            raise ValidationError("f_interruption must have 6 entries")
-        if set(self.f_downswitch) != set(DOWN_SWITCH_BINS):
-            raise ValidationError("f_downswitch must cover exactly the valid down-switch bins")
-        for v in (*self.f_quality, *self.f_downswitch.values(), self.f_um, *self.f_interruption):
+        super().__post_init__()
+        for v in self.as_vector():
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"frequency {v!r} outside [0, 1]")
-
-    def as_vector(self) -> tuple[float, ...]:
-        """The 22 frequencies in canonical order (quality, down-switch, grouped, interruption)."""
-        return (
-            *self.f_quality,
-            *(self.f_downswitch[b] for b in DOWN_SWITCH_BINS),
-            self.f_um,
-            *self.f_interruption,
-        )
 
 
 def _switch_columns() -> np.ndarray:
@@ -337,15 +380,14 @@ def _switch_columns() -> np.ndarray:
     lands in.
     """
     table = np.full((6, 9), -1, dtype=np.intp)
-    table[1:, 4:] = 5 + len(DOWN_SWITCH_BINS)
-    for column, (i, j) in enumerate(DOWN_SWITCH_BINS, start=5):
+    table[1:, 4:] = GROUPED_SLOT
+    for column, (i, j) in enumerate(DOWN_SWITCH_BINS, start=DOWN_SWITCH_SLOTS.start):
         table[i, j + 4] = column
     table.flags.writeable = False
     return table
 
 
 _SWITCH_COLUMN = _switch_columns()
-_FIRST_INTERRUPTION_COLUMN = 6 + len(DOWN_SWITCH_BINS)
 
 #: Segments per run of sessions that :func:`feature_matrix` counts at once,
 #: which bounds the size of its temporaries.
@@ -360,11 +402,10 @@ def _count_into(out: np.ndarray, sessions, config: BinningConfig) -> None:
     q = np.fromiter(chain.from_iterable(s.segments for s in sessions), float, ends[-1])
     durations = np.fromiter((e.duration_s for s in sessions for e in s.interruptions), float)
 
-    # The float operations of bin_quality and classify_switch.  Qualities
-    # lie in [1, 5] (SessionTrace checks), which keeps levels in 1..5 and
-    # amplitude bins in -4..4 without their clamps.
-    levels = np.floor(q + config.half_width).astype(np.intp)
-    amplitudes = np.floor(q[1:] - q[:-1] + config.half_width).astype(np.intp)
+    # The float operations of bin_quality and classify_switch; levels lie
+    # in 1..5 and amplitude bins in -4..4.
+    levels = np.floor(q + 0.5).astype(np.intp)
+    amplitudes = np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
     # A drop that rounds below the bottom level lands in the deepest bin.
     amplitudes = np.maximum(amplitudes, 1 - levels[:-1])
 
@@ -375,24 +416,24 @@ def _count_into(out: np.ndarray, sessions, config: BinningConfig) -> None:
     switches[ends[:-1] - 1] = out.size  # a boundary between two sessions: dropped below
     stalls = (
         np.repeat(row_starts, n_stalls)
-        + _FIRST_INTERRUPTION_COLUMN
+        + INTERRUPTION_SLOTS.start
         + np.searchsorted(config.interruption_edges, durations, side="left")
     )
     cells = np.concatenate((segment_rows + (levels - 1), switches, stalls))
     counts = np.bincount(cells, minlength=out.size + 1)[:-1].reshape(out.shape)
-    out[:, :5] = counts[:, :5] / lengths[:, None]
+    out[:, QUALITY_SLOTS] = counts[:, QUALITY_SLOTS] / lengths[:, None]
     # A session without events has no event counts, so any divisor gives its zeros.
-    out[:, 5:] = counts[:, 5:] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]
+    out[:, EVENT_SLOTS] = counts[:, EVENT_SLOTS] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]
 
 
 def feature_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
     """The 22 histogram frequencies of every session, one row each.
 
-    Columns follow :meth:`FeatureVector.as_vector` and are unsigned.  The
-    bins of the concatenated segments and stalls are counted in runs of
-    whole sessions of about ``_CHUNK_SEGMENTS`` segments (a longer
-    session is a run of its own), so memory use does not grow with the
-    dataset beyond the sessions and the result.
+    Columns follow ``FEATURE_NAMES`` and are unsigned.  The bins of the
+    concatenated segments and stalls are counted in runs of whole
+    sessions of about ``_CHUNK_SEGMENTS`` segments (a longer session is
+    a run of its own), so memory use does not grow with the dataset
+    beyond the sessions and the result.
     """
     sessions = tuple(sessions)
     matrix = np.zeros((len(sessions), N_PARAMETERS))
@@ -417,17 +458,11 @@ def extract_features(
     grouped into the single ``f_um`` frequency.  This is
     :func:`feature_matrix` of one session.
     """
-    values = feature_matrix((trace,), config)[0].tolist()
-    return FeatureVector(
-        f_quality=values[:5],
-        f_downswitch=dict(zip(DOWN_SWITCH_BINS, values[5:15])),
-        f_um=values[15],
-        f_interruption=values[16:],
-    )
+    return FeatureVector.from_vector(feature_matrix((trace,), config)[0].tolist())
 
 
 @dataclass(frozen=True)
-class ModelWeights:
+class ModelWeights(_SlotGroups):
     """The 22 model weights.
 
     ``alpha`` rewards time spent at each quality level, ``beta_down``
@@ -441,45 +476,7 @@ class ModelWeights:
     beta_um: float
     gamma: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
-        object.__setattr__(self, "gamma", tuple(float(v) for v in self.gamma))
-        object.__setattr__(self, "beta_um", float(self.beta_um))
-        object.__setattr__(
-            self,
-            "beta_down",
-            {(int(i), int(j)): float(w) for (i, j), w in self.beta_down.items()},
-        )
-        if len(self.alpha) != 5:
-            raise ValidationError("alpha must have 5 entries")
-        if len(self.gamma) != 6:
-            raise ValidationError("gamma must have 6 entries")
-        if set(self.beta_down) != set(DOWN_SWITCH_BINS):
-            raise ValidationError(
-                "beta_down must cover exactly the valid down-switch bins "
-                f"{sorted(DOWN_SWITCH_BINS)}"
-            )
-
-    def as_vector(self) -> tuple[float, ...]:
-        """The 22 weights in the same canonical order as FeatureVector.as_vector."""
-        return (
-            *self.alpha,
-            *(self.beta_down[b] for b in DOWN_SWITCH_BINS),
-            self.beta_um,
-            *self.gamma,
-        )
-
-    @classmethod
-    def from_vector(cls, values) -> "ModelWeights":
-        values = [float(v) for v in values]
-        if len(values) != N_PARAMETERS:
-            raise ValidationError(f"expected {N_PARAMETERS} weights, got {len(values)}")
-        return cls(
-            alpha=tuple(values[0:5]),
-            beta_down=dict(zip(DOWN_SWITCH_BINS, values[5:15])),
-            beta_um=values[15],
-            gamma=tuple(values[16:22]),
-        )
+    _NOUN = "weights"
 
     def to_dict(self) -> dict:
         return {
@@ -497,16 +494,17 @@ class ModelWeights:
         if not isinstance(data, dict):
             raise UsageError("weights record must be an object")
         try:
-            beta_down = {
-                (entry["i"], entry["j"]): entry["w"] for entry in data["beta_down"]
-            }
             weights = cls(
-                alpha=tuple(data["alpha"]),
-                beta_down=beta_down,
-                beta_um=data["beta_um"],
-                gamma=tuple(data["gamma"]),
+                alpha=[_json_number(v, "'alpha'") for v in data["alpha"]],
+                beta_down={
+                    (_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")):
+                        _json_number(e["w"], "'w'")
+                    for e in data["beta_down"]
+                },
+                beta_um=_json_number(data["beta_um"], "'beta_um'"),
+                gamma=[_json_number(v, "'gamma'") for v in data["gamma"]],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"bad weights record: {exc!r}") from None
         if not all(map(math.isfinite, weights.as_vector())):
             raise UsageError("bad weights record: every weight must be a finite number")
@@ -551,11 +549,12 @@ def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
     """
     w = weights.as_vector()
     quality = (
-        _ordered_sum(w[:5], features[:, :5])
-        - _ordered_sum(w[5:15], features[:, 5:15])
-        - w[15] * features[:, 15]
+        _ordered_sum(w[QUALITY_SLOTS], features[:, QUALITY_SLOTS])
+        - _ordered_sum(w[DOWN_SWITCH_SLOTS], features[:, DOWN_SWITCH_SLOTS])
+        - w[GROUPED_SLOT] * features[:, GROUPED_SLOT]
     )
-    return np.maximum(quality - _ordered_sum(w[16:], features[:, 16:]), MIN_MOS)
+    stalls = _ordered_sum(w[INTERRUPTION_SLOTS], features[:, INTERRUPTION_SLOTS])
+    return np.maximum(quality - stalls, MIN_MOS)
 
 
 def predict(

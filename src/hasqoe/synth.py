@@ -15,6 +15,7 @@ is reproducible and sessions are independent.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,12 @@ import numpy as np
 from .errors import UsageError
 from .fitting import LabeledDataset
 from .model import (
-    DEFAULT_BINNING,
     DEFAULT_INTERRUPTION_EDGES,
-    BinningConfig,
     InterruptionEvent,
     ModelWeights,
     SessionTrace,
+    _json_integer,
+    _json_number,
     classify_switch,
     extract_features,
     interruption_degradation,
@@ -38,12 +39,35 @@ from .model import (
 #: roughly an eighth are under a quarter second and a tenth exceed 3 s.
 DEFAULT_BIN_PROBS = (0.13, 0.18, 0.20, 0.20, 0.19, 0.10)
 
+#: The parameters of each stall-duration distribution, with their defaults.
+_STALL_PARAMS: dict[str, dict] = {
+    "bin_mixture": {"bin_probs": DEFAULT_BIN_PROBS, "tail_max": 6.0},
+    "uniform": {"low": 0.1, "high": 4.0},
+    "constant": {"value": 1.0},
+}
+
 
 def _check_distribution(probs, label: str) -> tuple[float, ...]:
     probs = tuple(float(p) for p in probs)
-    if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+    if not all(p >= 0.0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails
         raise UsageError(f"{label} {probs!r} must be non-negative and sum to 1")
     return probs
+
+
+def _json_record(cls, data, label: str) -> dict:
+    """A JSON object holding only field names of the dataclass ``cls``, as a dict."""
+    if not isinstance(data, dict):
+        raise UsageError(f"{label} must be an object")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise UsageError(f"unknown {label} keys: {sorted(unknown)}")
+    return dict(data)
+
+
+def _json_numbers(values, label: str) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise UsageError(f"{label} must be an array of numbers, got {values!r}")
+    return [_json_number(v, label) for v in values]
 
 
 @dataclass(frozen=True)
@@ -58,12 +82,8 @@ class QualityWalk:
     jitter: float = 0.2
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "initial_probs", _check_distribution(self.initial_probs, "initial_probs")
-        )
-        object.__setattr__(
-            self, "step_probs", _check_distribution(self.step_probs, "step_probs")
-        )
+        for name in ("initial_probs", "step_probs"):
+            object.__setattr__(self, name, _check_distribution(getattr(self, name), name))
         _check_distribution((self.p_down, self.p_stay, self.p_up), "move probabilities")
         if len(self.initial_probs) != 5:
             raise UsageError("initial_probs must have 5 entries")
@@ -75,11 +95,10 @@ class QualityWalk:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityWalk":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"unknown quality_walk keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**{
+            key: (_json_numbers if key.endswith("_probs") else _json_number)(value, f"{key!r}")
+            for key, value in _json_record(cls, data, "quality_walk").items()
+        })
 
 
 @dataclass(frozen=True)
@@ -90,52 +109,62 @@ class StallDurations:
       duration inside it (``tail_max`` caps the open last bin),
     * ``uniform``     — uniform on (low, high],
     * ``constant``    — always ``value``.
+
+    ``params`` may set any of the parameters named above; once the
+    distribution is made it holds all of them, defaults filled in.
     """
 
     name: str = "bin_mixture"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.name not in ("bin_mixture", "uniform", "constant"):
-            raise UsageError(
-                f"unknown stall duration distribution {self.name!r}; "
-                "known: bin_mixture, uniform, constant"
-            )
+        if self.name not in tuple(_STALL_PARAMS):
+            known = ", ".join(_STALL_PARAMS)
+            raise UsageError(f"unknown stall duration distribution {self.name!r}; known: {known}")
+        known = _STALL_PARAMS[self.name]
+        if not isinstance(self.params, dict) or not set(self.params) <= set(known):
+            raise UsageError(f"{self.name} params must be an object with keys from {sorted(known)}")
+        p = {**known, **self.params}
+        if self.name == "constant" and not 0.0 < p["value"] < math.inf:
+            raise UsageError(f"stall duration {p['value']} must be positive")
+        if self.name == "uniform" and not 0.0 < p["low"] <= p["high"] < math.inf:
+            raise UsageError(f"bad uniform stall range ({p['low']}, {p['high']}]")
+        if self.name == "bin_mixture":
+            if len(_check_distribution(p["bin_probs"], "bin_probs")) != len(DEFAULT_BIN_PROBS):
+                raise UsageError(f"bin_probs must have {len(DEFAULT_BIN_PROBS)} entries")
+            last_edge = DEFAULT_INTERRUPTION_EDGES[-1]
+            if not last_edge < p["tail_max"] < math.inf:
+                raise UsageError(f"tail_max {p['tail_max']} must exceed {last_edge}")
+        object.__setattr__(self, "params", p)
 
     def sample(self, rng: np.random.Generator) -> float:
+        p = self.params
         if self.name == "constant":
-            value = float(self.params.get("value", 1.0))
-            if value <= 0.0:
-                raise UsageError(f"stall duration {value} must be positive")
-            return value
+            return float(p["value"])
         if self.name == "uniform":
-            low = float(self.params.get("low", 0.1))
-            high = float(self.params.get("high", 4.0))
-            if not 0.0 < low <= high:
-                raise UsageError(f"bad uniform stall range ({low}, {high}]")
-            return high - (high - low) * float(rng.random())
-        probs = _check_distribution(
-            self.params.get("bin_probs", DEFAULT_BIN_PROBS), "bin_probs"
-        )
-        if len(probs) != len(DEFAULT_INTERRUPTION_EDGES) + 1:
-            raise UsageError(f"bin_probs must have {len(DEFAULT_INTERRUPTION_EDGES) + 1} entries")
-        tail_max = float(self.params.get("tail_max", 6.0))
-        edges = (0.0,) + DEFAULT_INTERRUPTION_EDGES + (tail_max,)
-        if tail_max <= edges[-2]:
-            raise UsageError(f"tail_max {tail_max} must exceed {edges[-2]}")
-        chosen = int(rng.choice(len(probs), p=probs))
-        low, high = edges[chosen], edges[chosen + 1]
+            low, high = float(p["low"]), float(p["high"])
+        else:
+            edges = (0.0, *DEFAULT_INTERRUPTION_EDGES, float(p["tail_max"]))
+            chosen = int(rng.choice(len(edges) - 1, p=p["bin_probs"]))
+            low, high = edges[chosen], edges[chosen + 1]
         # Sample on (low, high] so a duration never sits on the lower,
         # excluded edge of its bin.
         return high - (high - low) * float(rng.random())
 
     @classmethod
     def from_dict(cls, data: dict) -> "StallDurations":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"unknown stall_durations keys: {sorted(unknown)}")
-        return cls(**data)
+        kwargs = _json_record(cls, data, "stall_durations")
+        params = kwargs.get("params")
+        if isinstance(params, dict):
+            for key, value in params.items():
+                (_json_numbers if key == "bin_probs" else _json_number)(value, f"{key!r}")
+        return cls(**kwargs)
+
+
+def _json_segment_count(value) -> int | tuple[int, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(_json_integer(v, "'n_segments'") for v in value)
+    return _json_integer(value, "'n_segments'")
 
 
 @dataclass(frozen=True)
@@ -171,38 +200,24 @@ class GeneratorConfig:
             raise UsageError(
                 f"stall_prob_per_boundary {self.stall_prob_per_boundary} must be in [0, 1]"
             )
+        if self.rng_seed < 0:
+            raise UsageError(f"rng_seed {self.rng_seed} must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "n_segments": list(self.n_segments)
-            if isinstance(self.n_segments, tuple)
-            else self.n_segments,
-            "quality_walk": dataclasses.asdict(self.quality_walk),
-            "stall_prob_per_boundary": self.stall_prob_per_boundary,
-            "stall_durations": {
-                "name": self.stall_durations.name,
-                "params": dict(self.stall_durations.params),
-            },
-            "rng_seed": self.rng_seed,
-        }
+        """The config as nested dicts, which :meth:`from_dict` reads back."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
-        if not isinstance(data, dict):
-            raise UsageError("generator config must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise UsageError(f"unknown generator config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "quality_walk" in kwargs:
-            kwargs["quality_walk"] = QualityWalk.from_dict(kwargs["quality_walk"])
-        if "stall_durations" in kwargs:
-            kwargs["stall_durations"] = StallDurations.from_dict(kwargs["stall_durations"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise UsageError(f"bad generator config: {exc}") from None
+        readers = {
+            "n_segments": _json_segment_count,
+            "quality_walk": QualityWalk.from_dict,
+            "stall_prob_per_boundary": lambda v: _json_number(v, "'stall_prob_per_boundary'"),
+            "stall_durations": StallDurations.from_dict,
+            "rng_seed": lambda v: _json_integer(v, "'rng_seed'"),
+        }
+        kwargs = _json_record(cls, data, "generator config")
+        return cls(**{key: readers[key](value) for key, value in kwargs.items()})
 
 
 def _next_level(level: int, walk: QualityWalk, rng: np.random.Generator) -> int:
@@ -268,7 +283,6 @@ def generate_labeled_dataset(
     weights: ModelWeights,
     *,
     noise_std: float = 0.0,
-    binning: BinningConfig = DEFAULT_BINNING,
     skip_clamped: bool = False,
 ) -> LabeledDataset:
     """Generate sessions labeled by the histogram model's predictions.
@@ -296,7 +310,7 @@ def generate_labeled_dataset(
         attempts += 1
         rng = np.random.default_rng(root.spawn(1)[0])
         trace = generate_session(config, rng)
-        features = extract_features(trace, binning)
+        features = extract_features(trace)
         raw = perceptual_quality(features, weights) - interruption_degradation(
             features, weights
         )

@@ -109,10 +109,6 @@ def test_classify_switch_down_switches_land_in_valid_bins(q_before: float, q_aft
 
 def test_binning_config_validation() -> None:
     with pytest.raises(ValidationError):
-        BinningConfig(n_quality_bins=4)
-    with pytest.raises(ValidationError):
-        BinningConfig(half_width=0.4)
-    with pytest.raises(ValidationError):
         BinningConfig(interruption_edges=(0.5, 0.25, 1.0, 2.0, 3.0))
     with pytest.raises(ValidationError):
         BinningConfig(interruption_edges=(0.25, 0.5, 1.0, 2.0))

@@ -94,6 +94,46 @@ def test_gen_rejects_bad_count() -> None:
     assert run_cli("gen", "--count", "0", "--output", "unused.json") == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"quality_walk": 5},
+        {"n_segments": "abc"},
+        {"stall_durations": {"params": 5}},
+        {"stall_prob_per_boundary": True},
+        {"n_segments": [2, 5.5]},
+        {"n_segments": None},
+        {"rng_seed": -1},
+        {"rng_seed": "7"},
+        {"quality_walk": {"jitter": None}},
+        {"quality_walk": {"step_probs": 1.0}},
+        {"quality_walk": {"p_down": True, "p_stay": False, "p_up": False}},
+        {"quality_walk": {"step_probs": [0.5, 0.5, 0.0, float("nan")]}},
+        {"stall_durations": 5},
+        {"stall_durations": {"name": ["constant"]}},
+        {"stall_durations": {"name": "uniform", "params": {"low": "0.5"}}},
+        {"stall_durations": {"name": "constant", "params": {"valeu": 2.0}}},
+        {"stall_durations": {"name": "constant", "params": {"value": float("inf")}}},
+        {"stall_durations": {"params": {"bin_probs": [0.5, 0.5, 0, 0, 0, float("nan")]}}},
+        {"stall_durations": {"params": {"tail_max": float("nan")}}},
+        {"stall_durations": {"params": {"tail_max": float("inf")}}},
+        {"stall_durations": {"name": "uniform", "params": {"high": float("inf")}}},
+    ],
+)
+def test_gen_rejects_malformed_config(tmp_path, capsys, config) -> None:
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("gen", "--count", "3", "--output", str(out), "--config", str(path)) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_rejects_negative_seed(tmp_path) -> None:
+    out = tmp_path / "out.json"
+    assert run_cli("gen", "--count", "3", "--output", str(out), "--seed", "-1") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ predict
 
 
@@ -248,6 +288,50 @@ def test_predict_rejects_non_finite_weights(tmp_path, capsys) -> None:
 
 
 # ---------------------------------------------------------------- fit
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"beta_um": True},
+        {"beta_um": None},
+        {"alpha": [1.11, 2.2, "3.2", 4.0, 4.5]},
+        {"gamma": [0.0, 8.42, 16.15, 24.16, 45.58, False]},
+        {"beta_down": [{"i": 2, "j": -1, "w": True}]},
+        {"beta_down": [{"i": "2", "j": -1, "w": 7.89}]},
+        {"beta_down": [{"i": 2.5, "j": -1, "w": 7.89}]},
+        {"beta_down": [{"i": 2, "j": None, "w": 7.89}]},
+    ],
+)
+def test_weights_files_reject_non_numbers(tmp_path, capsys, change) -> None:
+    weights = paper_weights().to_dict()
+    if "beta_down" in change:
+        # Replace the (2, -1) entry and keep the other nine.
+        change = {"beta_down": change["beta_down"] + weights["beta_down"][1:]}
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({**weights, **change}))
+    assert run_cli("predict", "--input", "example", "--weights", str(path)) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"model": "guo", "coefficients": {"median_quality": "1", "min_quality": 1.0}},
+        {"model": "guo", "coefficients": {"median_quality": True, "min_quality": 1.0}},
+        {"model": "guo", "coefficients": {"median_quality": 1.0, "min_quality": None}},
+        {"model": "guo", "coefficients": {"median_quality": 1.0, "min_quality": 1.0},
+         "intercept": False},
+        {"model": None, "coefficients": {"median_quality": 1.0, "min_quality": 1.0}},
+        {"model": "guo", "coefficients": [1.0, 1.0]},
+    ],
+)
+def test_coefficient_files_reject_non_numbers(tmp_path, capsys, labeled_path, record) -> None:
+    path = tmp_path / "coefficients.json"
+    path.write_text(json.dumps(record))
+    assert run_cli("evaluate", "--input", labeled_path, "--baseline", "guo",
+                   "--coefficients", str(path)) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_fit_round_trip_recovers_generating_weights(tmp_path, capsys) -> None:
@@ -437,6 +521,35 @@ def test_evaluate_rejects_non_finite_weights_and_coefficients(tmp_path, capsys, 
                  ("--baseline", "guo", "--coefficients", str(coefficients_path))):
         assert run_cli("evaluate", "--input", labeled_path, *mode) == 1
         assert capsys.readouterr().out == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_evaluate_overflowing_weights_and_coefficients_is_numerical_error(
+    tmp_path, capsys
+) -> None:
+    # Every session has a down-switch, so alpha and -beta_down both add 1.7e308.
+    data = tmp_path / "sessions.json"
+    data.write_text(json.dumps([
+        {"segments": [5.0, 3.0], "mos": 2.0},
+        {"segments": [5.0, 4.0], "mos": 3.0},
+        {"segments": [4.0, 2.0], "mos": 4.0},
+    ]))
+    weights = paper_weights().to_dict()
+    weights["alpha"] = [1.7e308] * 5
+    weights["beta_down"] = [dict(entry, w=-1.7e308) for entry in weights["beta_down"]]
+    weights_path = tmp_path / "weights.json"
+    weights_path.write_text(json.dumps(weights))
+    coefficients_path = tmp_path / "coefficients.json"
+    coefficients_path.write_text(json.dumps(
+        {"model": "guo", "coefficients": {"median_quality": 1.7e308, "min_quality": 1.7e308}}
+    ))
+    for mode in (("--weights", str(weights_path)),
+                 ("--baseline", "guo", "--coefficients", str(coefficients_path))):
+        for splits in ((), ("--splits", "2", "--test-size", "2", "--test-pool", "all")):
+            assert run_cli("evaluate", "--input", str(data), *mode, *splits) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "overflow" in captured.err
 
 
 def test_evaluate_baseline_protocol(capsys, labeled_path) -> None:

@@ -40,14 +40,14 @@ def scalar_features(trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING
     segments = trace.segments
     n = len(segments)
 
-    quality_counts = [0] * config.n_quality_bins
+    quality_counts = [0] * 5
     for q in segments:
-        quality_counts[bin_quality(q, config) - 1] += 1
+        quality_counts[bin_quality(q) - 1] += 1
 
     down_counts = {b: 0 for b in DOWN_SWITCH_BINS}
     um_count = 0
     for before, after in zip(segments, segments[1:]):
-        event = classify_switch(before, after, config)
+        event = classify_switch(before, after)
         if event.amplitude_bin >= 0:
             um_count += 1
         else:

@@ -183,9 +183,12 @@ def test_training_metrics_use_clamped_predictions() -> None:
 
 @pytest.mark.filterwarnings("ignore:fitting 22 weights", "ignore:design matrix is rank-deficient")
 def test_constant_labels_leave_training_pcc_undefined() -> None:
-    dataset = LabeledDataset(
-        tuple(SessionTrace((float(q),), ground_truth_mos=3.0) for q in range(1, 6))
-    )
-    report = fit(dataset)
-    assert math.isnan(report.training_pcc)
-    assert report.to_dict()["training_pcc"] is None
+    # The mean of seven 3.7s is not exactly 3.7, so the centred labels are
+    # tiny non-zero numbers; the PCC must still be undefined, not 0.65.
+    for qualities, label in ((range(1, 6), 3.0), ((1, 2, 3, 4, 5, 1, 2), 3.7)):
+        dataset = LabeledDataset(
+            tuple(SessionTrace((float(q),), ground_truth_mos=label) for q in qualities)
+        )
+        report = fit(dataset)
+        assert math.isnan(report.training_pcc)
+        assert report.to_dict()["training_pcc"] is None
