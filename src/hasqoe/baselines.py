@@ -9,6 +9,13 @@ Three published statistic sets are computed:
                 so the arithmetic mean), mean squared down-switch
                 amplitude, total stall duration, and stall count.
 
+:func:`baseline_matrix` computes them in numpy over the same runs of
+concatenated sessions as the histogram features (``model.feature_matrix``):
+the median exactly, as the mean of the two middle values of each
+session's sorted qualities, and the sums per session, so the mean,
+standard deviation and mean squared down amplitude may differ from a
+per-session ``numpy`` call in the last bits.
+
 The coefficients that turn statistics into a MOS prediction are not
 reproduced here; they are supplied by the caller or fitted by ordinary
 least squares on a labeled dataset.  ``evaluation.baseline_runner``
@@ -18,13 +25,13 @@ turns either into a linear model over :func:`baseline_matrix`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .fitting import LabeledDataset, solve
-from .model import SessionTrace, _json_number, classify_switch
+from .model import _json_number, _session_runs
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -36,54 +43,7 @@ MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
         "stall_count",
     ),
 }
-
-
-@dataclass(frozen=True)
-class BaselineFeatures:
-    """Per-session statistics feeding the comparison models."""
-
-    median_quality: float
-    min_quality: float
-    switch_count: int
-    mean_quality: float
-    std_quality: float
-    weighted_quality_sum: float
-    mean_sq_down_amplitude: float
-    stall_duration_sum: float
-    stall_count: int
-
-    def as_dict(self) -> dict[str, float]:
-        """Every statistic as a float, in field order."""
-        return {name: float(value) for name, value in vars(self).items()}
-
-
-def extract_baseline_features(trace: SessionTrace) -> BaselineFeatures:
-    """Compute all comparison-model statistics for one session."""
-    q = np.asarray(trace.segments, dtype=float)
-    deltas = np.diff(q)
-    # A "switch" is a boundary whose amplitude rounds to a nonzero bin;
-    # sub-half-step wobble does not count.
-    switch_count = sum(
-        1
-        for before, after in zip(trace.segments, trace.segments[1:])
-        if classify_switch(before, after).amplitude_bin != 0
-    )
-    down = deltas[deltas < 0.0]
-    mean_sq_down = float(np.mean(down**2)) if down.size else 0.0
-    durations = [e.duration_s for e in trace.interruptions]
-    return BaselineFeatures(
-        median_quality=float(np.median(q)),
-        min_quality=float(q.min()),
-        switch_count=switch_count,
-        mean_quality=float(q.mean()),
-        std_quality=float(q.std()),
-        # Uniform segment durations: weighting each quality value by its
-        # share of presence time reduces to the arithmetic mean.
-        weighted_quality_sum=float(q.mean()),
-        mean_sq_down_amplitude=mean_sq_down,
-        stall_duration_sum=float(sum(durations)),
-        stall_count=len(durations),
-    )
+_KNOWN_STATISTICS = frozenset(name for names in MODEL_STATISTICS.values() for name in names)
 
 
 @dataclass(frozen=True)
@@ -125,17 +85,57 @@ class BaselineCoefficients:
         return coefficients
 
 
+def _run_statistics(lengths, q, n_stalls, durations) -> dict[str, np.ndarray]:
+    """Every statistic of each session of a run (see ``model._session_runs``)."""
+    n = len(lengths)
+    starts = np.cumsum(lengths) - lengths
+    segment_rows = np.repeat(np.arange(n), lengths)
+    # Each session's qualities in ascending order, for its two middle values.
+    ordered = q[np.lexsort((q, segment_rows))]
+    lower, upper = ordered[starts + (lengths - 1) // 2], ordered[starts + lengths // 2]
+    mean = np.add.reduceat(q, starts) / lengths
+    deviations = q - np.repeat(mean, lengths)
+    deltas = np.diff(q)
+    within = np.ones(deltas.size, dtype=bool)
+    within[starts[1:] - 1] = False  # the boundary between two sessions
+    boundary_rows = segment_rows[:-1]
+    down = within & (deltas < 0.0)
+    n_down = np.bincount(boundary_rows[down], minlength=n)
+    down_squares = np.bincount(boundary_rows[down], deltas[down] ** 2, minlength=n)
+    stall_rows = np.repeat(np.arange(n), n_stalls)
+    return {
+        "median_quality": (lower + upper) / 2,
+        "min_quality": np.minimum.reduceat(q, starts),
+        # A "switch" is a boundary whose amplitude rounds to a nonzero bin;
+        # sub-half-step wobble does not count.
+        "switch_count": np.bincount(
+            boundary_rows[within & (np.floor(deltas + 0.5) != 0.0)], minlength=n
+        ),
+        "mean_quality": mean,
+        "std_quality": np.sqrt(np.add.reduceat(deviations * deviations, starts) / lengths),
+        # Uniform segment durations: weighting each quality value by its
+        # share of presence time reduces to the arithmetic mean.
+        "weighted_quality_sum": mean,
+        "mean_sq_down_amplitude": down_squares / np.maximum(n_down, 1),
+        "stall_duration_sum": np.bincount(stall_rows, durations, minlength=n),
+        "stall_count": n_stalls,
+    }
+
+
 def baseline_matrix(sessions, names) -> np.ndarray:
     """The named statistics plus an intercept column of ones, one session per row."""
-    known = [f.name for f in fields(BaselineFeatures)]
     for name in names:
-        if name not in known:
-            raise UsageError(f"unknown statistic {name!r}; known statistics: {sorted(known)}")
-    rows = []
-    for session in sessions:
-        stats = extract_baseline_features(session).as_dict()
-        rows.append([stats[name] for name in names] + [1.0])
-    return np.asarray(rows, dtype=float)
+        if name not in _KNOWN_STATISTICS:
+            raise UsageError(
+                f"unknown statistic {name!r}; known statistics: {sorted(_KNOWN_STATISTICS)}"
+            )
+    sessions = tuple(sessions)
+    matrix = np.ones((len(sessions), len(names) + 1))
+    for rows, *run in _session_runs(sessions):
+        statistics = _run_statistics(*run)
+        for column, name in enumerate(names):
+            matrix[rows, column] = statistics[name]
+    return matrix
 
 
 def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:

@@ -127,6 +127,10 @@ def cmd_evaluate(args) -> None:
             "choose exactly one of --weights, --refit, --baseline, "
             "--external-predictions"
         )
+    if args.coefficients is not None and args.baseline is None:
+        raise UsageError("--coefficients only makes sense with --baseline")
+    if args.nonnegative and not args.refit:
+        raise UsageError("--nonnegative only makes sense with --refit")
 
     if args.splits is not None:
         if args.external_predictions:
@@ -162,6 +166,8 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_gen(args) -> None:
+    if not args.weights and (args.noise_std != 0.0 or args.skip_clamped):
+        raise UsageError("--noise-std and --skip-clamped only make sense with --weights")
     config = (
         io.read_generator_config(args.config) if args.config else GeneratorConfig()
     )

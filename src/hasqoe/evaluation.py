@@ -197,9 +197,14 @@ def baseline_runner(model: str, coefficients: BaselineCoefficients | None = None
         return LinearModel(MODEL_STATISTICS[model])
     if coefficients.model != model:
         raise UsageError(f"coefficients are for baseline {coefficients.model!r}, not {model!r}")
+    names = MODEL_STATISTICS[model]
+    if coefficients.coefficients.keys() != set(names):
+        raise UsageError(
+            f"coefficients for baseline {model!r} must name exactly its statistics "
+            f"{list(names)}, got {list(coefficients.coefficients)}"
+        )
     return LinearModel(
-        tuple(coefficients.coefficients),
-        (*coefficients.coefficients.values(), coefficients.intercept),
+        names, (*(coefficients.coefficients[name] for name in names), coefficients.intercept)
     )
 
 

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetricError, UsageError
-from .model import (
-    DEFAULT_BINNING,
-    EVENT_SLOTS,
-    BinningConfig,
-    ModelWeights,
-    SessionTrace,
-    feature_matrix,
-)
+from .model import EVENT_SLOTS, ModelWeights, SessionTrace, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -71,9 +64,9 @@ class FitReport:
         }
 
 
-def design_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
+def design_matrix(sessions) -> np.ndarray:
     """Signed feature rows, one session per row, 22 columns."""
-    rows = feature_matrix(sessions, config)
+    rows = feature_matrix(sessions)
     rows[:, EVENT_SLOTS] *= -1.0
     return rows
 
@@ -84,12 +77,7 @@ def lstsq_min_norm(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
     return solution, int(rank)
 
 
-def fit(
-    dataset: LabeledDataset,
-    config: BinningConfig = DEFAULT_BINNING,
-    *,
-    nonnegative: bool = False,
-) -> FitReport:
+def fit(dataset: LabeledDataset, *, nonnegative: bool = False) -> FitReport:
     """Fit the 22 weights to a labeled dataset by least squares.
 
     With ``nonnegative=True`` the solve is constrained to w >= 0 using
@@ -98,7 +86,7 @@ def fit(
     """
     from .evaluation import pcc  # evaluation imports this module
 
-    matrix = design_matrix(dataset.sessions, config)
+    matrix = design_matrix(dataset.sessions)
     labels = dataset.labels()
     solution, deficient = solve(matrix, labels, nonnegative=nonnegative, warn=True)
     clamped = np.maximum(matrix @ solution, 1.0)

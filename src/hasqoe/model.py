@@ -18,15 +18,18 @@ Features come from one batch pass: :func:`feature_matrix` bins the
 concatenated segments and stalls of many sessions in numpy and counts
 them per session, taking runs of whole sessions of a few thousand
 segments at a time so its temporaries stay small whatever the dataset
-size.  :func:`extract_features` is a batch of one, and
-:func:`predict_matrix` scores a feature matrix in :func:`predict`'s
-summation order.  :func:`bin_quality` and :func:`classify_switch` are
-the per-value definitions of the bins that pass counts.
+size.  The comparison models' statistics (``baselines.baseline_matrix``)
+are computed over the same runs.  :func:`extract_features` is a batch of
+one, and :func:`predict_matrix` scores a feature matrix in
+:func:`predict`'s summation order.  :func:`bin_quality`,
+:func:`classify_switch` and :func:`bin_interruption` are the per-value
+definitions of the bins that pass counts.
 
 The 22-slot layout is defined once, by ``FEATURE_NAMES`` and the group
-slices next to it; only the interruption edges can change, from Python
-(:class:`BinningConfig`).  The JSON readers take ``true``, strings and
-``null`` for no number (exit 1); an overflowing prediction exits 3.
+slices next to it, and the bins are fixed: the interruption edges are
+``DEFAULT_INTERRUPTION_EDGES``, so a weights file always means the same
+bins.  The JSON readers take ``true``, strings and ``null`` for no
+number (exit 1); an overflowing prediction exits 3.
 """
 
 from __future__ import annotations
@@ -231,35 +234,6 @@ class SessionTrace:
 
 
 @dataclass(frozen=True)
-class BinningConfig:
-    """The interruption-duration bin edges used by feature extraction and prediction.
-
-    The quality and amplitude axes are fixed by the 22-slot layout:
-    unit-wide half-open intervals [n - 0.5, n + 0.5).  Only the five
-    interruption edge values can be chosen, from Python.
-    """
-
-    interruption_edges: tuple[float, ...] = DEFAULT_INTERRUPTION_EDGES
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "interruption_edges", tuple(float(e) for e in self.interruption_edges))
-        edges = self.interruption_edges
-        if len(edges) != len(DEFAULT_INTERRUPTION_EDGES):
-            raise ValidationError("the model defines exactly 6 interruption bins (5 edges)")
-        if edges[0] <= 0.0 or any(a >= b for a, b in zip(edges, edges[1:])):
-            raise ValidationError(
-                f"interruption edges {edges!r} must be positive and strictly increasing"
-            )
-
-    @property
-    def n_interruption_bins(self) -> int:
-        return len(self.interruption_edges) + 1
-
-
-DEFAULT_BINNING = BinningConfig()
-
-
-@dataclass(frozen=True)
 class SwitchEvent:
     """A segment boundary: starting quality bin and amplitude bin.
 
@@ -280,14 +254,14 @@ def bin_quality(q: float) -> int:
     return int(math.floor(_check_mos(q, "quality value") + 0.5))
 
 
-def bin_interruption(duration_s: float, config: BinningConfig = DEFAULT_BINNING) -> int:
+def bin_interruption(duration_s: float) -> int:
     """Map a stall duration in seconds to its bin 1..6 (left-open, right-closed)."""
     duration_s = float(duration_s)
     if not math.isfinite(duration_s) or duration_s <= 0.0:
         raise ValidationError(
             f"interruption duration {duration_s!r} must be a positive number"
         )
-    return bisect_left(config.interruption_edges, duration_s) + 1
+    return bisect_left(DEFAULT_INTERRUPTION_EDGES, duration_s) + 1
 
 
 def classify_switch(q_before: float, q_after: float) -> SwitchEvent:
@@ -389,18 +363,44 @@ def _switch_columns() -> np.ndarray:
 
 _SWITCH_COLUMN = _switch_columns()
 
-#: Segments per run of sessions that :func:`feature_matrix` counts at once,
-#: which bounds the size of its temporaries.
+#: Segments per run of sessions that a batch pass takes at once, which
+#: bounds the size of its temporaries.
 _CHUNK_SEGMENTS = 8192
 
 
-def _count_into(out: np.ndarray, sessions, config: BinningConfig) -> None:
-    """Write the 22 frequencies of each of ``sessions`` into its row of ``out``."""
-    lengths = np.fromiter((len(s.segments) for s in sessions), np.intp, len(sessions))
-    n_stalls = np.fromiter((len(s.interruptions) for s in sessions), np.intp, len(sessions))
+def _session_runs(sessions):
+    """The sessions in runs of whole sessions of about ``_CHUNK_SEGMENTS`` segments.
+
+    Yields ``(rows, lengths, quality, n_stalls, durations)`` per run: the
+    slice of ``sessions`` it covers, each session's segment and stall
+    count, and the segment qualities and stall durations of the run,
+    concatenated session after session.  A longer session is a run of its
+    own.  A pass that works run by run keeps its temporaries bounded, so
+    its memory use does not grow with the dataset beyond the sessions and
+    the result.
+    """
+    stops, size = [], 0
+    for k, session in enumerate(sessions):
+        if size and size + len(session.segments) > _CHUNK_SEGMENTS:
+            stops.append(k)
+            size = 0
+        size += len(session.segments)
+    if sessions:
+        stops.append(len(sessions))
+    for start, stop in zip([0, *stops], stops):
+        run = sessions[start:stop]
+        lengths = np.fromiter((len(s.segments) for s in run), np.intp, len(run))
+        n_stalls = np.fromiter((len(s.interruptions) for s in run), np.intp, len(run))
+        quality = np.fromiter(chain.from_iterable(s.segments for s in run), float, lengths.sum())
+        durations = np.fromiter(
+            (e.duration_s for s in run for e in s.interruptions), float, n_stalls.sum()
+        )
+        yield slice(start, stop), lengths, quality, n_stalls, durations
+
+
+def _count_into(out: np.ndarray, lengths, q, n_stalls, durations) -> None:
+    """Write the 22 frequencies of each session of a run into its row of ``out``."""
     ends = np.cumsum(lengths)
-    q = np.fromiter(chain.from_iterable(s.segments for s in sessions), float, ends[-1])
-    durations = np.fromiter((e.duration_s for s in sessions for e in s.interruptions), float)
 
     # The float operations of bin_quality and classify_switch; levels lie
     # in 1..5 and amplitude bins in -4..4.
@@ -417,7 +417,7 @@ def _count_into(out: np.ndarray, sessions, config: BinningConfig) -> None:
     stalls = (
         np.repeat(row_starts, n_stalls)
         + INTERRUPTION_SLOTS.start
-        + np.searchsorted(config.interruption_edges, durations, side="left")
+        + np.searchsorted(DEFAULT_INTERRUPTION_EDGES, durations, side="left")
     )
     cells = np.concatenate((segment_rows + (levels - 1), switches, stalls))
     counts = np.bincount(cells, minlength=out.size + 1)[:-1].reshape(out.shape)
@@ -426,31 +426,21 @@ def _count_into(out: np.ndarray, sessions, config: BinningConfig) -> None:
     out[:, EVENT_SLOTS] = counts[:, EVENT_SLOTS] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]
 
 
-def feature_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
+def feature_matrix(sessions) -> np.ndarray:
     """The 22 histogram frequencies of every session, one row each.
 
     Columns follow ``FEATURE_NAMES`` and are unsigned.  The bins of the
-    concatenated segments and stalls are counted in runs of whole
-    sessions of about ``_CHUNK_SEGMENTS`` segments (a longer session is
-    a run of its own), so memory use does not grow with the dataset
-    beyond the sessions and the result.
+    concatenated segments and stalls are counted run by run
+    (:func:`_session_runs`).
     """
     sessions = tuple(sessions)
     matrix = np.zeros((len(sessions), N_PARAMETERS))
-    start = size = 0
-    for k, session in enumerate(sessions):
-        if size and size + len(session.segments) > _CHUNK_SEGMENTS:
-            _count_into(matrix[start:k], sessions[start:k], config)
-            start, size = k, 0
-        size += len(session.segments)
-    if sessions:
-        _count_into(matrix[start:], sessions[start:], config)
+    for rows, *run in _session_runs(sessions):
+        _count_into(matrix[rows], *run)
     return matrix
 
 
-def extract_features(
-    trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING
-) -> FeatureVector:
+def extract_features(trace: SessionTrace) -> FeatureVector:
     """Compute the 22 histogram frequencies of a session.
 
     Every consecutive-segment boundary counts as an event, including
@@ -458,7 +448,7 @@ def extract_features(
     grouped into the single ``f_um`` frequency.  This is
     :func:`feature_matrix` of one session.
     """
-    return FeatureVector.from_vector(feature_matrix((trace,), config)[0].tolist())
+    return FeatureVector.from_vector(feature_matrix((trace,))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -494,13 +484,13 @@ class ModelWeights(_SlotGroups):
         if not isinstance(data, dict):
             raise UsageError("weights record must be an object")
         try:
+            entries = data["beta_down"]
+            bins = [(_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")) for e in entries]
+            if len(set(bins)) != len(bins):
+                raise UsageError("bad weights record: 'beta_down' names an (i, j) bin twice")
             weights = cls(
                 alpha=[_json_number(v, "'alpha'") for v in data["alpha"]],
-                beta_down={
-                    (_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")):
-                        _json_number(e["w"], "'w'")
-                    for e in data["beta_down"]
-                },
+                beta_down=dict(zip(bins, (_json_number(e["w"], "'w'") for e in entries))),
                 beta_um=_json_number(data["beta_um"], "'beta_um'"),
                 gamma=[_json_number(v, "'gamma'") for v in data["gamma"]],
             )
@@ -557,13 +547,9 @@ def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
     return np.maximum(quality - stalls, MIN_MOS)
 
 
-def predict(
-    trace: SessionTrace,
-    weights: ModelWeights,
-    config: BinningConfig = DEFAULT_BINNING,
-) -> float:
+def predict(trace: SessionTrace, weights: ModelWeights) -> float:
     """Predicted session MOS: quality score minus stall penalty, floored at 1.0."""
-    features = extract_features(trace, config)
+    features = extract_features(trace)
     return max(
         perceptual_quality(features, weights) - interruption_degradation(features, weights),
         MIN_MOS,

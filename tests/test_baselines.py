@@ -1,21 +1,73 @@
+"""Tests of the comparison-model statistics and coefficients.
+
+``scalar_baseline_statistics`` is the per-session computation the batch
+``baseline_matrix`` replaced: numpy per session and one
+``classify_switch`` call per boundary.  It stays as the oracle of the
+differential test below and of ``tests/test_protocol_oracle.py``.
+"""
+
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hasqoe.model
 from hasqoe import (
+    DEFAULT_INTERRUPTION_EDGES,
     MODEL_STATISTICS,
     BaselineCoefficients,
     GeneratorConfig,
     InterruptionEvent,
     LabeledDataset,
+    LinearModel,
     SessionTrace,
     UsageError,
+    baseline_matrix,
     baseline_runner,
-    extract_baseline_features,
+    baselines,
+    classify_switch,
     fit_baseline_coefficients,
     generate_labeled_dataset,
     generate_sessions,
     paper_weights,
 )
+
+#: Every statistic name, each once.
+ALL_STATISTICS = tuple(dict.fromkeys(n for names in MODEL_STATISTICS.values() for n in names))
+
+
+def scalar_baseline_statistics(trace: SessionTrace) -> dict[str, float]:
+    """Every comparison-model statistic of one session, computed on its own."""
+    q = np.asarray(trace.segments, dtype=float)
+    deltas = np.diff(q)
+    # A "switch" is a boundary whose amplitude rounds to a nonzero bin;
+    # sub-half-step wobble does not count.
+    switch_count = sum(
+        1
+        for before, after in zip(trace.segments, trace.segments[1:])
+        if classify_switch(before, after).amplitude_bin != 0
+    )
+    down = deltas[deltas < 0.0]
+    durations = [e.duration_s for e in trace.interruptions]
+    return {
+        "median_quality": float(np.median(q)),
+        "min_quality": float(q.min()),
+        "switch_count": float(switch_count),
+        "mean_quality": float(q.mean()),
+        "std_quality": float(q.std()),
+        "weighted_quality_sum": float(q.mean()),
+        "mean_sq_down_amplitude": float(np.mean(down**2)) if down.size else 0.0,
+        "stall_duration_sum": float(sum(durations)),
+        "stall_count": float(len(durations)),
+    }
+
+
+def statistics(*sessions) -> list[dict[str, float]]:
+    """Each session's statistics, read from its row of one ``baseline_matrix``."""
+    matrix = baseline_matrix(sessions, ALL_STATISTICS)
+    return [dict(zip(ALL_STATISTICS, row)) for row in matrix.tolist()]
 
 
 def predict_all(model, sessions) -> np.ndarray:
@@ -25,16 +77,16 @@ def predict_all(model, sessions) -> np.ndarray:
 
 
 def test_statistics_of_stepped_session() -> None:
-    stats = extract_baseline_features(SessionTrace((5.0, 5.0, 3.0, 3.0)))
-    assert stats.median_quality == 4.0
-    assert stats.min_quality == 3.0
-    assert stats.switch_count == 1  # only the 5->3 boundary rounds to a nonzero bin
-    assert stats.mean_quality == 4.0
-    assert stats.std_quality == 1.0  # population standard deviation
-    assert stats.weighted_quality_sum == 4.0
-    assert stats.mean_sq_down_amplitude == 4.0
-    assert stats.stall_duration_sum == 0.0
-    assert stats.stall_count == 0
+    [stats] = statistics(SessionTrace((5.0, 5.0, 3.0, 3.0)))
+    assert stats["median_quality"] == 4.0
+    assert stats["min_quality"] == 3.0
+    assert stats["switch_count"] == 1  # only the 5->3 boundary rounds to a nonzero bin
+    assert stats["mean_quality"] == 4.0
+    assert stats["std_quality"] == 1.0  # population standard deviation
+    assert stats["weighted_quality_sum"] == 4.0
+    assert stats["mean_sq_down_amplitude"] == 4.0
+    assert stats["stall_duration_sum"] == 0.0
+    assert stats["stall_count"] == 0
 
 
 def test_statistics_of_constant_session_with_stalls() -> None:
@@ -42,55 +94,66 @@ def test_statistics_of_constant_session_with_stalls() -> None:
         (4.0, 4.0, 4.0),
         (InterruptionEvent(1, 0.5), InterruptionEvent(2, 2.0)),
     )
-    stats = extract_baseline_features(trace)
-    assert stats.switch_count == 0
-    assert stats.std_quality == 0.0
-    assert stats.mean_sq_down_amplitude == 0.0
-    assert stats.stall_duration_sum == 2.5
-    assert stats.stall_count == 2
+    [stats] = statistics(trace)
+    assert stats["switch_count"] == 0
+    assert stats["std_quality"] == 0.0
+    assert stats["mean_sq_down_amplitude"] == 0.0
+    assert stats["stall_duration_sum"] == 2.5
+    assert stats["stall_count"] == 2
 
 
 def test_sub_half_step_wobble_is_not_a_switch_but_counts_as_down_amplitude() -> None:
-    stats = extract_baseline_features(SessionTrace((4.0, 3.7, 4.0)))
-    assert stats.switch_count == 0
+    [stats] = statistics(SessionTrace((4.0, 3.7, 4.0)))
+    assert stats["switch_count"] == 0
     # raw negative deltas feed the squared-amplitude statistic regardless
     # of their bin
-    assert stats.mean_sq_down_amplitude == pytest.approx(0.3**2, abs=1e-12)
+    assert stats["mean_sq_down_amplitude"] == pytest.approx(0.3**2, abs=1e-12)
 
 
 def test_quality_statistics_are_order_invariant() -> None:
-    a = extract_baseline_features(SessionTrace((5.0, 1.0, 3.0, 3.0)))
-    b = extract_baseline_features(SessionTrace((3.0, 5.0, 3.0, 1.0)))
+    a, b = statistics(SessionTrace((5.0, 1.0, 3.0, 3.0)), SessionTrace((3.0, 5.0, 3.0, 1.0)))
     for name in ("median_quality", "min_quality", "mean_quality", "std_quality"):
-        assert a.as_dict()[name] == b.as_dict()[name]
+        assert a[name] == b[name]
 
 
 def test_mean_sq_down_amplitude_zero_iff_no_drops() -> None:
-    for trace in generate_sessions(GeneratorConfig(rng_seed=31), 200):
-        stats = extract_baseline_features(trace)
+    traces = generate_sessions(GeneratorConfig(rng_seed=31), 200)
+    for trace, stats in zip(traces, statistics(*traces)):
         has_drop = any(b < a for a, b in zip(trace.segments, trace.segments[1:]))
-        assert (stats.mean_sq_down_amplitude > 0.0) == has_drop
+        assert (stats["mean_sq_down_amplitude"] > 0.0) == has_drop
 
 
 def test_baseline_predict_identity_on_mean() -> None:
     model = baseline_runner(
-        "vriendt", BaselineCoefficients("vriendt", {"mean_quality": 1.0}, 0.0)
+        "vriendt",
+        BaselineCoefficients(
+            "vriendt", {"switch_count": 0.0, "mean_quality": 1.0, "std_quality": 0.0}, 0.0
+        ),
     )
     assert predict_all(model, [SessionTrace((4.0, 4.0, 4.0))]).tolist() == [4.0]
 
 
 def test_baseline_predict_clamps_to_mos_scale() -> None:
     sessions = [SessionTrace((4.0, 4.0))]
-    low = baseline_runner("guo", BaselineCoefficients("guo", {}, 0.0))
-    high = baseline_runner("guo", BaselineCoefficients("guo", {}, 9.0))
+    zero = {"median_quality": 0.0, "min_quality": 0.0}
+    low = baseline_runner("guo", BaselineCoefficients("guo", zero, 0.0))
+    high = baseline_runner("guo", BaselineCoefficients("guo", zero, 9.0))
     assert predict_all(low, sessions).tolist() == [1.0]
     assert predict_all(high, sessions).tolist() == [5.0]
 
 
 def test_baseline_predict_rejects_unknown_statistic() -> None:
-    model = baseline_runner("guo", BaselineCoefficients("guo", {"sharpness": 1.0}, 0.0))
     with pytest.raises(UsageError, match="unknown statistic"):
-        predict_all(model, [SessionTrace((4.0, 4.0))])
+        predict_all(LinearModel(("sharpness",), (1.0, 0.0)), [SessionTrace((4.0, 4.0))])
+    # coefficients must name exactly the model's own statistics, in any order
+    for names in (("sharpness",), ("median_quality",), ("stall_count",),
+                  ("median_quality", "min_quality", "stall_count")):
+        coefficients = BaselineCoefficients("guo", dict.fromkeys(names, 1.0), 0.0)
+        with pytest.raises(UsageError, match="must name exactly its statistics"):
+            baseline_runner("guo", coefficients)
+    reordered = BaselineCoefficients("guo", {"min_quality": 0.25, "median_quality": 0.5}, 0.5)
+    expected = LinearModel(MODEL_STATISTICS["guo"], (0.5, 0.25, 0.5))
+    assert baseline_runner("guo", reordered) == expected
 
 
 def test_coefficients_round_trip() -> None:
@@ -111,13 +174,12 @@ def test_fit_baseline_coefficients_recovers_a_linear_rule() -> None:
                 s.segments,
                 s.interruptions,
                 ground_truth_mos=sum(
-                    c * extract_baseline_features(s).as_dict()[n]
-                    for n, c in rule.coefficients.items()
+                    c * stats[n] for n, c in rule.coefficients.items()
                 )
                 + rule.intercept,
                 tag=s.tag,
             )
-            for s in sessions
+            for s, stats in zip(sessions, statistics(*sessions))
         )
     )
     fitted = fit_baseline_coefficients(labeled, "guo")
@@ -155,7 +217,67 @@ def test_baseline_runner_fits_on_train_when_no_coefficients() -> None:
 
 
 def test_model_statistics_cover_all_feature_names() -> None:
-    stats = extract_baseline_features(SessionTrace((4.0, 4.0))).as_dict()
+    assert set(scalar_baseline_statistics(SessionTrace((4.0, 4.0)))) == set(ALL_STATISTICS)
     for names in MODEL_STATISTICS.values():
-        for name in names:
-            assert name in stats
+        matrix = baseline_matrix([SessionTrace((4.0, 4.0))], names)
+        assert matrix.shape == (1, len(names) + 1)
+        assert matrix[0, -1] == 1.0  # the intercept column
+
+
+#: Quarter steps put boundaries exactly on the +-0.5 switch threshold and
+#: values exactly on the x.5 level edges, and make ties (medians) common.
+GRID_QUALITIES = tuple(np.arange(1.0, 5.01, 0.25).tolist())
+qualities = st.one_of(
+    st.sampled_from(GRID_QUALITIES),
+    st.sampled_from((float(np.nextafter(1.5, 0.0)), float(np.nextafter(4.5, 5.0)))),
+    st.floats(min_value=1.0, max_value=5.0, allow_nan=False),
+)
+
+
+@st.composite
+def sessions(draw):
+    segments = draw(st.lists(qualities, min_size=1, max_size=30))
+    stalls = draw(
+        st.lists(
+            st.builds(
+                InterruptionEvent,
+                st.integers(1, len(segments)),
+                st.sampled_from(DEFAULT_INTERRUPTION_EDGES)
+                | st.floats(min_value=1e-6, max_value=50.0, allow_nan=False),
+            ),
+            max_size=4,
+        )
+    )
+    return SessionTrace(tuple(segments), tuple(stalls))
+
+
+#: Statistics computed from the same values in the same operations as the oracle.
+EXACT_STATISTICS = (
+    "median_quality", "min_quality", "switch_count", "stall_count", "stall_duration_sum"
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(sessions(), min_size=1, max_size=20), st.integers(min_value=1, max_value=40))
+def test_baseline_matrix_equals_the_scalar_oracle(dataset, chunk_segments) -> None:
+    expected = np.array(
+        [[scalar_baseline_statistics(s)[name] for name in ALL_STATISTICS] for s in dataset]
+    )
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return classify_switch(*args)
+
+    with mock.patch.object(hasqoe.model, "_CHUNK_SEGMENTS", chunk_segments), \
+            mock.patch.object(hasqoe.model, "classify_switch", spy), \
+            mock.patch.object(baselines, "classify_switch", spy, create=True):
+        matrix = baseline_matrix(dataset, ALL_STATISTICS)
+    assert not calls
+    assert matrix.shape == (len(dataset), len(ALL_STATISTICS) + 1)
+    assert np.array_equal(matrix[:, -1], np.ones(len(dataset)))
+    for column, name in enumerate(ALL_STATISTICS):
+        if name in EXACT_STATISTICS:
+            assert np.array_equal(matrix[:, column], expected[:, column]), name
+        else:  # sums in another order
+            assert np.abs(matrix[:, column] - expected[:, column]).max() <= 1e-14, name

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hasqoe import (
-    BinningConfig,
     SwitchEvent,
     ValidationError,
     bin_interruption,
@@ -105,16 +104,3 @@ def test_classify_switch_down_switches_land_in_valid_bins(q_before: float, q_aft
     if event.amplitude_bin < 0:
         # a drop can never go below the bottom level
         assert event.starting_quality_bin + event.amplitude_bin >= 1
-
-
-def test_binning_config_validation() -> None:
-    with pytest.raises(ValidationError):
-        BinningConfig(interruption_edges=(0.5, 0.25, 1.0, 2.0, 3.0))
-    with pytest.raises(ValidationError):
-        BinningConfig(interruption_edges=(0.25, 0.5, 1.0, 2.0))
-
-
-def test_custom_interruption_edges_shift_bins() -> None:
-    config = BinningConfig(interruption_edges=(1.0, 2.0, 3.0, 4.0, 5.0))
-    assert bin_interruption(0.9, config) == 1
-    assert bin_interruption(4.5, config) == 5

@@ -301,6 +301,8 @@ def test_predict_rejects_non_finite_weights(tmp_path, capsys) -> None:
         {"beta_down": [{"i": "2", "j": -1, "w": 7.89}]},
         {"beta_down": [{"i": 2.5, "j": -1, "w": 7.89}]},
         {"beta_down": [{"i": 2, "j": None, "w": 7.89}]},
+        # an eleventh entry that names the (2, -1) bin again
+        {"beta_down": [{"i": 2, "j": -1, "w": 7.89}, {"i": 2, "j": -1, "w": 99.0}]},
     ],
 )
 def test_weights_files_reject_non_numbers(tmp_path, capsys, change) -> None:
@@ -506,6 +508,46 @@ def test_evaluate_baseline_rejects_coefficients_of_another_model(
             == 1
         )
         assert "'guo', not 'liu'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        {"stall_count": 1.0},
+        {"median_quality": 1.0},
+        {"median_quality": 1.0, "min_quality": 1.0, "mean_quality": 1.0},
+    ],
+)
+def test_evaluate_baseline_rejects_coefficients_of_other_statistics(
+    tmp_path, capsys, labeled_path, coefficients
+) -> None:
+    path = tmp_path / "coefficients.json"
+    path.write_text(json.dumps({"model": "guo", "coefficients": coefficients}))
+    for splits in ((), ("--splits", "2", "--test-size", "20", "--test-pool", "all")):
+        assert run_cli("evaluate", "--input", labeled_path, "--baseline", "guo",
+                       "--coefficients", str(path), *splits) == 1
+        assert "must name exactly its statistics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("evaluate", "--weights", "paper", "--coefficients", "missing.json"),
+        ("evaluate", "--refit", "--splits", "2", "--test-size", "20", "--test-pool", "all",
+         "--coefficients", "missing.json"),
+        ("evaluate", "--weights", "paper", "--nonnegative"),
+        ("evaluate", "--baseline", "guo", "--nonnegative"),
+        ("gen", "--count", "5", "--skip-clamped"),
+        ("gen", "--count", "5", "--noise-std", "0.2"),
+    ],
+)
+def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args) -> None:
+    output = tmp_path / "out.json"
+    command, *rest = args
+    target = ("--input", labeled_path) if command == "evaluate" else ()
+    assert run_cli(command, *target, "--output", str(output), *rest) == 1
+    assert "only make" in capsys.readouterr().err
+    assert not output.exists()
 
 
 def test_evaluate_rejects_non_finite_weights_and_coefficients(tmp_path, capsys, labeled_path) -> None:

@@ -15,10 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasqoe import (
-    DEFAULT_BINNING,
     DEFAULT_INTERRUPTION_EDGES,
     DOWN_SWITCH_BINS,
-    BinningConfig,
     InterruptionEvent,
     ModelWeights,
     SessionTrace,
@@ -35,7 +33,7 @@ from hasqoe import (
 from hasqoe.cli import main
 
 
-def scalar_features(trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING) -> tuple:
+def scalar_features(trace: SessionTrace) -> tuple:
     """The 22 frequencies of one session, counted segment by segment."""
     segments = trace.segments
     n = len(segments)
@@ -53,15 +51,15 @@ def scalar_features(trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING
         else:
             down_counts[(event.starting_quality_bin, event.amplitude_bin)] += 1
 
-    interruption_counts = [0] * config.n_interruption_bins
+    interruption_counts = [0] * (len(DEFAULT_INTERRUPTION_EDGES) + 1)
     for event in trace.interruptions:
-        interruption_counts[bin_interruption(event.duration_s, config) - 1] += 1
+        interruption_counts[bin_interruption(event.duration_s) - 1] += 1
 
     total_events = (n - 1) + len(trace.interruptions)
     if total_events == 0:
         f_down = {b: 0.0 for b in DOWN_SWITCH_BINS}
         f_um = 0.0
-        f_interruption = (0.0,) * config.n_interruption_bins
+        f_interruption = (0.0,) * len(interruption_counts)
     else:
         f_down = {b: c / total_events for b, c in down_counts.items()}
         f_um = um_count / total_events
@@ -75,8 +73,8 @@ def scalar_features(trace: SessionTrace, config: BinningConfig = DEFAULT_BINNING
     )
 
 
-def oracle_matrix(sessions, config: BinningConfig = DEFAULT_BINNING) -> np.ndarray:
-    return np.array([scalar_features(s, config) for s in sessions], dtype=float).reshape(-1, 22)
+def oracle_matrix(sessions) -> np.ndarray:
+    return np.array([scalar_features(s) for s in sessions], dtype=float).reshape(-1, 22)
 
 
 #: Bin edges of the quality and amplitude axes, the ends of the scale, and
@@ -93,7 +91,8 @@ positive_durations = st.floats(min_value=1e-6, max_value=50.0, allow_nan=False)
 
 
 @st.composite
-def sessions(draw, durations=st.sampled_from(DEFAULT_INTERRUPTION_EDGES) | positive_durations):
+def sessions(draw):
+    durations = st.sampled_from(DEFAULT_INTERRUPTION_EDGES) | positive_durations
     segments = draw(st.lists(qualities, min_size=1, max_size=30))
     stalls = draw(
         st.lists(
@@ -141,21 +140,6 @@ def test_single_segment_and_no_event_sessions() -> None:
     assert not matrix[0, 5:].any()
 
 
-@st.composite
-def custom_edges_and_dataset(draw):
-    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=5, max_size=5))
-    edges = tuple(np.cumsum(steps).tolist())
-    config = BinningConfig(interruption_edges=edges)
-    durations = st.sampled_from(config.interruption_edges) | positive_durations
-    return config, draw(st.lists(sessions(durations), min_size=1, max_size=10))
-
-
-@given(custom_edges_and_dataset())
-def test_custom_interruption_edges(case) -> None:
-    config, dataset = case
-    assert np.array_equal(feature_matrix(dataset, config), oracle_matrix(dataset, config))
-
-
 @settings(max_examples=50)
 @given(datasets, st.integers(min_value=1, max_value=40))
 def test_any_chunk_size_gives_the_same_matrix(dataset, chunk_segments) -> None:
@@ -184,9 +168,9 @@ def test_chunks_hold_whole_sessions_and_a_long_session_alone() -> None:
     seen = []
     count_into = model._count_into
 
-    def spy(out, sessions, config):
-        seen.append([len(s.segments) for s in sessions])
-        count_into(out, sessions, config)
+    def spy(out, lengths, *run):
+        seen.append(lengths.tolist())
+        count_into(out, lengths, *run)
 
     with mock.patch.object(model, "_count_into", spy):
         matrix = feature_matrix(dataset)

@@ -4,8 +4,9 @@ The oracle is the split loop the protocol used before it built one
 statistic matrix per dataset: every split rebuilds its training set,
 fits it (``fit`` or ``fit_baseline_coefficients``) and predicts session
 by session (``predict``, or the intercept plus the sum of coefficient
-times statistic, clamped to [1, 5]), predicting the training sessions
-again when compensating on them.  Sums run in another order than the
+times statistic, clamped to [1, 5], with the statistics of
+``test_baselines.scalar_baseline_statistics``), predicting the training
+sessions again when compensating on them.  Sums run in another order than the
 matrix product, so per-split metrics must agree within 1e-12, not
 bit for bit.
 """
@@ -19,7 +20,6 @@ from hasqoe import (
     LabeledDataset,
     SplitProtocol,
     baseline_runner,
-    extract_baseline_features,
     fit,
     fit_baseline_coefficients,
     fixed_weights_runner,
@@ -33,6 +33,7 @@ from hasqoe import (
     run_split_protocol,
 )
 from hasqoe.model import MAX_MOS, MIN_MOS
+from test_baselines import scalar_baseline_statistics
 
 
 def weights_predictor(weights):
@@ -46,7 +47,7 @@ def coefficients_predictor(coefficients):
     def predictor(sessions) -> np.ndarray:
         values = []
         for session in sessions:
-            stats = extract_baseline_features(session).as_dict()
+            stats = scalar_baseline_statistics(session)
             total = coefficients.intercept
             for name, coefficient in coefficients.coefficients.items():
                 total += coefficient * stats[name]
