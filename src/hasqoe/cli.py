@@ -111,6 +111,12 @@ def _external_predictions(path: str, n_sessions: int) -> list[float]:
     return predictions
 
 
+#: The split-protocol flags of ``evaluate`` with their defaults.  The
+#: parser leaves them None, so that one given without --splits is an error
+#: rather than ignored.
+_PROTOCOL_DEFAULTS = {"test_size": 90, "test_pool": "multi-factor", "seed": 0, "compensate_on": "train"}
+
+
 def cmd_evaluate(args) -> None:
     dataset = LabeledDataset(tuple(io.read_sessions(args.input)))
     truths = dataset.labels()
@@ -132,25 +138,31 @@ def cmd_evaluate(args) -> None:
     if args.nonnegative and not args.refit:
         raise UsageError("--nonnegative only makes sense with --refit")
 
+    given = {name: getattr(args, name) for name in _PROTOCOL_DEFAULTS
+             if getattr(args, name) is not None}
     if args.splits is not None:
         if args.external_predictions:
             raise UsageError("--external-predictions cannot be combined with --splits")
+        options = {**_PROTOCOL_DEFAULTS, **given}
         protocol = SplitProtocol(
             n_repetitions=args.splits,
-            test_size=args.test_size,
-            test_pool=args.test_pool,
-            rng_seed=args.seed,
+            test_size=options["test_size"],
+            test_pool=options["test_pool"],
+            rng_seed=options["seed"],
         )
         report = run_split_protocol(
             dataset,
             protocol,
             _linear_model(args),
             compensate=compensate,
-            compensation_on=args.compensate_on,
+            compensation_on=options["compensate_on"],
         )
     else:
         if args.refit:
             raise UsageError("--refit only makes sense with --splits")
+        if given:
+            flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
+            raise UsageError(f"{flags} only make sense with --splits")
         if args.external_predictions is not None:
             predictions = _external_predictions(args.external_predictions, len(dataset))
         else:
@@ -227,15 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV of precomputed 'session-id,predicted-mos' rows")
     p.add_argument("--splits", type=int,
                    help="run the repeated random train/test protocol with this many repetitions")
-    p.add_argument("--test-size", type=int, default=90,
-                   help="test sessions per split (default: 90)")
-    p.add_argument("--test-pool", default="multi-factor",
-                   help="session tag test sets are drawn from, or 'all' (default: multi-factor)")
-    p.add_argument("--seed", type=int, default=0, help="protocol RNG seed (default: 0)")
+    defaults = _PROTOCOL_DEFAULTS
+    p.add_argument("--test-size", type=int,
+                   help=f"test sessions per split "
+                        f"(default: {defaults['test_size']}; only with --splits)")
+    p.add_argument("--test-pool",
+                   help=f"session tag test sets are drawn from, or 'all' "
+                        f"(default: {defaults['test_pool']}; only with --splits)")
+    p.add_argument("--seed", type=int,
+                   help=f"protocol RNG seed (default: {defaults['seed']}; only with --splits)")
     p.add_argument("--no-compensation", action="store_true",
                    help="skip the first-order linear compensation")
-    p.add_argument("--compensate-on", choices=("train", "test"), default="train",
-                   help="portion the compensation line is fitted on (default: train)")
+    p.add_argument("--compensate-on", choices=("train", "test"),
+                   help=f"portion the compensation line is fitted on "
+                        f"(default: {defaults['compensate_on']}; only with --splits)")
     p.add_argument("--nonnegative", action="store_true",
                    help="with --refit, constrain fitted weights to be non-negative")
     p.add_argument("--output", help="report file (default: stdout)")

@@ -398,16 +398,24 @@ def _session_runs(sessions):
         yield slice(start, stop), lengths, quality, n_stalls, durations
 
 
-def _count_into(out: np.ndarray, lengths, q, n_stalls, durations) -> None:
-    """Write the 22 frequencies of each session of a run into its row of ``out``."""
-    ends = np.cumsum(lengths)
+def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The level bin of every value of ``q`` and the amplitude bin of every step to the next.
 
-    # The float operations of bin_quality and classify_switch; levels lie
-    # in 1..5 and amplitude bins in -4..4.
+    These are the float operations of :func:`bin_quality` and
+    :func:`classify_switch`: levels lie in 1..5 and amplitude bins in
+    -4..4.  Where ``q`` concatenates sessions, the steps across their
+    boundaries are the caller's to drop.
+    """
     levels = np.floor(q + 0.5).astype(np.intp)
     amplitudes = np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
     # A drop that rounds below the bottom level lands in the deepest bin.
-    amplitudes = np.maximum(amplitudes, 1 - levels[:-1])
+    return levels, np.maximum(amplitudes, 1 - levels[:-1])
+
+
+def _count_into(out: np.ndarray, lengths, q, n_stalls, durations) -> None:
+    """Write the 22 frequencies of each session of a run into its row of ``out``."""
+    ends = np.cumsum(lengths)
+    levels, amplitudes = _switch_bins(q)
 
     # Each value is counted at a flat index row * 22 + column of ``out``.
     row_starts = np.arange(0, out.size, N_PARAMETERS)
@@ -529,13 +537,12 @@ def _ordered_sum(weights, columns: np.ndarray) -> np.ndarray:
     return total
 
 
-def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """:func:`predict` for every row of a :func:`feature_matrix`.
+def _raw_scores(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """The linear score of every row of a :func:`feature_matrix`, before the 1.0 floor.
 
     The terms are added in the order :func:`perceptual_quality` and
     :func:`interruption_degradation` add them, not as one matrix
-    product, so each value equals :func:`predict` of its session bit for
-    bit.
+    product, so each value equals their difference bit for bit.
     """
     w = weights.as_vector()
     quality = (
@@ -543,8 +550,12 @@ def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
         - _ordered_sum(w[DOWN_SWITCH_SLOTS], features[:, DOWN_SWITCH_SLOTS])
         - w[GROUPED_SLOT] * features[:, GROUPED_SLOT]
     )
-    stalls = _ordered_sum(w[INTERRUPTION_SLOTS], features[:, INTERRUPTION_SLOTS])
-    return np.maximum(quality - stalls, MIN_MOS)
+    return quality - _ordered_sum(w[INTERRUPTION_SLOTS], features[:, INTERRUPTION_SLOTS])
+
+
+def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """:func:`predict` for every row of a :func:`feature_matrix`, bit for bit."""
+    return np.maximum(_raw_scores(features, weights), MIN_MOS)
 
 
 def predict(trace: SessionTrace, weights: ModelWeights) -> float:

@@ -9,7 +9,11 @@ a long tail), so large datasets exercise every bin.
 
 All randomness flows from ``rng_seed``; session ``k`` of a dataset uses
 the substream ``SeedSequence(rng_seed).spawn(...)[k]``, so generation
-is reproducible and sessions are independent.
+is reproducible and sessions are independent.  Each substream makes
+three draws: the segment count (when ``n_segments`` is a range), one
+block of uniforms with a row per segment, and the label noise.  The
+blocks of all the sessions are turned into qualities, stalls, tags,
+features and labels together, in numpy.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ from .errors import UsageError
 from .fitting import LabeledDataset
 from .model import (
     DEFAULT_INTERRUPTION_EDGES,
+    MAX_MOS,
+    MIN_MOS,
     InterruptionEvent,
     ModelWeights,
     SessionTrace,
     _json_integer,
     _json_number,
-    classify_switch,
-    extract_features,
-    interruption_degradation,
-    perceptual_quality,
+    _raw_scores,
+    _switch_bins,
+    feature_matrix,
 )
 
 #: Default share of stalls per duration bin: most stalls are short,
@@ -137,19 +142,24 @@ class StallDurations:
                 raise UsageError(f"tail_max {p['tail_max']} must exceed {last_edge}")
         object.__setattr__(self, "params", p)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def durations(self, u_bin: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Stall durations from two arrays of uniforms on [0, 1).
+
+        ``u_bin`` picks the bin of a ``bin_mixture``; ``u`` places each
+        duration on (low, high], so it never sits on the lower, excluded
+        edge of its bin.  Within 2**-53 of 1, ``(high - low) * u`` can
+        round up to ``high - low``, so the duration is kept above ``low``.
+        """
         p = self.params
         if self.name == "constant":
-            return float(p["value"])
+            return np.full(len(u), float(p["value"]))
         if self.name == "uniform":
             low, high = float(p["low"]), float(p["high"])
         else:
-            edges = (0.0, *DEFAULT_INTERRUPTION_EDGES, float(p["tail_max"]))
-            chosen = int(rng.choice(len(edges) - 1, p=p["bin_probs"]))
+            edges = np.array((0.0, *DEFAULT_INTERRUPTION_EDGES, float(p["tail_max"])))
+            chosen = _pick(p["bin_probs"], u_bin)
             low, high = edges[chosen], edges[chosen + 1]
-        # Sample on (low, high] so a duration never sits on the lower,
-        # excluded edge of its bin.
-        return high - (high - low) * float(rng.random())
+        return np.maximum(high - (high - low) * u, np.nextafter(low, high))
 
     @classmethod
     def from_dict(cls, data: dict) -> "StallDurations":
@@ -220,13 +230,100 @@ class GeneratorConfig:
         return cls(**{key: readers[key](value) for key, value in kwargs.items()})
 
 
-def _next_level(level: int, walk: QualityWalk, rng: np.random.Generator) -> int:
-    move = int(rng.choice(3, p=(walk.p_down, walk.p_stay, walk.p_up)))
-    if move == 1:
-        return level
-    step = 1 + int(rng.choice(4, p=walk.step_probs))
-    target = level - step if move == 0 else level + step
-    return min(max(target, 1), 5)
+#: The columns of a session's uniform block, which has one row per segment.
+#: Row 0 picks the initial level; each later row t picks the move to
+#: segment t, its step size, and whether the boundary before segment t
+#: stalls and for how long.  Every row jitters its segment.
+_N_UNIFORMS = 6
+_LEVEL, _STEP, _JITTER, _STALL, _STALL_BIN, _STALL_DURATION = range(_N_UNIFORMS)
+
+
+def _pick(probs, u: np.ndarray) -> np.ndarray:
+    """The category each uniform in ``u`` picks, as ``Generator.choice`` picks it.
+
+    A category of probability 0 is never picked: its cumulative
+    probability equals the one before it.
+    """
+    cdf = np.cumsum(probs, dtype=float)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, u, side="right")
+
+
+def _draw(config: GeneratorConfig, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """A session's uniform block and its label noise, drawn from ``rng`` in that order.
+
+    The segment count comes first when ``n_segments`` is a range.  The
+    noise is drawn whether or not it is used.
+    """
+    if isinstance(config.n_segments, tuple):
+        low, high = config.n_segments
+        count = int(rng.integers(low, high + 1))
+    else:
+        count = config.n_segments
+    return rng.random((count, _N_UNIFORMS)), float(rng.standard_normal())
+
+
+def _clamped_walk(levels: np.ndarray, steps: np.ndarray, starts, lengths) -> None:
+    """Fill in each session's levels after its first: the level before plus the step, clamped to 1..5.
+
+    The sessions advance in lockstep: step t updates segment t of every
+    session that has one, so the walk takes as many numpy operations as
+    the longest session has segments, and no padded grid.
+    """
+    order = np.argsort(lengths, kind="stable")
+    lengths, starts = lengths[order], starts[order]
+    for t in range(1, int(lengths[-1])):
+        rows = starts[np.searchsorted(lengths, t, side="right"):] + t
+        levels[rows] = np.minimum(np.maximum(levels[rows - 1] + steps[rows], 1), 5)
+
+
+def _sessions(config: GeneratorConfig, rngs) -> tuple[list[SessionTrace], np.ndarray]:
+    """One session from each generator in ``rngs``, and each session's label noise.
+
+    Every session's values come from its own block of uniforms
+    (:func:`_draw`), turned into levels, moves, steps, jitter, stalls
+    and durations over the concatenated blocks of all the sessions.
+    """
+    blocks, noise = zip(*(_draw(config, rng) for rng in rngs))
+    lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
+    u = np.concatenate(blocks)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+
+    walk = config.quality_walk
+    moves = _pick((walk.p_down, walk.p_stay, walk.p_up), u[:, _LEVEL]) - 1
+    levels = np.empty(len(u), np.intp)
+    levels[starts] = 1 + _pick(walk.initial_probs, u[starts, _LEVEL])
+    _clamped_walk(levels, moves * (1 + _pick(walk.step_probs, u[:, _STEP])), starts, lengths)
+    quality = np.clip(levels + walk.jitter * (2.0 * u[:, _JITTER] - 1.0), MIN_MOS, MAX_MOS)
+
+    stalled = u[:, _STALL] < config.stall_prob_per_boundary
+    stalled[starts] = False  # no boundary comes before a session's first segment
+    rows = np.flatnonzero(stalled)
+    durations = config.stall_durations.durations(u[rows, _STALL_BIN], u[rows, _STALL_DURATION])
+    stall_session = np.searchsorted(ends, rows, side="right")
+    n_stalls = np.bincount(stall_session, minlength=len(lengths))
+
+    # Multi-factor: a step with a nonzero amplitude bin, and a stall.
+    # moved[k] counts such steps among the first k; a session's own steps
+    # are those from its start to its end - 2.
+    moved = np.concatenate(([0], np.cumsum(_switch_bins(quality)[1] != 0)))
+    multi_factor = (moved[ends - 1] > moved[starts]) & (n_stalls > 0)
+
+    values = quality.tolist()
+    events = list(map(InterruptionEvent, (rows - starts[stall_session]).tolist(), durations.tolist()))
+    stall_ends = np.cumsum(n_stalls).tolist()
+    traces = [
+        SessionTrace(
+            values[start:end],
+            events[stall_end - count:stall_end],
+            tag="multi-factor" if multi else "single-factor",
+        )
+        for start, end, stall_end, count, multi in zip(
+            starts.tolist(), ends.tolist(), stall_ends, n_stalls.tolist(), multi_factor.tolist()
+        )
+    ]
+    return traces, np.array(noise)
 
 
 def generate_session(
@@ -235,36 +332,7 @@ def generate_session(
     """Generate one session; without an explicit ``rng``, seeds from the config."""
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    walk = config.quality_walk
-
-    if isinstance(config.n_segments, tuple):
-        low, high = config.n_segments
-        count = int(rng.integers(low, high + 1))
-    else:
-        count = config.n_segments
-
-    level = 1 + int(rng.choice(5, p=walk.initial_probs))
-    segments: list[float] = []
-    for t in range(count):
-        if t > 0:
-            level = _next_level(level, walk, rng)
-        value = float(level)
-        if walk.jitter > 0.0:
-            value += float(rng.uniform(-walk.jitter, walk.jitter))
-        segments.append(min(max(value, 1.0), 5.0))
-
-    interruptions: list[InterruptionEvent] = []
-    for boundary in range(1, count):
-        if float(rng.random()) < config.stall_prob_per_boundary:
-            interruptions.append(
-                InterruptionEvent(boundary, config.stall_durations.sample(rng))
-            )
-
-    has_variation = any(
-        classify_switch(a, b).amplitude_bin != 0 for a, b in zip(segments, segments[1:])
-    )
-    tag = "multi-factor" if has_variation and interruptions else "single-factor"
-    return SessionTrace(tuple(segments), tuple(interruptions), tag=tag)
+    return _sessions(config, (rng,))[0][0]
 
 
 def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[SessionTrace, ...]:
@@ -272,9 +340,18 @@ def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[Session
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     substreams = np.random.SeedSequence(config.rng_seed).spawn(n_sessions)
-    return tuple(
-        generate_session(config, np.random.default_rng(s)) for s in substreams
-    )
+    return tuple(_sessions(config, map(np.random.default_rng, substreams))[0])
+
+
+def _round_size(needed: int, attempts: int, kept: int) -> int:
+    """How many candidates to draw for ``needed`` more sessions, after ``kept`` of ``attempts``.
+
+    As many as the share kept so far predicts, at most 8 per session
+    still needed.  Which sessions are kept does not depend on it.
+    """
+    if not attempts:
+        return needed
+    return -(-needed * attempts // kept) if 8 * kept >= attempts else 8 * needed
 
 
 def generate_labeled_dataset(
@@ -289,14 +366,16 @@ def generate_labeled_dataset(
 
     Labels are the model output plus optional Gaussian noise, clipped to
     [1, 5].  With ``skip_clamped=True`` sessions whose raw linear score
-    falls below the 1.0 floor are discarded and regenerated, which keeps
-    the labels an exactly linear function of the features — the setting
-    a planted-weights recovery needs.
+    falls below the 1.0 floor are discarded, which keeps the labels an
+    exactly linear function of the features — the setting a
+    planted-weights recovery needs.  Candidates come in rounds from
+    consecutive substreams, and the first ``n_sessions`` kept are the
+    dataset, so session k is the same whatever ``n_sessions``.
     """
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
-    if noise_std < 0.0:
-        raise UsageError(f"noise_std {noise_std} must be >= 0")
+    if not 0.0 <= noise_std < math.inf:  # NaN fails
+        raise UsageError(f"noise_std {noise_std} must be a finite number >= 0")
     root = np.random.SeedSequence(config.rng_seed)
     sessions: list[SessionTrace] = []
     attempts = 0
@@ -307,18 +386,18 @@ def generate_labeled_dataset(
                 f"gave up after {attempts} attempts: config almost always "
                 "produces clamp-active sessions"
             )
-        attempts += 1
-        rng = np.random.default_rng(root.spawn(1)[0])
-        trace = generate_session(config, rng)
-        features = extract_features(trace)
-        raw = perceptual_quality(features, weights) - interruption_degradation(
-            features, weights
+        needed = n_sessions - len(sessions)
+        size = min(_round_size(needed, attempts, len(sessions)), max_attempts - attempts)
+        attempts += size
+        traces, noise = _sessions(config, map(np.random.default_rng, root.spawn(size)))
+        raw = _raw_scores(feature_matrix(traces), weights)
+        labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
+        # "not below 1", as the floor reads it: a NaN score from overflowing
+        # weights is kept, and its label then fails validation.
+        keep = np.flatnonzero(~(raw < MIN_MOS)) if skip_clamped else np.arange(size)
+        keep = keep[:needed].tolist()
+        sessions.extend(
+            dataclasses.replace(traces[k], ground_truth_mos=label)
+            for k, label in zip(keep, labels[keep].tolist())
         )
-        if skip_clamped and raw < 1.0:
-            continue
-        label = max(raw, 1.0)
-        if noise_std > 0.0:
-            label += noise_std * float(rng.standard_normal())
-        label = min(max(label, 1.0), 5.0)
-        sessions.append(dataclasses.replace(trace, ground_truth_mos=label))
     return LabeledDataset(tuple(sessions))

@@ -90,6 +90,20 @@ def test_gen_reads_config_file_and_seed_overrides_it(tmp_path) -> None:
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_gen_reads_whole_number_probabilities(tmp_path) -> None:
+    config_path, out = tmp_path / "config.json", tmp_path / "out.json"
+    config_path.write_text(json.dumps({
+        "quality_walk": {"p_down": 0, "p_stay": 1, "p_up": 0, "jitter": 0},
+        "stall_prob_per_boundary": 1,
+        "stall_durations": {"params": {"bin_probs": [0, 0, 0, 0, 0, 1]}},
+    }))
+    assert run_cli("gen", "--count", "20", "--output", str(out), "--config", str(config_path)) == 0
+    for session in io.read_sessions(str(out)):
+        assert len(set(session.segments)) == 1
+        assert all(e.duration_s > 3.0 for e in session.interruptions)
+        assert len(session.interruptions) == len(session.segments) - 1
+
+
 def test_gen_rejects_bad_count() -> None:
     assert run_cli("gen", "--count", "0", "--output", "unused.json") == 1
 
@@ -126,6 +140,15 @@ def test_gen_rejects_malformed_config(tmp_path, capsys, config) -> None:
     assert run_cli("gen", "--count", "3", "--output", str(out), "--config", str(path)) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+def test_gen_rejects_non_finite_noise(tmp_path, capsys, noise) -> None:
+    out = tmp_path / "out.json"
+    assert run_cli("gen", "--count", "3", "--output", str(out), "--weights", "paper",
+                   f"--noise-std={noise}") == 1
+    assert "noise_std" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_rejects_negative_seed(tmp_path) -> None:
@@ -539,6 +562,11 @@ def test_evaluate_baseline_rejects_coefficients_of_other_statistics(
         ("evaluate", "--baseline", "guo", "--nonnegative"),
         ("gen", "--count", "5", "--skip-clamped"),
         ("gen", "--count", "5", "--noise-std", "0.2"),
+        ("evaluate", "--weights", "paper", "--test-size", "5"),
+        ("evaluate", "--weights", "paper", "--test-size", "5", "--compensate-on", "test"),
+        ("evaluate", "--baseline", "guo", "--test-pool", "all"),
+        ("evaluate", "--weights", "paper", "--seed", "3"),
+        ("evaluate", "--weights", "paper", "--compensate-on", "train"),
     ],
 )
 def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args) -> None:
@@ -548,6 +576,23 @@ def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args
     assert run_cli(command, *target, "--output", str(output), *rest) == 1
     assert "only make" in capsys.readouterr().err
     assert not output.exists()
+
+
+def test_protocol_flags_default_only_with_splits(tmp_path, capsys) -> None:
+    data = tmp_path / "data.json"
+    assert run_cli("gen", "--count", "400", "--output", str(data), "--weights", "paper",
+                   "--noise-std", "0.2", "--seed", "3") == 0
+    capsys.readouterr()
+    explicit = ("--test-size", "90", "--test-pool", "multi-factor", "--seed", "0",
+                "--compensate-on", "train")
+    reports = []
+    for flags in ((), explicit):
+        assert run_cli("evaluate", "--input", str(data), "--refit", "--splits", "3", *flags) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert run_cli("evaluate", "--input", str(data), "--refit", "--splits", "3",
+                   "--compensate-on", "test") == 0
+    assert capsys.readouterr().out != reports[0]
 
 
 def test_evaluate_rejects_non_finite_weights_and_coefficients(tmp_path, capsys, labeled_path) -> None:

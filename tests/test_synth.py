@@ -5,6 +5,7 @@ import pytest
 
 from hasqoe import (
     GeneratorConfig,
+    ModelWeights,
     QualityWalk,
     StallDurations,
     UsageError,
@@ -19,6 +20,7 @@ from hasqoe import (
     paper_weights,
     perceptual_quality,
     predict,
+    synth,
 )
 
 
@@ -34,6 +36,81 @@ def test_prefix_stability_of_substreams() -> None:
     # session k does not depend on how many sessions follow it
     config = GeneratorConfig(rng_seed=5)
     assert generate_sessions(config, 30)[:10] == generate_sessions(config, 10)
+
+
+def test_spawning_at_once_equals_spawning_one_by_one() -> None:
+    # generate_labeled_dataset spawns each round's substreams at once and
+    # relies on them continuing the ones spawned before
+    for seed, k in ((0, 1), (7, 25), (2**40 + 3, 130)):
+        root = np.random.SeedSequence(seed)
+        one_by_one = [root.spawn(1)[0] for _ in range(k)]
+        at_once = np.random.SeedSequence(seed).spawn(k)
+        assert [s.spawn_key for s in at_once] == [s.spawn_key for s in one_by_one]
+        assert all(
+            (a.generate_state(4) == b.generate_state(4)).all()
+            for a, b in zip(at_once, one_by_one)
+        )
+
+
+def test_labeled_prefix_does_not_depend_on_the_count_or_the_round_size(monkeypatch) -> None:
+    weights = paper_weights()
+    config = GeneratorConfig(rng_seed=41)
+    for noise_std in (0.0, 0.3):
+        long = generate_labeled_dataset(config, 30, weights, noise_std=noise_std, skip_clamped=True)
+        short = generate_labeled_dataset(config, 10, weights, noise_std=noise_std, skip_clamped=True)
+        assert long.sessions[:10] == short.sessions
+        for size in (1, 7):
+            monkeypatch.setattr(synth, "_round_size", lambda needed, attempts, kept: size)
+            assert generate_labeled_dataset(
+                config, 30, weights, noise_std=noise_std, skip_clamped=True
+            ) == long
+            monkeypatch.undo()
+
+
+def _within_5_sigma(counts: Counter, expected: dict) -> None:
+    n = sum(counts.values())
+    assert set(counts) <= set(expected)
+    for category, p in expected.items():
+        sigma = (n * p * (1.0 - p)) ** 0.5
+        assert abs(counts[category] - n * p) <= 5.0 * sigma, (category, counts[category], n * p)
+
+
+def test_draws_follow_the_configured_probabilities() -> None:
+    walk = QualityWalk(
+        initial_probs=(0.1, 0.3, 0.0, 0.2, 0.4),
+        p_down=0.25, p_stay=0.35, p_up=0.4,
+        step_probs=(0.1, 0.2, 0.3, 0.4),
+    )
+    stalls = StallDurations("bin_mixture", {"bin_probs": (0.3, 0.0, 0.1, 0.2, 0.15, 0.25)})
+    config = GeneratorConfig(
+        quality_walk=walk, stall_prob_per_boundary=0.2, stall_durations=stalls, rng_seed=9
+    )
+    initial, from_bottom, from_top, stalled, stall_bins = (Counter() for _ in range(5))
+    for trace in generate_sessions(config, 2000):
+        levels = [bin_quality(q) for q in trace.segments]
+        initial[levels[0]] += 1
+        # From level 1 an up-move never clamps and a down-move always
+        # does, so the step up is seen whole; from level 5 the step down.
+        for a, b in zip(levels, levels[1:]):
+            if a == 1:
+                from_bottom[b - a] += 1
+            elif a == 5:
+                from_top[b - a] += 1
+        boundaries_with_stall = {e.after_segment for e in trace.interruptions}
+        assert len(boundaries_with_stall) == len(trace.interruptions)
+        stalled[True] += len(boundaries_with_stall)
+        stalled[False] += len(trace.segments) - 1 - len(boundaries_with_stall)
+        stall_bins.update(bin_interruption(e.duration_s) for e in trace.interruptions)
+    _within_5_sigma(initial, {k + 1: p for k, p in enumerate(walk.initial_probs) if p})
+    steps = dict(enumerate(walk.step_probs, start=1))
+    _within_5_sigma(
+        from_bottom, {0: walk.p_down + walk.p_stay, **{s: walk.p_up * p for s, p in steps.items()}}
+    )
+    _within_5_sigma(
+        from_top, {0: walk.p_up + walk.p_stay, **{-s: walk.p_down * p for s, p in steps.items()}}
+    )
+    _within_5_sigma(stalled, {True: 0.2, False: 0.8})
+    _within_5_sigma(stall_bins, {k + 1: p for k, p in enumerate(stalls.params["bin_probs"]) if p})
 
 
 def test_generated_sessions_are_valid() -> None:
@@ -98,9 +175,12 @@ def test_labeled_dataset_labels_match_model_when_noiseless() -> None:
     weights = paper_weights()
     dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=29), 150, weights)
     for session in dataset.sessions:
-        assert session.ground_truth_mos == pytest.approx(
-            predict(session, weights), abs=1e-12
+        assert session.ground_truth_mos == min(predict(session, weights), 5.0)
+        varies = any(
+            classify_switch(a, b).amplitude_bin != 0
+            for a, b in zip(session.segments, session.segments[1:])
         )
+        assert session.tag == ("multi-factor" if varies and session.interruptions else "single-factor")
 
 
 def test_skip_clamped_keeps_only_linear_sessions() -> None:
@@ -133,8 +213,9 @@ def test_generator_usage_errors() -> None:
         generate_sessions(GeneratorConfig(), 0)
     with pytest.raises(UsageError):
         generate_labeled_dataset(GeneratorConfig(), 0, paper_weights())
-    with pytest.raises(UsageError):
-        generate_labeled_dataset(GeneratorConfig(), 10, paper_weights(), noise_std=-1.0)
+    for noise_std in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(UsageError, match="noise_std"):
+            generate_labeled_dataset(GeneratorConfig(), 10, paper_weights(), noise_std=noise_std)
     with pytest.raises(UsageError):
         GeneratorConfig(n_segments=0)
     with pytest.raises(UsageError):
@@ -157,19 +238,42 @@ def test_impossible_skip_clamped_config_fails_cleanly() -> None:
         stall_durations=StallDurations("constant", {"value": 60.0}),
         rng_seed=1,
     )
-    with pytest.raises(UsageError, match="clamp"):
+    # 20 * 10 + 100 candidates are drawn before giving up, whatever the rounds
+    with pytest.raises(UsageError, match="after 300 attempts: .*clamp"):
         generate_labeled_dataset(config, 10, paper_weights(), skip_clamped=True)
+
+
+def test_a_score_of_exactly_one_is_not_clamped() -> None:
+    # every single-segment session scores exactly 1.0 under these weights
+    weights = ModelWeights.from_vector([1.0] * 5 + [0.0] * 17)
+    dataset = generate_labeled_dataset(
+        GeneratorConfig(n_segments=1, rng_seed=2), 20, weights, skip_clamped=True
+    )
+    assert all(s.ground_truth_mos == 1.0 for s in dataset.sessions)
+
+
+def test_category_draws_never_run_past_the_last_category() -> None:
+    # probabilities may sum to 1 - 1e-9; the cumulative ones are rescaled to end at 1
+    probs = (0.25, 0.25, 0.5 - 1e-9)
+    u = np.array([0.0, 0.3, 0.5 - 1e-10, 1.0 - 1e-10, np.nextafter(1.0, 0.0)])
+    assert synth._pick(probs, u).tolist() == [0, 1, 1, 2, 2]
 
 
 def test_stall_duration_distributions() -> None:
     rng = np.random.default_rng(11)
     constant = StallDurations("constant", {"value": 2.5})
-    assert constant.sample(rng) == 2.5
+    assert (constant.durations(rng.random(20), rng.random(20)) == 2.5).all()
     uniform = StallDurations("uniform", {"low": 0.5, "high": 1.5})
-    draws = [uniform.sample(rng) for _ in range(200)]
+    draws = uniform.durations(rng.random(200), rng.random(200))
     assert all(0.5 < d <= 1.5 for d in draws)
     mixture = StallDurations("bin_mixture", {"bin_probs": [0, 0, 0, 0, 0, 1.0]})
-    assert all(3.0 < mixture.sample(rng) <= 6.0 for _ in range(50))
+    assert all(3.0 < d <= 6.0 for d in mixture.durations(rng.random(50), rng.random(50)))
+    # the ends of [0, 1): the upper edge of a bin is reached, the lower one
+    # is not, also where 0.5 - 0.25 * (1 - 2**-53) rounds to 0.25
+    ends = np.array([0.0, 1 - 2**-53])
+    assert uniform.durations(ends, ends).tolist() == [1.5, 0.5 + 2**-53]
+    second_bin = StallDurations("bin_mixture", {"bin_probs": [0, 1, 0, 0, 0, 0]})
+    assert [bin_interruption(d) for d in second_bin.durations(ends, ends)] == [2, 2]
 
 
 def test_config_round_trip_through_dict() -> None:
