@@ -267,17 +267,12 @@ def bin_interruption(duration_s: float) -> int:
 def classify_switch(q_before: float, q_after: float) -> SwitchEvent:
     """Classify the boundary between two consecutive segments.
 
-    Both values lie in [1, 5], so the amplitude bin lies in -4..4.
+    Both values lie in [1, 5], so the amplitude bin j lies in -4..4, and as
+    ``q_before < i + 0.5`` and rounding is monotone, a drop keeps i + j >= 1.
     """
     q_before = _check_mos(q_before, "quality value")
     q_after = _check_mos(q_after, "quality value")
-    i = bin_quality(q_before)
-    j = int(math.floor(q_after - q_before + 0.5))
-    if j < 0 and i + j < 1:
-        # Rounding at bin edges can suggest a drop below the bottom
-        # level; land it in the deepest bin that actually exists.
-        j = -(i - 1)
-    return SwitchEvent(i, j)
+    return SwitchEvent(bin_quality(q_before), int(math.floor(q_after - q_before + 0.5)))
 
 
 class _SlotGroups:
@@ -406,10 +401,7 @@ def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -4..4.  Where ``q`` concatenates sessions, the steps across their
     boundaries are the caller's to drop.
     """
-    levels = np.floor(q + 0.5).astype(np.intp)
-    amplitudes = np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
-    # A drop that rounds below the bottom level lands in the deepest bin.
-    return levels, np.maximum(amplitudes, 1 - levels[:-1])
+    return np.floor(q + 0.5).astype(np.intp), np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
 
 
 def _count_into(out: np.ndarray, lengths, q, n_stalls, durations) -> None:

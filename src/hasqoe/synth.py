@@ -13,7 +13,9 @@ is reproducible and sessions are independent.  Each substream makes
 three draws: the segment count (when ``n_segments`` is a range), one
 block of uniforms with a row per segment, and the label noise.  The
 blocks of all the sessions are turned into qualities, stalls, tags,
-features and labels together, in numpy.
+features and labels together, in numpy columns.  Only then is a
+``SessionTrace`` built, once, for each session returned; a candidate
+that ``skip_clamped`` discards is never built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
@@ -30,14 +33,15 @@ from .model import (
     DEFAULT_INTERRUPTION_EDGES,
     MAX_MOS,
     MIN_MOS,
+    N_PARAMETERS,
     InterruptionEvent,
     ModelWeights,
     SessionTrace,
+    _count_into,
     _json_integer,
     _json_number,
     _raw_scores,
     _switch_bins,
-    feature_matrix,
 )
 
 #: Default share of stalls per duration bin: most stalls are short,
@@ -255,11 +259,8 @@ def _draw(config: GeneratorConfig, rng: np.random.Generator) -> tuple[np.ndarray
     The segment count comes first when ``n_segments`` is a range.  The
     noise is drawn whether or not it is used.
     """
-    if isinstance(config.n_segments, tuple):
-        low, high = config.n_segments
-        count = int(rng.integers(low, high + 1))
-    else:
-        count = config.n_segments
+    n = config.n_segments
+    count = int(rng.integers(n[0], n[1] + 1)) if isinstance(n, tuple) else n
     return rng.random((count, _N_UNIFORMS)), float(rng.standard_normal())
 
 
@@ -277,12 +278,15 @@ def _clamped_walk(levels: np.ndarray, steps: np.ndarray, starts, lengths) -> Non
         levels[rows] = np.minimum(np.maximum(levels[rows - 1] + steps[rows], 1), 5)
 
 
-def _sessions(config: GeneratorConfig, rngs) -> tuple[list[SessionTrace], np.ndarray]:
-    """One session from each generator in ``rngs``, and each session's label noise.
+def _sessions(config: GeneratorConfig, rngs) -> tuple[np.ndarray, ...]:
+    """One session from each generator in ``rngs``, as numpy columns.
 
-    Every session's values come from its own block of uniforms
-    (:func:`_draw`), turned into levels, moves, steps, jitter, stalls
-    and durations over the concatenated blocks of all the sessions.
+    They are ``(lengths, quality, n_stalls, durations)``, the arguments
+    of ``model._count_into``, then each stall's ``after_segment`` and
+    each session's multi-factor flag and label noise.  Every session's
+    values come from its own block of uniforms (:func:`_draw`), turned
+    into levels, steps, jitter, stalls and durations over the
+    concatenated blocks of all the sessions.
     """
     blocks, noise = zip(*(_draw(config, rng) for rng in rngs))
     lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
@@ -303,36 +307,40 @@ def _sessions(config: GeneratorConfig, rngs) -> tuple[list[SessionTrace], np.nda
     durations = config.stall_durations.durations(u[rows, _STALL_BIN], u[rows, _STALL_DURATION])
     stall_session = np.searchsorted(ends, rows, side="right")
     n_stalls = np.bincount(stall_session, minlength=len(lengths))
+    after = rows - starts[stall_session]
 
     # Multi-factor: a step with a nonzero amplitude bin, and a stall.
     # moved[k] counts such steps among the first k; a session's own steps
     # are those from its start to its end - 2.
     moved = np.concatenate(([0], np.cumsum(_switch_bins(quality)[1] != 0)))
     multi_factor = (moved[ends - 1] > moved[starts]) & (n_stalls > 0)
+    return lengths, quality, n_stalls, durations, after, multi_factor, np.array(noise)
 
-    values = quality.tolist()
-    events = list(map(InterruptionEvent, (rows - starts[stall_session]).tolist(), durations.tolist()))
-    stall_ends = np.cumsum(n_stalls).tolist()
-    traces = [
+
+def _traces(columns, keep, labels) -> list[SessionTrace]:
+    """A :class:`SessionTrace` of each session of ``columns`` that ``keep`` lists, labeled."""
+    lengths, quality, n_stalls, durations, after, multi_factor, _ = columns
+    bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    stall_bounds = np.concatenate(([0], np.cumsum(n_stalls))).tolist()
+    values, stalls = quality.tolist(), list(zip(after.tolist(), durations.tolist()))
+    tags = np.where(multi_factor, "multi-factor", "single-factor").tolist()
+    return [
         SessionTrace(
-            values[start:end],
-            events[stall_end - count:stall_end],
-            tag="multi-factor" if multi else "single-factor",
+            values[bounds[k]:bounds[k + 1]],
+            list(starmap(InterruptionEvent, stalls[stall_bounds[k]:stall_bounds[k + 1]])),
+            label,
+            tags[k],
         )
-        for start, end, stall_end, count, multi in zip(
-            starts.tolist(), ends.tolist(), stall_ends, n_stalls.tolist(), multi_factor.tolist()
-        )
+        for k, label in zip(keep, labels)
     ]
-    return traces, np.array(noise)
 
 
 def generate_session(
     config: GeneratorConfig, rng: np.random.Generator | None = None
 ) -> SessionTrace:
     """Generate one session; without an explicit ``rng``, seeds from the config."""
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    return _sessions(config, (rng,))[0][0]
+    rng = np.random.default_rng(config.rng_seed) if rng is None else rng
+    return _traces(_sessions(config, (rng,)), [0], [None])[0]
 
 
 def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[SessionTrace, ...]:
@@ -340,7 +348,8 @@ def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[Session
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     substreams = np.random.SeedSequence(config.rng_seed).spawn(n_sessions)
-    return tuple(_sessions(config, map(np.random.default_rng, substreams))[0])
+    columns = _sessions(config, map(np.random.default_rng, substreams))
+    return tuple(_traces(columns, range(n_sessions), [None] * n_sessions))
 
 
 def _round_size(needed: int, attempts: int, kept: int) -> int:
@@ -389,15 +398,14 @@ def generate_labeled_dataset(
         needed = n_sessions - len(sessions)
         size = min(_round_size(needed, attempts, len(sessions)), max_attempts - attempts)
         attempts += size
-        traces, noise = _sessions(config, map(np.random.default_rng, root.spawn(size)))
-        raw = _raw_scores(feature_matrix(traces), weights)
-        labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
+        columns = _sessions(config, map(np.random.default_rng, root.spawn(size)))
+        features = np.empty((size, N_PARAMETERS))
+        _count_into(features, *columns[:4])
+        raw = _raw_scores(features, weights)
+        labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * columns[-1], MIN_MOS, MAX_MOS)
         # "not below 1", as the floor reads it: a NaN score from overflowing
         # weights is kept, and its label then fails validation.
         keep = np.flatnonzero(~(raw < MIN_MOS)) if skip_clamped else np.arange(size)
         keep = keep[:needed].tolist()
-        sessions.extend(
-            dataclasses.replace(traces[k], ground_truth_mos=label)
-            for k, label in zip(keep, labels[keep].tolist())
-        )
+        sessions.extend(_traces(columns, keep, labels[keep].tolist()))
     return LabeledDataset(tuple(sessions))

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hasqoe import (
@@ -13,6 +13,32 @@ from hasqoe import (
 )
 
 mos_values = st.floats(min_value=1.0, max_value=5.0, allow_nan=False)
+
+
+def _ulps_around(x: float, n: int = 40) -> list[float]:
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+#: Every value of [1, 5] within 40 ulps of a level or amplitude bin edge
+#: (a half-integer or an integer), where float rounding picks the bin.
+BIN_EDGE_VALUES = [
+    q for k in range(2, 11) for q in _ulps_around(k / 2) if 1.0 <= q <= 5.0
+]
+
+
+def _at_every_bin_edge(test):
+    """Add the deepest drop to and from every bin-edge value as explicit examples.
+
+    A drop is deepest when it ends at 1.0, since rounding is monotone, so
+    these pairs are where a drop below the bottom level would show.
+    """
+    for q in BIN_EDGE_VALUES:
+        test = example(q, 1.0)(example(5.0, q)(test))
+    return test
 
 
 def test_bin_quality_examples() -> None:
@@ -97,6 +123,7 @@ def test_classify_switch_rejects_out_of_range() -> None:
 
 
 @given(mos_values, mos_values)
+@_at_every_bin_edge
 def test_classify_switch_down_switches_land_in_valid_bins(q_before: float, q_after: float) -> None:
     event = classify_switch(q_before, q_after)
     assert 1 <= event.starting_quality_bin <= 5

@@ -286,6 +286,35 @@ def test_predict_output_is_pinned(tmp_path, name, args) -> None:
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+_LABELED = ("gen", "--count", "40", "--weights", "paper", "--noise-std", "0.2")
+_PINNED_INPUT = str(DATA / "gen_noise.json")
+
+
+@pytest.mark.parametrize(
+    ("name", "stdout", "args"),
+    [
+        ("gen_noise.json", None, (*_LABELED, "--seed", "11")),
+        ("gen_skip_clamped.json", None, (*_LABELED, "--skip-clamped", "--seed", "12")),
+        ("gen_unlabeled.json", None, ("gen", "--count", "30", "--seed", "13")),
+        ("fit_weights.json", "fit_stdout.json", ("fit", "--input", _PINNED_INPUT)),
+        (
+            "evaluate_refit.json",
+            None,
+            ("evaluate", "--input", _PINNED_INPUT, "--refit", "--splits", "3",
+             "--test-pool", "all", "--test-size", "5"),
+        ),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
+def test_gen_fit_and_evaluate_output_is_pinned(tmp_path, capsys, name, stdout, args) -> None:
+    # Recorded from the generator that built a trace per candidate; fit
+    # and evaluate read the first generated file.
+    out = tmp_path / name
+    assert run_cli(*args, "--output", str(out)) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+    assert capsys.readouterr().out == ((DATA / stdout).read_text() if stdout else "")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_predict_overflowing_weights_is_numerical_error(tmp_path, capsys, fmt) -> None:

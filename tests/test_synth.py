@@ -5,8 +5,10 @@ import pytest
 
 from hasqoe import (
     GeneratorConfig,
+    InterruptionEvent,
     ModelWeights,
     QualityWalk,
+    SessionTrace,
     StallDurations,
     UsageError,
     bin_interruption,
@@ -192,6 +194,41 @@ def test_skip_clamped_keeps_only_linear_sessions() -> None:
         fv = extract_features(session)
         raw = perceptual_quality(fv, weights) - interruption_degradation(fv, weights)
         assert raw >= 1.0
+
+
+#: The plant-and-recover recipe of the acceptance tests: about seven in
+#: eight of its candidates score below the 1.0 floor.
+_MOSTLY_CLAMPED = GeneratorConfig(
+    n_segments=(1, 60),
+    quality_walk=QualityWalk(
+        initial_probs=(0.08, 0.12, 0.20, 0.25, 0.35),
+        p_down=0.25,
+        p_stay=0.45,
+        p_up=0.30,
+        step_probs=(0.45, 0.30, 0.15, 0.10),
+    ),
+    stall_prob_per_boundary=0.15,
+    stall_durations=StallDurations(
+        "bin_mixture", {"bin_probs": [0.10, 0.15, 0.15, 0.15, 0.20, 0.25], "tail_max": 5.0}
+    ),
+    rng_seed=7,
+)
+
+
+@pytest.mark.parametrize("skip_clamped", [True, False])
+def test_each_returned_session_is_built_once_and_no_other(monkeypatch, skip_clamped) -> None:
+    built = Counter()
+    for cls in (SessionTrace, InterruptionEvent):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    dataset = generate_labeled_dataset(
+        _MOSTLY_CLAMPED, 600, paper_weights(), skip_clamped=skip_clamped
+    )
+    assert built["SessionTrace"] == len(dataset) == 600
+    assert built["InterruptionEvent"] == sum(len(s.interruptions) for s in dataset.sessions)
 
 
 def test_noise_is_seeded_and_bounded() -> None:
