@@ -9,8 +9,8 @@ Three published statistic sets are computed:
                 so the arithmetic mean), mean squared down-switch
                 amplitude, total stall duration, and stall count.
 
-:func:`baseline_matrix` computes them in numpy over the same runs of
-concatenated sessions as the histogram features (``model.feature_matrix``):
+:func:`baseline_matrix` computes them in numpy over the runs of the
+sessions' batch that the histogram features count (``model._SessionBatch``):
 the median exactly, as the mean of the two middle values of each
 session's sorted qualities, and the sums per session, so the mean,
 standard deviation and mean squared down amplitude may differ from a
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fitting import LabeledDataset, solve
-from .model import _json_number, _session_runs
+from .model import _json_number, _SessionBatch
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -85,8 +85,9 @@ class BaselineCoefficients:
         return coefficients
 
 
-def _run_statistics(lengths, q, n_stalls, durations) -> dict[str, np.ndarray]:
-    """Every statistic of each session of a run (see ``model._session_runs``)."""
+def _run_statistics(batch: _SessionBatch) -> dict[str, np.ndarray]:
+    """Every statistic of each session of a run (see ``model._SessionBatch.runs``)."""
+    lengths, q, n_stalls = batch.lengths, batch.quality, batch.n_stalls
     n = len(lengths)
     starts = np.cumsum(lengths) - lengths
     segment_rows = np.repeat(np.arange(n), lengths)
@@ -117,7 +118,7 @@ def _run_statistics(lengths, q, n_stalls, durations) -> dict[str, np.ndarray]:
         # share of presence time reduces to the arithmetic mean.
         "weighted_quality_sum": mean,
         "mean_sq_down_amplitude": down_squares / np.maximum(n_down, 1),
-        "stall_duration_sum": np.bincount(stall_rows, durations, minlength=n),
+        "stall_duration_sum": np.bincount(stall_rows, batch.durations, minlength=n),
         "stall_count": n_stalls,
     }
 
@@ -131,8 +132,8 @@ def baseline_matrix(sessions, names) -> np.ndarray:
             )
     sessions = tuple(sessions)
     matrix = np.ones((len(sessions), len(names) + 1))
-    for rows, *run in _session_runs(sessions):
-        statistics = _run_statistics(*run)
+    for rows, run in _SessionBatch.runs_of(sessions):
+        statistics = _run_statistics(run)
         for column, name in enumerate(names):
             matrix[rows, column] = statistics[name]
     return matrix

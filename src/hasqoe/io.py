@@ -123,23 +123,22 @@ def read_generator_config(path: str) -> GeneratorConfig:
 
 
 def read_external_predictions(path: str) -> dict[int, float]:
-    """Read a ``session-id,predicted-mos`` CSV (header row optional)."""
+    """Read a ``session-id,predicted-mos`` CSV whose first non-blank row may be a header."""
     predictions: dict[int, float] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for k, row in enumerate(csv.reader(handle)):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) < 2:
-                raise UsageError(f"{path} row {k}: expected 'session-id,predicted-mos'")
-            try:
-                session_id, value = int(row[0]), float(row[1])
-            except ValueError:
-                if k == 0:
-                    continue  # header row
-                raise UsageError(f"{path} row {k}: bad values {row!r}") from None
-            if session_id in predictions:
-                raise UsageError(f"{path} row {k}: duplicate session id {session_id}")
-            predictions[session_id] = value
+        rows = [(k, row) for k, row in enumerate(csv.reader(handle)) if "".join(row).strip()]
+    for n, (k, row) in enumerate(rows):
+        try:
+            if len(row) != 2 or "_" in row[0] + row[1]:  # int() and float() skip a "_"
+                raise ValueError
+            session_id, value = int(row[0]), float(row[1])
+        except ValueError:
+            if n == 0:
+                continue  # header row
+            raise UsageError(f"{path} row {k}: not 'session-id,predicted-mos': {row!r}") from None
+        if session_id in predictions:
+            raise UsageError(f"{path} row {k}: duplicate session id {session_id}")
+        predictions[session_id] = value
     if not predictions:
         raise UsageError(f"{path}: no predictions found")
     return predictions

@@ -14,16 +14,10 @@ Predicted QoE is a weighted linear combination of those frequencies,
 floored at 1.0 MOS.  ``paper_weights`` returns the published reference
 weight set bundled with the package.
 
-Features come from one batch pass: :func:`feature_matrix` bins the
-concatenated segments and stalls of many sessions in numpy and counts
-them per session, taking runs of whole sessions of a few thousand
-segments at a time so its temporaries stay small whatever the dataset
-size.  The comparison models' statistics (``baselines.baseline_matrix``)
-are computed over the same runs.  :func:`extract_features` is a batch of
-one, and :func:`predict_matrix` scores a feature matrix in
-:func:`predict`'s summation order.  :func:`bin_quality`,
-:func:`classify_switch` and :func:`bin_interruption` are the per-value
-definitions of the bins that pass counts.
+Features come from one batch pass over a private columnar form of the
+sessions (``_SessionBatch``), in runs of a few thousand segments:
+:func:`feature_matrix`, the generator's labels and
+``baselines.baseline_matrix`` all count over such runs.
 
 The 22-slot layout is defined once, by ``FEATURE_NAMES`` and the group
 slices next to it, and the bins are fixed: the interruption edges are
@@ -39,7 +33,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
+from itertools import chain, starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -363,34 +358,67 @@ _SWITCH_COLUMN = _switch_columns()
 _CHUNK_SEGMENTS = 8192
 
 
-def _session_runs(sessions):
-    """The sessions in runs of whole sessions of about ``_CHUNK_SEGMENTS`` segments.
+def _run_rows(lengths):
+    """Row slices of whole sessions: at most ``_CHUNK_SEGMENTS`` segments or one session each."""
+    start = size = 0
+    for k, length in enumerate(chain(lengths, [_CHUNK_SEGMENTS])):  # a sentinel ends the last run
+        if size and size + length > _CHUNK_SEGMENTS:
+            yield slice(start, k)
+            start, size = k, 0
+        size += length
 
-    Yields ``(rows, lengths, quality, n_stalls, durations)`` per run: the
-    slice of ``sessions`` it covers, each session's segment and stall
-    count, and the segment qualities and stall durations of the run,
-    concatenated session after session.  A longer session is a run of its
-    own.  A pass that works run by run keeps its temporaries bounded, so
-    its memory use does not grow with the dataset beyond the sessions and
-    the result.
-    """
-    stops, size = [], 0
-    for k, session in enumerate(sessions):
-        if size and size + len(session.segments) > _CHUNK_SEGMENTS:
-            stops.append(k)
-            size = 0
-        size += len(session.segments)
-    if sessions:
-        stops.append(len(sessions))
-    for start, stop in zip([0, *stops], stops):
-        run = sessions[start:stop]
-        lengths = np.fromiter((len(s.segments) for s in run), np.intp, len(run))
-        n_stalls = np.fromiter((len(s.interruptions) for s in run), np.intp, len(run))
-        quality = np.fromiter(chain.from_iterable(s.segments for s in run), float, lengths.sum())
-        durations = np.fromiter(
-            (e.duration_s for s in run for e in s.interruptions), float, n_stalls.sum()
+
+class _SessionBatch(NamedTuple):
+    """Sessions as columns: per-session counts, then per-segment and per-stall values in order."""
+
+    lengths: np.ndarray
+    quality: np.ndarray
+    n_stalls: np.ndarray
+    after: np.ndarray
+    durations: np.ndarray
+
+    @classmethod
+    def of(cls, traces) -> "_SessionBatch":
+        """The columns of a sequence of :class:`SessionTrace` objects."""
+        stalls = [e for s in traces for e in s.interruptions]
+        return cls(
+            np.fromiter((len(s.segments) for s in traces), np.intp, len(traces)),
+            np.fromiter(chain.from_iterable(s.segments for s in traces), float),
+            np.fromiter((len(s.interruptions) for s in traces), np.intp, len(traces)),
+            np.fromiter((e.after_segment for e in stalls), np.intp, len(stalls)),
+            np.fromiter((e.duration_s for e in stalls), float, len(stalls)),
         )
-        yield slice(start, stop), lengths, quality, n_stalls, durations
+
+    @classmethod
+    def runs_of(cls, traces):
+        """:meth:`runs` of the batch of a sequence of traces, each run's columns built alone."""
+        for rows in _run_rows(len(s.segments) for s in traces):
+            yield rows, cls.of(traces[rows])
+
+    def _ends(self) -> tuple[list[int], list[int]]:
+        """Where each session's segments and stalls end, after a leading 0."""
+        return tuple(np.insert(np.cumsum(n), 0, 0).tolist() for n in (self.lengths, self.n_stalls))
+
+    def runs(self):
+        """``(rows, run)`` per run of :func:`_run_rows`; ``run`` views the columns of ``rows``."""
+        ends, stall_ends = self._ends()
+        for rows in _run_rows(self.lengths.tolist()):
+            stalls = slice(stall_ends[rows.start], stall_ends[rows.stop])
+            yield rows, _SessionBatch(
+                self.lengths[rows], self.quality[ends[rows.start]:ends[rows.stop]],
+                self.n_stalls[rows], self.after[stalls], self.durations[stalls],
+            )
+
+    def traces(self, rows, labels, tags) -> list[SessionTrace]:
+        """A :class:`SessionTrace` of each session ``rows`` lists, with the label and tag given."""
+        (ends, stall_ends), values = self._ends(), self.quality.tolist()
+        stalls = list(zip(self.after.tolist(), self.durations.tolist()))
+        return [
+            SessionTrace(values[ends[k]:ends[k + 1]],
+                         list(starmap(InterruptionEvent, stalls[stall_ends[k]:stall_ends[k + 1]])),
+                         label, tag)
+            for k, label, tag in zip(rows, labels, tags)
+        ]
 
 
 def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,20 +432,20 @@ def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.floor(q + 0.5).astype(np.intp), np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
 
 
-def _count_into(out: np.ndarray, lengths, q, n_stalls, durations) -> None:
+def _count_into(out: np.ndarray, batch: _SessionBatch) -> None:
     """Write the 22 frequencies of each session of a run into its row of ``out``."""
-    ends = np.cumsum(lengths)
-    levels, amplitudes = _switch_bins(q)
+    lengths, n_stalls = batch.lengths, batch.n_stalls
+    levels, amplitudes = _switch_bins(batch.quality)
 
     # Each value is counted at a flat index row * 22 + column of ``out``.
     row_starts = np.arange(0, out.size, N_PARAMETERS)
     segment_rows = np.repeat(row_starts, lengths)
     switches = segment_rows[:-1] + _SWITCH_COLUMN[levels[:-1], amplitudes + 4]
-    switches[ends[:-1] - 1] = out.size  # a boundary between two sessions: dropped below
+    switches[np.cumsum(lengths)[:-1] - 1] = out.size  # a boundary between sessions: dropped below
     stalls = (
         np.repeat(row_starts, n_stalls)
         + INTERRUPTION_SLOTS.start
-        + np.searchsorted(DEFAULT_INTERRUPTION_EDGES, durations, side="left")
+        + np.searchsorted(DEFAULT_INTERRUPTION_EDGES, batch.durations, side="left")
     )
     cells = np.concatenate((segment_rows + (levels - 1), switches, stalls))
     counts = np.bincount(cells, minlength=out.size + 1)[:-1].reshape(out.shape)
@@ -426,18 +454,18 @@ def _count_into(out: np.ndarray, lengths, q, n_stalls, durations) -> None:
     out[:, EVENT_SLOTS] = counts[:, EVENT_SLOTS] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]
 
 
-def feature_matrix(sessions) -> np.ndarray:
-    """The 22 histogram frequencies of every session, one row each.
-
-    Columns follow ``FEATURE_NAMES`` and are unsigned.  The bins of the
-    concatenated segments and stalls are counted run by run
-    (:func:`_session_runs`).
-    """
-    sessions = tuple(sessions)
-    matrix = np.zeros((len(sessions), N_PARAMETERS))
-    for rows, *run in _session_runs(sessions):
-        _count_into(matrix[rows], *run)
+def _feature_rows(runs, n_sessions: int) -> np.ndarray:
+    """The 22 frequencies of ``n_sessions`` sessions, counted over their ``(rows, run)`` pairs."""
+    matrix = np.zeros((n_sessions, N_PARAMETERS))
+    for rows, run in runs:
+        _count_into(matrix[rows], run)
     return matrix
+
+
+def feature_matrix(sessions) -> np.ndarray:
+    """Each session's 22 histogram frequencies, unsigned, as a row in ``FEATURE_NAMES`` order."""
+    sessions = tuple(sessions)
+    return _feature_rows(_SessionBatch.runs_of(sessions), len(sessions))
 
 
 def extract_features(trace: SessionTrace) -> FeatureVector:

@@ -10,12 +10,10 @@ a long tail), so large datasets exercise every bin.
 All randomness flows from ``rng_seed``; session ``k`` of a dataset uses
 the substream ``SeedSequence(rng_seed).spawn(...)[k]``, so generation
 is reproducible and sessions are independent.  Each substream makes
-three draws: the segment count (when ``n_segments`` is a range), one
-block of uniforms with a row per segment, and the label noise.  The
-blocks of all the sessions are turned into qualities, stalls, tags,
-features and labels together, in numpy columns.  Only then is a
-``SessionTrace`` built, once, for each session returned; a candidate
-that ``skip_clamped`` discards is never built.
+three draws: the segment count (when ``n_segments`` is a range), its
+rows of one block of uniforms, and the label noise.  The block becomes
+the sessions' batch (``model._SessionBatch``), tags and labels at once;
+only then is a ``SessionTrace`` built for each session returned.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import repeat
 
 import numpy as np
 
@@ -33,14 +31,13 @@ from .model import (
     DEFAULT_INTERRUPTION_EDGES,
     MAX_MOS,
     MIN_MOS,
-    N_PARAMETERS,
-    InterruptionEvent,
     ModelWeights,
     SessionTrace,
-    _count_into,
+    _feature_rows,
     _json_integer,
     _json_number,
     _raw_scores,
+    _SessionBatch,
     _switch_bins,
 )
 
@@ -253,17 +250,6 @@ def _pick(probs, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right")
 
 
-def _draw(config: GeneratorConfig, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """A session's uniform block and its label noise, drawn from ``rng`` in that order.
-
-    The segment count comes first when ``n_segments`` is a range.  The
-    noise is drawn whether or not it is used.
-    """
-    n = config.n_segments
-    count = int(rng.integers(n[0], n[1] + 1)) if isinstance(n, tuple) else n
-    return rng.random((count, _N_UNIFORMS)), float(rng.standard_normal())
-
-
 def _clamped_walk(levels: np.ndarray, steps: np.ndarray, starts, lengths) -> None:
     """Fill in each session's levels after its first: the level before plus the step, clamped to 1..5.
 
@@ -278,21 +264,19 @@ def _clamped_walk(levels: np.ndarray, steps: np.ndarray, starts, lengths) -> Non
         levels[rows] = np.minimum(np.maximum(levels[rows - 1] + steps[rows], 1), 5)
 
 
-def _sessions(config: GeneratorConfig, rngs) -> tuple[np.ndarray, ...]:
-    """One session from each generator in ``rngs``, as numpy columns.
-
-    They are ``(lengths, quality, n_stalls, durations)``, the arguments
-    of ``model._count_into``, then each stall's ``after_segment`` and
-    each session's multi-factor flag and label noise.  Every session's
-    values come from its own block of uniforms (:func:`_draw`), turned
-    into levels, steps, jitter, stalls and durations over the
-    concatenated blocks of all the sessions.
-    """
-    blocks, noise = zip(*(_draw(config, rng) for rng in rngs))
-    lengths = np.fromiter(map(len, blocks), np.intp, len(blocks))
-    u = np.concatenate(blocks)
+def _sessions(config: GeneratorConfig, rngs) -> tuple[_SessionBatch, np.ndarray, np.ndarray]:
+    """One session from each generator in ``rngs``: their batch, multi-factor flags and noise."""
+    rngs = list(rngs)
+    n = config.n_segments
+    counts = [rng.integers(n[0], n[1] + 1) for rng in rngs] if isinstance(n, tuple) else repeat(n)
+    lengths = np.fromiter(counts, np.intp, len(rngs))
     ends = np.cumsum(lengths)
     starts = ends - lengths
+    u = np.empty((ends[-1], _N_UNIFORMS))
+    for rng, start, end in zip(rngs, starts.tolist(), ends.tolist()):
+        rng.random(out=u[start:end])
+    noise = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))  # always drawn
+    del rngs  # 100,000 generators hold about 90 MB
 
     walk = config.quality_walk
     moves = _pick((walk.p_down, walk.p_stay, walk.p_up), u[:, _LEVEL]) - 1
@@ -314,25 +298,12 @@ def _sessions(config: GeneratorConfig, rngs) -> tuple[np.ndarray, ...]:
     # are those from its start to its end - 2.
     moved = np.concatenate(([0], np.cumsum(_switch_bins(quality)[1] != 0)))
     multi_factor = (moved[ends - 1] > moved[starts]) & (n_stalls > 0)
-    return lengths, quality, n_stalls, durations, after, multi_factor, np.array(noise)
+    return _SessionBatch(lengths, quality, n_stalls, after, durations), multi_factor, noise
 
 
-def _traces(columns, keep, labels) -> list[SessionTrace]:
-    """A :class:`SessionTrace` of each session of ``columns`` that ``keep`` lists, labeled."""
-    lengths, quality, n_stalls, durations, after, multi_factor, _ = columns
-    bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    stall_bounds = np.concatenate(([0], np.cumsum(n_stalls))).tolist()
-    values, stalls = quality.tolist(), list(zip(after.tolist(), durations.tolist()))
-    tags = np.where(multi_factor, "multi-factor", "single-factor").tolist()
-    return [
-        SessionTrace(
-            values[bounds[k]:bounds[k + 1]],
-            list(starmap(InterruptionEvent, stalls[stall_bounds[k]:stall_bounds[k + 1]])),
-            label,
-            tags[k],
-        )
-        for k, label in zip(keep, labels)
-    ]
+def _tags(multi_factor: np.ndarray) -> list[str]:
+    """Each session's tag, from its multi-factor flag."""
+    return np.where(multi_factor, "multi-factor", "single-factor").tolist()
 
 
 def generate_session(
@@ -340,7 +311,8 @@ def generate_session(
 ) -> SessionTrace:
     """Generate one session; without an explicit ``rng``, seeds from the config."""
     rng = np.random.default_rng(config.rng_seed) if rng is None else rng
-    return _traces(_sessions(config, (rng,)), [0], [None])[0]
+    batch, multi_factor, _ = _sessions(config, (rng,))
+    return batch.traces([0], [None], _tags(multi_factor))[0]
 
 
 def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[SessionTrace, ...]:
@@ -348,8 +320,8 @@ def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[Session
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     substreams = np.random.SeedSequence(config.rng_seed).spawn(n_sessions)
-    columns = _sessions(config, map(np.random.default_rng, substreams))
-    return tuple(_traces(columns, range(n_sessions), [None] * n_sessions))
+    batch, multi_factor, _ = _sessions(config, map(np.random.default_rng, substreams))
+    return tuple(batch.traces(range(n_sessions), [None] * n_sessions, _tags(multi_factor)))
 
 
 def _round_size(needed: int, attempts: int, kept: int) -> int:
@@ -398,14 +370,12 @@ def generate_labeled_dataset(
         needed = n_sessions - len(sessions)
         size = min(_round_size(needed, attempts, len(sessions)), max_attempts - attempts)
         attempts += size
-        columns = _sessions(config, map(np.random.default_rng, root.spawn(size)))
-        features = np.empty((size, N_PARAMETERS))
-        _count_into(features, *columns[:4])
-        raw = _raw_scores(features, weights)
-        labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * columns[-1], MIN_MOS, MAX_MOS)
+        batch, multi_factor, noise = _sessions(config, map(np.random.default_rng, root.spawn(size)))
+        raw = _raw_scores(_feature_rows(batch.runs(), size), weights)
+        labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
         # "not below 1", as the floor reads it: a NaN score from overflowing
         # weights is kept, and its label then fails validation.
         keep = np.flatnonzero(~(raw < MIN_MOS)) if skip_clamped else np.arange(size)
         keep = keep[:needed].tolist()
-        sessions.extend(_traces(columns, keep, labels[keep].tolist()))
+        sessions.extend(batch.traces(keep, labels[keep].tolist(), _tags(multi_factor[keep])))
     return LabeledDataset(tuple(sessions))

@@ -731,6 +731,38 @@ def test_evaluate_external_predictions_not_finite(tmp_path, capsys, labeled_path
     assert capsys.readouterr().out == ""
 
 
+def test_evaluate_external_predictions_header_after_blank_lines(
+    tmp_path, capsys, labeled_path
+) -> None:
+    rows = [f"{k},{3.0 + k / 100}" for k in range(80)]
+    reports = []
+    for name, lead in (("plain.csv", ""), ("blank.csv", "\n \n,\nsession-id,predicted-mos\n")):
+        csv_path = tmp_path / name
+        csv_path.write_text(lead + "\n".join(rows) + "\n")
+        assert run_cli("evaluate", "--input", labeled_path,
+                       "--external-predictions", str(csv_path)) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("row, bad", [
+    (1, "1,2_0"),  # int() and float() read "2_0" as 20.0 and "1_0" as 10
+    (10, "1_0,3.5"),
+    (0, "0,3.5,extra"),  # a third field, which was silently dropped
+    (5, "5,3.5,"),
+])
+def test_evaluate_external_predictions_malformed_row(
+    tmp_path, capsys, labeled_path, row, bad
+) -> None:
+    rows = [f"{k},{3.0 + k / 100}" for k in range(80)]
+    rows[row] = bad
+    csv_path = tmp_path / "malformed.csv"
+    csv_path.write_text("session-id,predicted-mos\n" + "\n".join(rows) + "\n")
+    assert run_cli("evaluate", "--input", labeled_path,
+                   "--external-predictions", str(csv_path)) == 1
+    assert f"row {row + 1}:" in capsys.readouterr().err
+
+
 def test_evaluate_external_predictions_reject_splits(tmp_path, labeled_path) -> None:
     csv_path = tmp_path / "external.csv"
     csv_path.write_text("0,3.5\n")

@@ -7,11 +7,12 @@ must reproduce its frequencies bit for bit, and the batch scorer must
 reproduce ``predict`` bit for bit.
 """
 
+import dataclasses
 import json
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hasqoe import (
@@ -168,9 +169,9 @@ def test_chunks_hold_whole_sessions_and_a_long_session_alone() -> None:
     seen = []
     count_into = model._count_into
 
-    def spy(out, lengths, *run):
-        seen.append(lengths.tolist())
-        count_into(out, lengths, *run)
+    def spy(out, run):
+        seen.append(run.lengths.tolist())
+        count_into(out, run)
 
     with mock.patch.object(model, "_count_into", spy):
         matrix = feature_matrix(dataset)
@@ -181,8 +182,34 @@ def test_chunks_hold_whole_sessions_and_a_long_session_alone() -> None:
     assert all(sum(run) <= chunk for run in seen if len(run) > 1)
 
 
+@st.composite
+def labeled_sessions(draw):
+    """A session of ``sessions()`` with a label and a tag, either of which may be None."""
+    return dataclasses.replace(
+        draw(sessions()),
+        ground_truth_mos=draw(st.none() | st.sampled_from(EDGE_QUALITIES) | st.floats(1.0, 5.0)),
+        tag=draw(st.none() | st.sampled_from(("multi-factor", "single-factor", ""))),
+    )
+
+
+@given(st.lists(labeled_sessions(), min_size=1, max_size=25), st.lists(st.integers(0, 24)))
+@example(
+    [SessionTrace((5.0,), (), 1.0, "a"), SessionTrace((1.0,), (InterruptionEvent(1, 0.25),))],
+    [1, 1, 0],
+)
+def test_session_batch_round_trips_traces(dataset, picked) -> None:
+    batch = model._SessionBatch.of(dataset)
+    labels, tags = [s.ground_truth_mos for s in dataset], [s.tag for s in dataset]
+    assert batch.traces(range(len(dataset)), labels, tags) == dataset
+    picked = [k % len(dataset) for k in picked]
+    assert batch.traces(picked, [None] * len(picked), [None] * len(picked)) == [
+        dataclasses.replace(dataset[k], ground_truth_mos=None, tag=None) for k in picked
+    ]
+
+
 def test_empty_dataset_gives_an_empty_matrix() -> None:
     assert feature_matrix([]).shape == (0, 22)
+    assert model._SessionBatch.of([]).traces([], [], []) == []
 
 
 def test_cli_predictions_equal_scalar_predict(tmp_path, capsys) -> None:

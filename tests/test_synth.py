@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hasqoe import (
     generate_session,
     generate_sessions,
     interruption_degradation,
+    model,
     paper_weights,
     perceptual_quality,
     predict,
@@ -229,6 +231,20 @@ def test_each_returned_session_is_built_once_and_no_other(monkeypatch, skip_clam
     )
     assert built["SessionTrace"] == len(dataset) == 600
     assert built["InterruptionEvent"] == sum(len(s.interruptions) for s in dataset.sessions)
+
+
+@pytest.mark.parametrize("skip_clamped", [False, True])
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_any_run_size_gives_the_same_dataset(skip_clamped, noise_std) -> None:
+    def generate():
+        return generate_labeled_dataset(
+            _MOSTLY_CLAMPED, 40, paper_weights(), noise_std=noise_std, skip_clamped=skip_clamped
+        )
+
+    expected = generate()
+    for chunk_segments in range(1, 41):
+        with mock.patch.object(model, "_CHUNK_SEGMENTS", chunk_segments):
+            assert generate() == expected, chunk_segments
 
 
 def test_noise_is_seeded_and_bounded() -> None:
