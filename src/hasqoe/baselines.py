@@ -17,9 +17,9 @@ standard deviation and mean squared down amplitude may differ from a
 per-session ``numpy`` call in the last bits.
 
 The coefficients that turn statistics into a MOS prediction are not
-reproduced here; they are supplied by the caller or fitted by ordinary
-least squares on a labeled dataset.  ``evaluation.baseline_runner``
-turns either into a linear model over :func:`baseline_matrix`.
+reproduced here; they are supplied by the caller or fitted by least
+squares (``evaluation.fit_baseline_coefficients``), in either case as a
+linear model over :func:`baseline_matrix` (``evaluation.baseline_runner``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .fitting import LabeledDataset, solve
-from .model import _json_number, _SessionBatch
+from .model import _json_number, _json_record, _SessionBatch
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -63,8 +62,7 @@ class BaselineCoefficients:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineCoefficients":
-        if not isinstance(data, dict):
-            raise UsageError("coefficients record must be an object")
+        _json_record(cls, data, "coefficients record")
         try:
             model = data["model"]
             if not isinstance(model, str):
@@ -137,18 +135,3 @@ def baseline_matrix(sessions, names) -> np.ndarray:
         for column, name in enumerate(names):
             matrix[rows, column] = statistics[name]
     return matrix
-
-
-def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:
-    """Fit one comparison model's coefficients by OLS on a labeled dataset."""
-    if model not in MODEL_STATISTICS:
-        raise UsageError(
-            f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
-        )
-    names = MODEL_STATISTICS[model]
-    solution, _ = solve(baseline_matrix(dataset.sessions, names), dataset.labels())
-    return BaselineCoefficients(
-        model=model,
-        coefficients=dict(zip(names, (float(v) for v in solution[:-1]))),
-        intercept=float(solution[-1]),
-    )

@@ -22,6 +22,7 @@ from .errors import DegenerateMetricError, UsageError, ValidationError
 from .evaluation import (
     LinearModel,
     SplitProtocol,
+    _finite,
     baseline_runner,
     evaluate_predictions,
     fixed_weights_runner,
@@ -59,12 +60,7 @@ def _read_input_sessions(spec: str):
 def cmd_predict(args) -> None:
     weights = io.read_weights(args.weights)
     features = feature_matrix(_read_input_sessions(args.input))
-    scores = predict_matrix(features, weights)
-    if not np.isfinite(scores).all():
-        raise DegenerateMetricError(
-            "predictions overflow the float range; the weights are too large"
-        )
-    values = scores.tolist()
+    values = _finite(predict_matrix(features, weights)).tolist()
     if args.format == "json":
         payload = [{"index": k, "prediction": value} for k, value in enumerate(values)]
         if args.features:
@@ -122,17 +118,6 @@ def cmd_evaluate(args) -> None:
     truths = dataset.labels()
     compensate = not args.no_compensation
 
-    modes = [
-        args.weights is not None,
-        args.refit,
-        args.baseline is not None,
-        args.external_predictions is not None,
-    ]
-    if sum(modes) != 1:
-        raise UsageError(
-            "choose exactly one of --weights, --refit, --baseline, "
-            "--external-predictions"
-        )
     if args.coefficients is not None and args.baseline is None:
         raise UsageError("--coefficients only makes sense with --baseline")
     if args.nonnegative and not args.refit:
@@ -167,8 +152,7 @@ def cmd_evaluate(args) -> None:
             predictions = _external_predictions(args.external_predictions, len(dataset))
         else:
             model = _linear_model(args)
-            every_row = np.ones(len(dataset), dtype=bool)
-            predictions = model.fit_predict(model.matrix(dataset.sessions), truths, every_row)
+            predictions = model.fit_predict(model.matrix(dataset.sessions), truths)
         report = evaluate_predictions(predictions, truths, compensate=compensate)
 
     if args.format == "csv":
@@ -228,15 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("--input", required=True, help="labeled dataset JSON")
-    p.add_argument("--weights", help="weights JSON file or 'paper'")
-    p.add_argument("--refit", action="store_true",
-                   help="refit the model on each training split (requires --splits)")
-    p.add_argument("--baseline", choices=("guo", "vriendt", "liu"),
-                   help="evaluate a comparison model instead")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--weights", help="weights JSON file or 'paper'")
+    mode.add_argument("--refit", action="store_true",
+                      help="refit the model on each training split (requires --splits)")
+    mode.add_argument("--baseline", choices=("guo", "vriendt", "liu"),
+                      help="evaluate a comparison model instead")
+    mode.add_argument("--external-predictions",
+                      help="CSV of precomputed 'session-id,predicted-mos' rows")
     p.add_argument("--coefficients",
                    help="baseline coefficients JSON (fitted from data when omitted)")
-    p.add_argument("--external-predictions",
-                   help="CSV of precomputed 'session-id,predicted-mos' rows")
     p.add_argument("--splits", type=int,
                    help="run the repeated random train/test protocol with this many repetitions")
     defaults = _PROTOCOL_DEFAULTS

@@ -1,10 +1,11 @@
 """Prediction-quality metrics and the repeated random train/test protocol.
 
-Every model scored here is a :class:`LinearModel`, least squares over a
-per-session statistic matrix: the histogram model refit on every
-training set (``refit_runner``) or frozen (``fixed_weights_runner``), or
-a comparison model (``baseline_runner``).  The protocol builds the matrix
-once per dataset and selects each split's rows with a boolean mask.
+Every model fitted or scored here is a :class:`LinearModel`, least
+squares over a per-session statistic matrix: the histogram model refit
+(``refit_runner``, also behind ``fitting.fit``) or frozen
+(``fixed_weights_runner``), or a comparison model (``baseline_runner``,
+also behind :func:`fit_baseline_coefficients`).  The protocol builds the
+matrix once per dataset and selects each split's rows with a mask.
 
 Split ``k`` of a protocol run draws its RNG substream from
 ``SeedSequence(rng_seed).spawn(n_repetitions)[k]``, so results are
@@ -14,6 +15,7 @@ bit-reproducible and independent of the order splits are executed in.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,20 +163,50 @@ class LinearModel:
             return design_matrix(sessions)
         return baseline_matrix(sessions, self.statistics)
 
-    def fit_predict(self, matrix, labels, train) -> np.ndarray:
-        """Clamped ``matrix @ w`` for every row; a refit solves ``w`` on the ``train`` rows."""
+    def fit(self, matrix, labels, train=None) -> tuple[np.ndarray, bool]:
+        """Weights solved on the ``train`` rows (default: all) and whether those are rank-deficient.
+
+        Fixed weights come back as they are.  A histogram refit warns, at
+        its caller's caller, of fewer rows than columns or rank deficiency.
+        """
+        if self.weights is not None:
+            return np.asarray(self.weights, dtype=float), False
+        if train is not None:
+            matrix, labels = matrix[train], labels[train]
         histogram = self.statistics == "histogram"
-        weights = self.weights
-        if weights is None:
-            weights, _ = solve(
-                matrix[train], labels[train], nonnegative=self.nonnegative, warn=histogram
+        n_rows, n_columns = matrix.shape
+        if histogram and n_rows < n_columns:
+            warnings.warn(
+                f"fitting {n_columns} weights from only {n_rows} sessions; "
+                "the solution will be underdetermined",
+                stacklevel=3,
             )
-        raw = matrix @ np.asarray(weights, dtype=float)
-        if not np.isfinite(raw).all():
-            raise DegenerateMetricError(
-                "predictions overflow the float range; the weights are too large"
+        weights, rank = solve(matrix, labels, nonnegative=self.nonnegative)
+        if histogram and rank < n_columns:
+            warnings.warn(
+                f"design matrix is rank-deficient (rank {rank} of {n_columns}); "
+                "returning the minimum-norm solution",
+                stacklevel=3,
             )
-        return np.maximum(raw, MIN_MOS) if histogram else np.clip(raw, MIN_MOS, MAX_MOS)
+        return weights, rank < n_columns
+
+    def predict(self, matrix, weights) -> np.ndarray:
+        """``matrix @ weights``, floored at 1.0 (histogram) or clipped to [1, 5] (baseline)."""
+        raw = _finite(matrix @ np.asarray(weights, dtype=float))
+        if self.statistics == "histogram":
+            return np.maximum(raw, MIN_MOS)
+        return np.clip(raw, MIN_MOS, MAX_MOS)
+
+    def fit_predict(self, matrix, labels, train=None) -> np.ndarray:
+        """:meth:`predict` of every row, weighted as :meth:`fit` solves on the ``train`` rows."""
+        return self.predict(matrix, self.fit(matrix, labels, train)[0])
+
+
+def _finite(predictions: np.ndarray) -> np.ndarray:
+    """``predictions``, unless overflowing weights made any of them non-finite."""
+    if np.isfinite(predictions).all():
+        return predictions
+    raise DegenerateMetricError("predictions overflow the float range; the weights are too large")
 
 
 def refit_runner(*, nonnegative: bool = False) -> LinearModel:
@@ -205,6 +237,17 @@ def baseline_runner(model: str, coefficients: BaselineCoefficients | None = None
         )
     return LinearModel(
         names, (*(coefficients.coefficients[name] for name in names), coefficients.intercept)
+    )
+
+
+def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:
+    """Fit one comparison model's coefficients by OLS on a labeled dataset."""
+    runner = baseline_runner(model)
+    solution, _ = runner.fit(runner.matrix(dataset.sessions), dataset.labels())
+    return BaselineCoefficients(
+        model=model,
+        coefficients=dict(zip(runner.statistics, (float(v) for v in solution[:-1]))),
+        intercept=float(solution[-1]),
     )
 
 

@@ -6,17 +6,16 @@ and interruption frequencies negatively.  Labels are then approximated
 as ``X @ w`` and the solved ``w`` plugs straight into
 :class:`~hasqoe.model.ModelWeights`.
 
-The solve uses an orthogonal factorization (SVD) rather than normal
-equations; with rarely populated bins the design can be ill-conditioned
-or rank-deficient, in which case the minimum-norm solution is returned
-and ``condition_warning`` is set.  The clamp at 1.0 MOS is *not*
-applied while solving, only when reporting training metrics.
+:func:`fit` solves and scores through ``evaluation.LinearModel``, whose
+one solve, :func:`solve`, uses an SVD rather than normal equations; with
+rarely populated bins the design can be rank-deficient, in which case the
+minimum-norm solution is returned and ``condition_warning`` is set.  The
+clamp at 1.0 MOS is applied to the training metrics, not while solving.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,51 +83,29 @@ def fit(dataset: LabeledDataset, *, nonnegative: bool = False) -> FitReport:
     an active-set method; by default the solve is unconstrained.  An
     undefined training PCC (constant predictions or labels) is NaN.
     """
-    from .evaluation import pcc  # evaluation imports this module
+    from .evaluation import pcc, refit_runner, rmse  # evaluation imports this module
 
-    matrix = design_matrix(dataset.sessions)
-    labels = dataset.labels()
-    solution, deficient = solve(matrix, labels, nonnegative=nonnegative, warn=True)
-    clamped = np.maximum(matrix @ solution, 1.0)
-    residual = clamped - labels
+    model = refit_runner(nonnegative=nonnegative)
+    matrix, labels = model.matrix(dataset.sessions), dataset.labels()
+    solution, deficient = model.fit(matrix, labels)
+    clamped = model.predict(matrix, solution)
     try:
         training_pcc = pcc(clamped, labels)
     except (DegenerateMetricError, UsageError):
         training_pcc = math.nan
     return FitReport(
         weights=ModelWeights.from_vector(solution),
-        training_rmse=float(np.sqrt(np.mean(residual**2))),
+        training_rmse=rmse(clamped, labels),
         training_pcc=training_pcc,
         condition_warning=deficient,
     )
 
 
-def solve(
-    matrix: np.ndarray, labels: np.ndarray, *, nonnegative: bool = False, warn: bool = False
-) -> tuple[np.ndarray, bool]:
-    """Least-squares solution of ``matrix @ w ~ labels`` (see :func:`fit`) and rank deficiency.
-
-    ``warn=True`` warns of fewer rows than columns and of rank deficiency.
-    """
-    n_rows, n_columns = matrix.shape
-    if warn and n_rows < n_columns:
-        warnings.warn(
-            f"fitting {n_columns} weights from only {n_rows} sessions; "
-            "the solution will be underdetermined",
-            stacklevel=3,
-        )
+def solve(matrix, labels, *, nonnegative: bool = False) -> tuple[np.ndarray, int]:
+    """Least-squares solution of ``matrix @ w ~ labels`` (see :func:`fit`) and the matrix's rank."""
     if nonnegative:
         from scipy.optimize import nnls
 
         solution, _ = nnls(matrix, labels)
-        rank = int(np.linalg.matrix_rank(matrix))
-    else:
-        solution, rank = lstsq_min_norm(matrix, labels)
-    deficient = rank < n_columns
-    if warn and deficient:
-        warnings.warn(
-            f"design matrix is rank-deficient (rank {rank} of {n_columns}); "
-            "returning the minimum-norm solution",
-            stacklevel=3,
-        )
-    return solution, deficient
+        return solution, int(np.linalg.matrix_rank(matrix))
+    return lstsq_min_norm(matrix, labels)

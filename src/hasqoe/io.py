@@ -70,6 +70,8 @@ def sessions_from_text(text: str, source: str) -> list[SessionTrace]:
         raise UsageError(f"{source}: empty file")
     if stripped.startswith("["):
         data = _parse_json(text, source)
+        if not data:
+            raise UsageError(f"{source}: no sessions")
         return [_session_from_obj(obj, k) for k, obj in enumerate(data)]
     try:
         data = json.loads(text)

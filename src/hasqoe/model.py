@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import chain, starmap
 from typing import NamedTuple
@@ -99,6 +99,16 @@ def _json_number(value, label: str) -> float:
         return float(value)
     except OverflowError:
         raise UsageError(f"{label} {value} is too large") from None
+
+
+def _json_record(cls, data, label: str) -> dict:
+    """A JSON object holding only field names of the dataclass ``cls``, as a dict."""
+    if not isinstance(data, dict):
+        raise UsageError(f"{label} must be an object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise UsageError(f"unknown {label} keys: {sorted(unknown)}")
+    return dict(data)
 
 
 def _json_integer(value, label: str) -> int:
@@ -509,8 +519,7 @@ class ModelWeights(_SlotGroups):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelWeights":
-        if not isinstance(data, dict):
-            raise UsageError("weights record must be an object")
+        _json_record(cls, data, "weights record")
         try:
             entries = data["beta_down"]
             bins = [(_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")) for e in entries]

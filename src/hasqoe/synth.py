@@ -36,6 +36,7 @@ from .model import (
     _feature_rows,
     _json_integer,
     _json_number,
+    _json_record,
     _raw_scores,
     _SessionBatch,
     _switch_bins,
@@ -58,16 +59,6 @@ def _check_distribution(probs, label: str) -> tuple[float, ...]:
     if not all(p >= 0.0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails
         raise UsageError(f"{label} {probs!r} must be non-negative and sum to 1")
     return probs
-
-
-def _json_record(cls, data, label: str) -> dict:
-    """A JSON object holding only field names of the dataclass ``cls``, as a dict."""
-    if not isinstance(data, dict):
-        raise UsageError(f"{label} must be an object")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise UsageError(f"unknown {label} keys: {sorted(unknown)}")
-    return dict(data)
 
 
 def _json_numbers(values, label: str) -> list[float]:

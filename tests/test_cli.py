@@ -288,6 +288,7 @@ def test_predict_output_is_pinned(tmp_path, name, args) -> None:
 
 _LABELED = ("gen", "--count", "40", "--weights", "paper", "--noise-std", "0.2")
 _PINNED_INPUT = str(DATA / "gen_noise.json")
+_GUO = str(DATA / "guo_coefficients.json")
 
 
 @pytest.mark.parametrize(
@@ -303,12 +304,31 @@ _PINNED_INPUT = str(DATA / "gen_noise.json")
             ("evaluate", "--input", _PINNED_INPUT, "--refit", "--splits", "3",
              "--test-pool", "all", "--test-size", "5"),
         ),
+        (
+            "fit_nonnegative_weights.json",
+            "fit_nonnegative_stdout.json",
+            ("fit", "--input", _PINNED_INPUT, "--nonnegative"),
+        ),
+        ("evaluate_weights.json", None, ("evaluate", "--input", _PINNED_INPUT, "--weights", "paper")),
+        ("evaluate_liu.json", None, ("evaluate", "--input", _PINNED_INPUT, "--baseline", "liu")),
+        (
+            "evaluate_guo_coefficients.json",
+            None,
+            ("evaluate", "--input", _PINNED_INPUT, "--baseline", "guo", "--coefficients", _GUO),
+        ),
+        (
+            "evaluate_guo_coefficients_splits.json",
+            None,
+            ("evaluate", "--input", _PINNED_INPUT, "--baseline", "guo", "--coefficients", _GUO,
+             "--splits", "3", "--test-pool", "all", "--test-size", "5"),
+        ),
     ],
 )
 @pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
 def test_gen_fit_and_evaluate_output_is_pinned(tmp_path, capsys, name, stdout, args) -> None:
-    # Recorded from the generator that built a trace per candidate; fit
-    # and evaluate read the first generated file.
+    # The first five were recorded from the generator that built a trace
+    # per candidate, the rest before fit and the baselines shared one
+    # solve; fit and evaluate read the first generated file.
     out = tmp_path / name
     assert run_cli(*args, "--output", str(out)) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
@@ -386,6 +406,47 @@ def test_coefficient_files_reject_non_numbers(tmp_path, capsys, labeled_path, re
     assert run_cli("evaluate", "--input", labeled_path, "--baseline", "guo",
                    "--coefficients", str(path)) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_weights_and_coefficient_files_reject_unknown_keys(tmp_path, capsys, labeled_path) -> None:
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({**paper_weights().to_dict(), "gama": [0.0] * 6, "beta_up": 1.0}))
+    assert run_cli("predict", "--input", "example", "--weights", str(weights)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown weights record keys: ['beta_up', 'gama']" in captured.err
+    coefficients = tmp_path / "coefficients.json"
+    coefficients.write_text(json.dumps(
+        {"model": "guo", "coefficients": {"median_quality": 0.6, "min_quality": 0.3},
+         "intercpt": 0.5}
+    ))
+    for splits in ((), ("--splits", "2", "--test-size", "20", "--test-pool", "all")):
+        assert run_cli("evaluate", "--input", labeled_path, "--baseline", "guo",
+                       "--coefficients", str(coefficients), *splits) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown coefficients record keys: ['intercpt']" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("predict", "--weights", "paper"),
+        ("predict", "--weights", "paper", "--format", "json"),
+        ("fit",),
+        ("evaluate", "--weights", "paper"),
+        ("evaluate", "--refit", "--splits", "2"),
+    ],
+)
+def test_a_file_with_no_sessions_is_rejected(tmp_path, capsys, args) -> None:
+    data, output = tmp_path / "empty.json", tmp_path / "out"
+    data.write_text("[]\n")
+    command, *rest = args
+    assert run_cli(command, "--input", str(data), "--output", str(output), *rest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no sessions" in captured.err
+    assert not output.exists()
 
 
 def test_fit_round_trip_recovers_generating_weights(tmp_path, capsys) -> None:
@@ -581,6 +642,14 @@ def test_evaluate_baseline_rejects_coefficients_of_other_statistics(
         assert "must name exactly its statistics" in capsys.readouterr().err
 
 
+#: The evaluate cases that give no model, or two, and what argparse says.
+_MODE_ERRORS = {
+    ("evaluate", "--weights", "paper", "--refit", "--splits", "2"):
+        "argument --refit: not allowed with argument --weights",
+    ("evaluate",): "one of the arguments --weights --refit --baseline --external-predictions",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -596,6 +665,8 @@ def test_evaluate_baseline_rejects_coefficients_of_other_statistics(
         ("evaluate", "--baseline", "guo", "--test-pool", "all"),
         ("evaluate", "--weights", "paper", "--seed", "3"),
         ("evaluate", "--weights", "paper", "--compensate-on", "train"),
+        ("evaluate", "--weights", "paper", "--refit", "--splits", "2"),
+        ("evaluate",),
     ],
 )
 def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args) -> None:
@@ -603,7 +674,7 @@ def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args
     command, *rest = args
     target = ("--input", labeled_path) if command == "evaluate" else ()
     assert run_cli(command, *target, "--output", str(output), *rest) == 1
-    assert "only make" in capsys.readouterr().err
+    assert _MODE_ERRORS.get(args, "only make") in capsys.readouterr().err
     assert not output.exists()
 
 

@@ -147,6 +147,20 @@ def test_small_dataset_warns() -> None:
         fit(dataset)
 
 
+@pytest.mark.parametrize("nonnegative", [False, True])
+def test_fit_warnings_point_at_the_caller(nonnegative) -> None:
+    dataset = LabeledDataset(
+        tuple(SessionTrace((float(n),), ground_truth_mos=float(n)) for n in range(1, 6))
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit(dataset, nonnegative=nonnegative)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "only 5 sessions" in messages[0] and "rank-deficient" in messages[1]
+    assert {w.filename for w in caught} == {__file__}
+
+
 def test_nonnegative_flag_keeps_weights_nonnegative() -> None:
     dataset = generate_labeled_dataset(
         GeneratorConfig(rng_seed=23), 200, paper_weights(), noise_std=0.5
