@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model import _json_number, _json_record, _SessionBatch
+from .model import _json_number, _json_record, _runs, _SessionBatch
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -122,15 +122,18 @@ def _run_statistics(batch: _SessionBatch) -> dict[str, np.ndarray]:
 
 
 def baseline_matrix(sessions, names) -> np.ndarray:
-    """The named statistics plus an intercept column of ones, one session per row."""
+    """The named statistics plus an intercept column of ones, one session per row.
+
+    ``sessions`` is a sequence of traces or a ``model._SessionBatch``.
+    """
     for name in names:
         if name not in _KNOWN_STATISTICS:
             raise UsageError(
                 f"unknown statistic {name!r}; known statistics: {sorted(_KNOWN_STATISTICS)}"
             )
-    sessions = tuple(sessions)
-    matrix = np.ones((len(sessions), len(names) + 1))
-    for rows, run in _SessionBatch.runs_of(sessions):
+    n_sessions, runs = _runs(sessions)
+    matrix = np.ones((n_sessions, len(names) + 1))
+    for rows, run in runs:
         statistics = _run_statistics(run)
         for column, name in enumerate(names):
             matrix[rows, column] = statistics[name]

@@ -51,15 +51,17 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_input_sessions(spec: str):
+def _read_input(spec: str):
+    """The columns of a session file, or of the bundled demo trace for ``"example"``."""
     if spec == "example":
-        return io.example_sessions()
-    return io.read_sessions(spec)
+        return io.example_dataset()
+    return io.read_dataset(spec)
 
 
 def cmd_predict(args) -> None:
     weights = io.read_weights(args.weights)
-    features = feature_matrix(_read_input_sessions(args.input))
+    batch, _, _ = _read_input(args.input)
+    features = feature_matrix(batch)
     values = _finite(predict_matrix(features, weights)).tolist()
     if args.format == "json":
         payload = [{"index": k, "prediction": value} for k, value in enumerate(values)]
@@ -75,7 +77,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    dataset = LabeledDataset(tuple(io.read_sessions(args.input)))
+    dataset = LabeledDataset.from_columns(*io.read_dataset(args.input))
     report = fit(dataset, nonnegative=args.nonnegative)
     io.write_weights(report.weights, args.output)
     if args.report:
@@ -114,7 +116,7 @@ _PROTOCOL_DEFAULTS = {"test_size": 90, "test_pool": "multi-factor", "seed": 0, "
 
 
 def cmd_evaluate(args) -> None:
-    dataset = LabeledDataset(tuple(io.read_sessions(args.input)))
+    dataset = LabeledDataset.from_columns(*io.read_dataset(args.input))
     truths = dataset.labels()
     compensate = not args.no_compensation
 
@@ -152,7 +154,7 @@ def cmd_evaluate(args) -> None:
             predictions = _external_predictions(args.external_predictions, len(dataset))
         else:
             model = _linear_model(args)
-            predictions = model.fit_predict(model.matrix(dataset.sessions), truths)
+            predictions = model.fit_predict(model.matrix(dataset.batch), truths)
         report = evaluate_predictions(predictions, truths, compensate=compensate)
 
     if args.format == "csv":

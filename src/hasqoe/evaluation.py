@@ -5,7 +5,9 @@ squares over a per-session statistic matrix: the histogram model refit
 (``refit_runner``, also behind ``fitting.fit``) or frozen
 (``fixed_weights_runner``), or a comparison model (``baseline_runner``,
 also behind :func:`fit_baseline_coefficients`).  The protocol builds the
-matrix once per dataset and selects each split's rows with a mask.
+matrix once per dataset, from the dataset's columnar batch, and selects
+each split's rows with a mask drawn over the dataset's tags; neither
+needs a ``SessionTrace``.
 
 Split ``k`` of a protocol run draws its RNG substream from
 ``SeedSequence(rng_seed).spawn(n_repetitions)[k]``, so results are
@@ -158,7 +160,7 @@ class LinearModel:
     nonnegative: bool = False
 
     def matrix(self, sessions) -> np.ndarray:
-        """The statistic matrix, one session per row."""
+        """The statistic matrix of traces or a ``model._SessionBatch``, one session per row."""
         if self.statistics == "histogram":
             return design_matrix(sessions)
         return baseline_matrix(sessions, self.statistics)
@@ -243,7 +245,7 @@ def baseline_runner(model: str, coefficients: BaselineCoefficients | None = None
 def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:
     """Fit one comparison model's coefficients by OLS on a labeled dataset."""
     runner = baseline_runner(model)
-    solution, _ = runner.fit(runner.matrix(dataset.sessions), dataset.labels())
+    solution, _ = runner.fit(runner.matrix(dataset.batch), dataset.labels())
     return BaselineCoefficients(
         model=model,
         coefficients=dict(zip(runner.statistics, (float(v) for v in solution[:-1]))),
@@ -251,23 +253,22 @@ def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCo
     )
 
 
-def split_masks(sessions, protocol: SplitProtocol) -> list[np.ndarray]:
-    """One boolean test-set mask over ``sessions`` per repetition of ``protocol``.
+def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
+    """One boolean test-set mask over the sessions of ``tags`` per repetition of ``protocol``.
 
     Each repetition draws ``test_size`` sessions without replacement
-    from the test pool; the remaining sessions form the training set.
+    from the test pool (the sessions tagged ``protocol.test_pool``, or
+    all); the remaining sessions form the training set.
     """
     pool = [
-        k
-        for k, s in enumerate(sessions)
-        if protocol.test_pool == "all" or s.tag == protocol.test_pool
+        k for k, tag in enumerate(tags) if protocol.test_pool == "all" or tag == protocol.test_pool
     ]
     if len(pool) < protocol.test_size:
         raise UsageError(
             f"test pool {protocol.test_pool!r} holds {len(pool)} sessions; "
             f"cannot draw test sets of {protocol.test_size}"
         )
-    if protocol.test_size >= len(sessions):
+    if protocol.test_size >= len(tags):
         raise UsageError("test_size leaves no sessions to train on")
 
     substreams = np.random.SeedSequence(protocol.rng_seed).spawn(protocol.n_repetitions)
@@ -275,7 +276,7 @@ def split_masks(sessions, protocol: SplitProtocol) -> list[np.ndarray]:
     for substream in substreams:
         rng = np.random.default_rng(substream)
         drawn = rng.choice(pool, size=protocol.test_size, replace=False)
-        masks.append(np.isin(np.arange(len(sessions)), drawn))
+        masks.append(np.isin(np.arange(len(tags)), drawn))
     return masks
 
 
@@ -297,8 +298,8 @@ def run_split_protocol(
     """
     if compensation_on not in ("train", "test"):
         raise UsageError(f"compensation_on must be 'train' or 'test', got {compensation_on!r}")
-    masks = split_masks(dataset.sessions, protocol)
-    matrix = model.matrix(dataset.sessions)
+    masks = split_masks(dataset.tags, protocol)
+    matrix = model.matrix(dataset.batch)
     labels = dataset.labels()
 
     per_split: list[SplitMetrics] = []

@@ -11,38 +11,94 @@ one solve, :func:`solve`, uses an SVD rather than normal equations; with
 rarely populated bins the design can be rank-deficient, in which case the
 minimum-norm solution is returned and ``condition_warning`` is set.  The
 clamp at 1.0 MOS is applied to the training metrics, not while solving.
+
+A :class:`LabeledDataset` read from a file holds the columns of
+``io.read_dataset``; :func:`fit` reads its batch and labels, so no
+``SessionTrace`` is built for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateMetricError, UsageError
-from .model import EVENT_SLOTS, ModelWeights, SessionTrace, feature_matrix
+from .model import (
+    EVENT_SLOTS,
+    ModelWeights,
+    SessionTrace,
+    _label_column,
+    _SessionBatch,
+    feature_matrix,
+)
 
 
-@dataclass(frozen=True)
 class LabeledDataset:
-    """Sessions that all carry a ground-truth MOS."""
+    """Sessions that all carry a ground-truth MOS.
 
-    sessions: tuple[SessionTrace, ...]
+    Built from :class:`~hasqoe.model.SessionTrace` objects, or by
+    :meth:`from_columns` from the columns ``io.read_dataset`` decodes a
+    file into.  Fitting and the split protocol read :attr:`batch`,
+    :meth:`labels` and :attr:`tags`; the traces and the batch are each
+    built from the other only when a caller asks for them.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sessions", tuple(self.sessions))
-        if not self.sessions:
-            raise UsageError("dataset is empty")
-        for k, session in enumerate(self.sessions):
-            if session.ground_truth_mos is None:
-                raise UsageError(f"session {k} has no ground-truth MOS label")
+    def __init__(self, sessions) -> None:
+        self.sessions = tuple(sessions)
+        self._labels = _checked_labels(_label_column(self.sessions))
+
+    @classmethod
+    def from_columns(cls, batch: _SessionBatch, labels: np.ndarray, tags) -> "LabeledDataset":
+        """The dataset of a batch, its label column (NaN for no label) and its tags."""
+        dataset = cls.__new__(cls)
+        dataset.batch, dataset.tags = batch, tuple(tags)
+        dataset._labels = _checked_labels(labels)
+        return dataset
 
     def __len__(self) -> int:
-        return len(self.sessions)
+        return len(self._labels)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LabeledDataset:
+            return NotImplemented
+        return self.sessions == other.sessions
+
+    def __hash__(self) -> int:
+        return hash(self.sessions)
+
+    def __repr__(self) -> str:
+        return f"LabeledDataset(sessions={self.sessions!r})"
+
+    @cached_property
+    def sessions(self) -> tuple[SessionTrace, ...]:
+        """Each session as a :class:`~hasqoe.model.SessionTrace` with its label and tag."""
+        return tuple(self.batch.traces(range(len(self)), self._labels.tolist(), self.tags))
+
+    @cached_property
+    def batch(self) -> _SessionBatch:
+        """The sessions as one ``model._SessionBatch``."""
+        return _SessionBatch.of(self.sessions)
+
+    @cached_property
+    def tags(self) -> tuple[str | None, ...]:
+        """Each session's tag."""
+        return tuple(s.tag for s in self.sessions)
 
     def labels(self) -> np.ndarray:
-        return np.array([s.ground_truth_mos for s in self.sessions], dtype=float)
+        return self._labels.copy()
+
+
+def _checked_labels(labels: np.ndarray) -> np.ndarray:
+    """``labels``, unless there are none or a session has none (NaN)."""
+    if not len(labels):
+        raise UsageError("dataset is empty")
+    missing = np.flatnonzero(np.isnan(labels))
+    if missing.size:
+        raise UsageError(f"session {missing[0]} has no ground-truth MOS label")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -64,7 +120,7 @@ class FitReport:
 
 
 def design_matrix(sessions) -> np.ndarray:
-    """Signed feature rows, one session per row, 22 columns."""
+    """Signed feature rows, one session per row, 22 columns, of traces or a ``_SessionBatch``."""
     rows = feature_matrix(sessions)
     rows[:, EVENT_SLOTS] *= -1.0
     return rows
@@ -86,7 +142,7 @@ def fit(dataset: LabeledDataset, *, nonnegative: bool = False) -> FitReport:
     from .evaluation import pcc, refit_runner, rmse  # evaluation imports this module
 
     model = refit_runner(nonnegative=nonnegative)
-    matrix, labels = model.matrix(dataset.sessions), dataset.labels()
+    matrix, labels = model.matrix(dataset.batch), dataset.labels()
     solution, deficient = model.fit(matrix, labels)
     clamped = model.predict(matrix, solution)
     try:

@@ -17,7 +17,9 @@ weight set bundled with the package.
 Features come from one batch pass over a private columnar form of the
 sessions (``_SessionBatch``), in runs of a few thousand segments:
 :func:`feature_matrix`, the generator's labels and
-``baselines.baseline_matrix`` all count over such runs.
+``baselines.baseline_matrix`` all count over such runs.  Session files
+are decoded straight into that form (``io.read_dataset``), and
+:func:`feature_matrix` takes either a batch or a sequence of traces.
 
 The 22-slot layout is defined once, by ``FEATURE_NAMES`` and the group
 slices next to it, and the bins are fixed: the interruption edges are
@@ -431,6 +433,24 @@ class _SessionBatch(NamedTuple):
         ]
 
 
+def _runs(sessions):
+    """The session count and ``(rows, run)`` pairs of a ``_SessionBatch`` or of traces.
+
+    A batch yields :meth:`~_SessionBatch.runs`, views of its columns; traces
+    yield :meth:`~_SessionBatch.runs_of`, so no batch of them all is built.
+    """
+    if isinstance(sessions, _SessionBatch):
+        return len(sessions.lengths), sessions.runs()
+    sessions = tuple(sessions)
+    return len(sessions), _SessionBatch.runs_of(sessions)
+
+
+def _label_column(traces) -> np.ndarray:
+    """Each trace's ground-truth MOS, NaN where it has none."""
+    labels = [s.ground_truth_mos for s in traces]
+    return np.array([math.nan if mos is None else mos for mos in labels], dtype=float)
+
+
 def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The level bin of every value of ``q`` and the amplitude bin of every step to the next.
 
@@ -473,9 +493,12 @@ def _feature_rows(runs, n_sessions: int) -> np.ndarray:
 
 
 def feature_matrix(sessions) -> np.ndarray:
-    """Each session's 22 histogram frequencies, unsigned, as a row in ``FEATURE_NAMES`` order."""
-    sessions = tuple(sessions)
-    return _feature_rows(_SessionBatch.runs_of(sessions), len(sessions))
+    """Each session's 22 histogram frequencies, unsigned, as a row in ``FEATURE_NAMES`` order.
+
+    ``sessions`` is a sequence of traces or a ``_SessionBatch``.
+    """
+    n_sessions, runs = _runs(sessions)
+    return _feature_rows(runs, n_sessions)
 
 
 def extract_features(trace: SessionTrace) -> FeatureVector:
@@ -487,6 +510,10 @@ def extract_features(trace: SessionTrace) -> FeatureVector:
     :func:`feature_matrix` of one session.
     """
     return FeatureVector.from_vector(feature_matrix((trace,))[0].tolist())
+
+
+#: The fields of one entry of a weights file's ``beta_down`` list.
+_BETA_DOWN_KEYS = frozenset(("i", "j", "w"))
 
 
 @dataclass(frozen=True)
@@ -522,6 +549,10 @@ class ModelWeights(_SlotGroups):
         _json_record(cls, data, "weights record")
         try:
             entries = data["beta_down"]
+            for entry in entries:
+                unknown = entry.keys() - _BETA_DOWN_KEYS if isinstance(entry, dict) else ()
+                if unknown:
+                    raise UsageError(f"unknown 'beta_down' entry keys: {sorted(unknown)}")
             bins = [(_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")) for e in entries]
             if len(set(bins)) != len(bins):
                 raise UsageError("bad weights record: 'beta_down' names an (i, j) bin twice")

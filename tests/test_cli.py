@@ -1,11 +1,14 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from hasqoe import (
     GeneratorConfig,
+    InterruptionEvent,
     LabeledDataset,
+    SessionTrace,
     evaluate_predictions,
     generate_labeled_dataset,
     io,
@@ -359,6 +362,64 @@ def test_predict_rejects_non_finite_weights(tmp_path, capsys) -> None:
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("predict", "--weights", "paper", "--features"),
+        ("predict", "--weights", "paper", "--format", "json"),
+        ("fit", "--output", "weights.json"),
+        ("fit", "--output", "weights.json", "--nonnegative"),
+        ("evaluate", "--refit", "--splits", "2", "--test-size", "20"),
+        ("evaluate", "--weights", "paper"),
+        ("evaluate", "--weights", "paper", "--splits", "2", "--test-size", "20"),
+        ("evaluate", "--baseline", "liu"),
+        ("evaluate", "--baseline", "vriendt", "--splits", "2", "--test-size", "20"),
+        ("evaluate", "--baseline", "guo", "--coefficients", "guo.json"),
+    ],
+)
+def test_file_inputs_build_no_session_objects(tmp_path, monkeypatch, capsys, labeled_path,
+                                             args) -> None:
+    (tmp_path / "guo.json").write_text(json.dumps(
+        {"model": "guo", "coefficients": {"median_quality": 0.6, "min_quality": 0.3}}
+    ))
+    monkeypatch.chdir(tmp_path)
+    built = Counter()
+    for cls in (SessionTrace, InterruptionEvent):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    command, *rest = args
+    assert run_cli(command, "--input", labeled_path, *rest) == 0
+    assert capsys.readouterr().out
+    assert built == Counter()
+    io.read_sessions(labeled_path)  # the per-record reader is counted
+    assert built["SessionTrace"] == 80
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("predict", "--weights", "paper", "--features"),
+        ("fit", "--output", "weights.json"),
+        ("evaluate", "--weights", "paper"),
+        ("evaluate", "--baseline", "liu", "--splits", "2", "--test-size", "20"),
+    ],
+)
+def test_array_and_ndjson_files_give_the_same_output(tmp_path, monkeypatch, capsys,
+                                                     labeled_path, args) -> None:
+    records = json.loads(Path(labeled_path).read_text())
+    (tmp_path / "labeled.ndjson").write_text("".join(json.dumps(r) + "\n" for r in records))
+    monkeypatch.chdir(tmp_path)
+    command, *rest = args
+    outputs = []
+    for path in (labeled_path, "labeled.ndjson"):
+        assert run_cli(command, "--input", path, *rest) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -386,6 +447,18 @@ def test_weights_files_reject_non_numbers(tmp_path, capsys, change) -> None:
     path.write_text(json.dumps({**weights, **change}))
     assert run_cli("predict", "--input", "example", "--weights", str(path)) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_weights_files_reject_unknown_beta_down_entry_keys(tmp_path, capsys) -> None:
+    weights = paper_weights().to_dict()
+    weights["beta_down"][0]["W"] = 99.0
+    weights["beta_down"][1]["note"] = "x"
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(weights))
+    assert run_cli("predict", "--input", "example", "--weights", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown 'beta_down' entry keys: ['W']" in captured.err
 
 
 @pytest.mark.parametrize(

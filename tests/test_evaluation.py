@@ -149,7 +149,7 @@ def test_protocol_is_deterministic(dataset) -> None:
 
 def test_protocol_splits_are_disjoint_and_cover_dataset(dataset) -> None:
     protocol = SplitProtocol(n_repetitions=3, test_size=40, test_pool="all", rng_seed=3)
-    masks = split_masks(dataset.sessions, protocol)
+    masks = split_masks(dataset.tags, protocol)
     assert len(masks) == 3
     for k, test in enumerate(masks):
         # the test rows are the draw of split k's substream; every other
@@ -186,7 +186,7 @@ def test_protocol_pool_selection(dataset) -> None:
         run_split_protocol(dataset, protocol, fixed_weights_runner(paper_weights()))
 
     ok = SplitProtocol(n_repetitions=2, test_size=20, test_pool="multi-factor", rng_seed=0)
-    for test in split_masks(dataset.sessions, ok):
+    for test in split_masks(dataset.tags, ok):
         assert int(test.sum()) == 20
         assert all(dataset.sessions[k].tag == "multi-factor" for k in np.flatnonzero(test))
 

@@ -4,9 +4,11 @@ import pytest
 
 from hasqoe import (
     DOWN_SWITCH_BINS,
+    GeneratorConfig,
     ModelWeights,
     UsageError,
     ValidationError,
+    generate_sessions,
     paper_weights,
 )
 from hasqoe import io
@@ -143,6 +145,18 @@ def test_dataset_round_trip(tmp_path) -> None:
     path = tmp_path / "ds.json"
     io.write_dataset(sessions, str(path))
     assert io.read_sessions(str(path)) == sessions
+
+
+@pytest.mark.parametrize("slice_size", [1, 2, 3, 7, 100])
+def test_write_dataset_in_slices_writes_one_array(tmp_path, monkeypatch, slice_size) -> None:
+    sessions = generate_sessions(GeneratorConfig(rng_seed=3), 7)
+    path = tmp_path / "ds.json"
+    monkeypatch.setattr(io, "_WRITE_SLICE", slice_size)
+    io.write_dataset(iter(sessions), str(path))
+    whole = json.dumps([s.to_dict() for s in sessions], separators=(",", ":"))
+    assert path.read_text() == whole + "\n"
+    io.write_dataset([], str(path))
+    assert path.read_text() == "[]\n"
 
 
 def test_external_predictions_csv(tmp_path) -> None:
