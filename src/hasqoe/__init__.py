@@ -1,101 +1,77 @@
-"""Histogram-based QoE modeling for HTTP adaptive streaming sessions."""
+"""Histogram-based QoE modeling for HTTP adaptive streaming sessions.
 
-from .baselines import MODEL_STATISTICS, BaselineCoefficients, baseline_matrix
-from .errors import DegenerateMetricError, HasQoEError, UsageError, ValidationError
-from .evaluation import (
-    EvaluationReport,
-    LinearModel,
-    SplitMetrics,
-    SplitProtocol,
-    baseline_runner,
-    evaluate_predictions,
-    fit_baseline_coefficients,
-    fixed_weights_runner,
-    linear_compensate,
-    pcc,
-    refit_runner,
-    rmse,
-    run_split_protocol,
-)
-from .fitting import FitReport, LabeledDataset, design_matrix, fit
-from .model import (
-    DEFAULT_INTERRUPTION_EDGES,
-    DOWN_SWITCH_BINS,
-    N_PARAMETERS,
-    FeatureVector,
-    InterruptionEvent,
-    ModelWeights,
-    SessionTrace,
-    SwitchEvent,
-    bin_interruption,
-    bin_quality,
-    classify_switch,
-    extract_features,
-    feature_matrix,
-    interruption_degradation,
-    paper_weights,
-    perceptual_quality,
-    predict,
-    predict_matrix,
-)
-from .synth import (
-    GeneratorConfig,
-    QualityWalk,
-    StallDurations,
-    generate_labeled_dataset,
-    generate_session,
-    generate_sessions,
-)
+The public names below are loaded from their modules on first use
+(PEP 562), so importing one module, such as ``hasqoe.cli``, loads only
+what that module imports.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MODEL_STATISTICS",
-    "BaselineCoefficients",
-    "baseline_matrix",
-    "fit_baseline_coefficients",
-    "DegenerateMetricError",
-    "HasQoEError",
-    "UsageError",
-    "ValidationError",
-    "EvaluationReport",
-    "LinearModel",
-    "SplitMetrics",
-    "SplitProtocol",
-    "baseline_runner",
-    "evaluate_predictions",
-    "fixed_weights_runner",
-    "linear_compensate",
-    "pcc",
-    "refit_runner",
-    "rmse",
-    "run_split_protocol",
-    "FitReport",
-    "LabeledDataset",
-    "design_matrix",
-    "fit",
-    "DEFAULT_INTERRUPTION_EDGES",
-    "DOWN_SWITCH_BINS",
-    "N_PARAMETERS",
-    "FeatureVector",
-    "InterruptionEvent",
-    "ModelWeights",
-    "SessionTrace",
-    "SwitchEvent",
-    "bin_interruption",
-    "bin_quality",
-    "classify_switch",
-    "extract_features",
-    "feature_matrix",
-    "interruption_degradation",
-    "paper_weights",
-    "perceptual_quality",
-    "predict",
-    "predict_matrix",
-    "GeneratorConfig",
-    "QualityWalk",
-    "StallDurations",
-    "generate_labeled_dataset",
-    "generate_session",
-    "generate_sessions",
-]
+#: The module that defines each public name.
+_MODULES = {
+    "baselines": ("MODEL_STATISTICS", "BaselineCoefficients", "baseline_matrix"),
+    "errors": ("DegenerateMetricError", "HasQoEError", "UsageError", "ValidationError"),
+    "evaluation": (
+        "EvaluationReport",
+        "LinearModel",
+        "SplitMetrics",
+        "SplitProtocol",
+        "baseline_runner",
+        "evaluate_predictions",
+        "fit_baseline_coefficients",
+        "fixed_weights_runner",
+        "linear_compensate",
+        "pcc",
+        "refit_runner",
+        "rmse",
+        "run_split_protocol",
+    ),
+    "fitting": ("FitReport", "LabeledDataset", "design_matrix", "fit"),
+    "model": (
+        "DEFAULT_INTERRUPTION_EDGES",
+        "DOWN_SWITCH_BINS",
+        "N_PARAMETERS",
+        "ModelWeights",
+        "feature_matrix",
+        "paper_weights",
+        "predict_matrix",
+    ),
+    "traces": (
+        "FeatureVector",
+        "InterruptionEvent",
+        "SessionTrace",
+        "SwitchEvent",
+        "bin_interruption",
+        "bin_quality",
+        "classify_switch",
+        "extract_features",
+        "interruption_degradation",
+        "perceptual_quality",
+        "predict",
+    ),
+    "synth": (
+        "GeneratorConfig",
+        "QualityWalk",
+        "StallDurations",
+        "generate_labeled_dataset",
+        "generate_session",
+        "generate_sessions",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

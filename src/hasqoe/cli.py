@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .fitting import LabeledDataset, fit
 from .model import feature_matrix, predict_matrix
-from .synth import GeneratorConfig, generate_labeled_dataset, generate_sessions
+from .synth import GeneratorConfig, generate_columns, generate_labeled_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,10 +180,10 @@ def cmd_gen(args) -> None:
             noise_std=args.noise_std,
             skip_clamped=args.skip_clamped,
         )
-        sessions = dataset.sessions
+        columns = dataset.batch, dataset.labels(), dataset.tags
     else:
-        sessions = generate_sessions(config, args.count)
-    io.write_dataset(sessions, args.output)
+        columns = generate_columns(config, args.count)
+    io.write_dataset(columns, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

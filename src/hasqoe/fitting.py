@@ -12,8 +12,8 @@ rarely populated bins the design can be rank-deficient, in which case the
 minimum-norm solution is returned and ``condition_warning`` is set.  The
 clamp at 1.0 MOS is applied to the training metrics, not while solving.
 
-A :class:`LabeledDataset` read from a file holds the columns of
-``io.read_dataset``; :func:`fit` reads its batch and labels, so no
+A :class:`LabeledDataset` read from a file or made by the generator
+holds columns; :func:`fit` reads its batch and labels, so no
 ``SessionTrace`` is built for it.
 """
 
@@ -26,29 +26,26 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetricError, UsageError
-from .model import (
-    EVENT_SLOTS,
-    ModelWeights,
-    SessionTrace,
-    _label_column,
-    _SessionBatch,
-    feature_matrix,
-)
+from .model import EVENT_SLOTS, ModelWeights, _SessionBatch, feature_matrix
 
 
 class LabeledDataset:
     """Sessions that all carry a ground-truth MOS.
 
-    Built from :class:`~hasqoe.model.SessionTrace` objects, or by
-    :meth:`from_columns` from the columns ``io.read_dataset`` decodes a
-    file into.  Fitting and the split protocol read :attr:`batch`,
-    :meth:`labels` and :attr:`tags`; the traces and the batch are each
-    built from the other only when a caller asks for them.
+    Built from :class:`~hasqoe.traces.SessionTrace` objects, or by
+    :meth:`from_columns` from columns such as those ``io.read_dataset``
+    decodes a file into.  Fitting and the split protocol read
+    :attr:`batch`, :meth:`labels` and :attr:`tags`; a dataset made from
+    columns builds its traces only when a caller asks for them.
     """
 
     def __init__(self, sessions) -> None:
+        from .traces import columns_of
+
         self.sessions = tuple(sessions)
-        self._labels = _checked_labels(_label_column(self.sessions))
+        self.batch, labels, tags = columns_of(self.sessions)
+        self.tags = tuple(tags)
+        self._labels = _checked_labels(labels)
 
     @classmethod
     def from_columns(cls, batch: _SessionBatch, labels: np.ndarray, tags) -> "LabeledDataset":
@@ -73,19 +70,11 @@ class LabeledDataset:
         return f"LabeledDataset(sessions={self.sessions!r})"
 
     @cached_property
-    def sessions(self) -> tuple[SessionTrace, ...]:
-        """Each session as a :class:`~hasqoe.model.SessionTrace` with its label and tag."""
-        return tuple(self.batch.traces(range(len(self)), self._labels.tolist(), self.tags))
+    def sessions(self) -> tuple:
+        """Each session as a :class:`~hasqoe.traces.SessionTrace` with its label and tag."""
+        from .traces import traces_of
 
-    @cached_property
-    def batch(self) -> _SessionBatch:
-        """The sessions as one ``model._SessionBatch``."""
-        return _SessionBatch.of(self.sessions)
-
-    @cached_property
-    def tags(self) -> tuple[str | None, ...]:
-        """Each session's tag."""
-        return tuple(s.tag for s in self.sessions)
+        return tuple(traces_of(self.batch, self._labels, self.tags))
 
     def labels(self) -> np.ndarray:
         return self._labels.copy()

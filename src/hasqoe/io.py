@@ -12,9 +12,13 @@ partial output.
 Session files have two readers.  :func:`read_dataset` decodes a file
 into columns, a ``model._SessionBatch`` with a label and a tag column,
 and checks every value in numpy; it builds no ``SessionTrace``.
-:func:`read_sessions` builds one validated ``SessionTrace`` per record.
-A file the columns reject is read again by the latter, so that its
-errors, their messages and which one comes first are defined once.
+:func:`read_sessions` builds one validated ``SessionTrace`` per record
+(``traces.sessions_from_records``).  A file the columns reject is read
+again by the latter, so that its errors, their messages and which one
+comes first are defined once.
+
+Session files have one writer, :func:`write_dataset`, which encodes
+columns; given traces, it converts them to columns first.
 """
 
 from __future__ import annotations
@@ -32,15 +36,13 @@ from operator import itemgetter
 import numpy as np
 
 from .baselines import BaselineCoefficients
-from .errors import UsageError, ValidationError
+from .errors import UsageError
 from .model import (
     _JSON_NUMBER_TYPES,
     FEATURE_NAMES,
     MAX_MOS,
     MIN_MOS,
     ModelWeights,
-    SessionTrace,
-    _label_column,
     _SessionBatch,
     paper_weights,
 )
@@ -53,10 +55,17 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _atomic_write(path: str, pieces) -> None:
-    """Write the strings ``pieces`` yields to ``path`` via a temp file in the same directory."""
+    """Write the strings ``pieces`` yields to ``path`` via a temp file in the same directory.
+
+    The file gets the mode ``open`` would give a new file, ``0o666`` less the umask, rather
+    than the temp file's owner-only one.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        umask = os.umask(0o077)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
         os.replace(tmp_path, path)
@@ -106,20 +115,15 @@ def _records(text: str, source: str):
         return (_parse_json(line, f"{source} line {k}") for k, line in enumerate(lines))
 
 
-def _session_from_obj(obj, index: int) -> SessionTrace:
-    try:
-        return SessionTrace.from_dict(obj)
-    except (UsageError, ValidationError) as exc:
-        raise type(exc)(f"session {index}: {exc}") from None
+def sessions_from_text(text: str, source: str) -> list:
+    """Parse ``SessionTrace`` objects from a single object, a JSON array, or NDJSON lines."""
+    from .traces import sessions_from_records
+
+    return sessions_from_records(_records(text, source))
 
 
-def sessions_from_text(text: str, source: str) -> list[SessionTrace]:
-    """Parse sessions from a single object, a JSON array, or NDJSON lines."""
-    return [_session_from_obj(obj, k) for k, obj in enumerate(_records(text, source))]
-
-
-def read_sessions(path: str) -> list[SessionTrace]:
-    """Read a session file: single object, JSON array, or NDJSON lines."""
+def read_sessions(path: str) -> list:
+    """Read a session file into ``SessionTrace`` objects: single object, JSON array, or NDJSON lines."""
     return sessions_from_text(_read_text(path), path)
 
 
@@ -194,8 +198,9 @@ def dataset_from_text(text: str, source: str) -> tuple[_SessionBatch, np.ndarray
     except UsageError:
         columns = None
     if columns is None:
-        traces = sessions_from_text(text, source)
-        columns = _SessionBatch.of(traces), _label_column(traces), [s.tag for s in traces]
+        from .traces import columns_of
+
+        columns = columns_of(sessions_from_text(text, source))
     return columns
 
 
@@ -210,28 +215,54 @@ _WRITE_SLICE = 2000
 
 
 def write_dataset(sessions, path: str) -> None:
-    """Write sessions as one compact JSON array, encoded a slice at a time by the C encoder."""
-    _atomic_write(path, _dataset_pieces(iter(sessions)))
+    """Write sessions as one compact JSON array, encoded a slice at a time by the C encoder.
+
+    ``sessions`` is a sequence of ``SessionTrace`` objects, or columns as
+    :func:`read_dataset` returns them: a batch, labels (NaN for none) and tags.
+    """
+    if not (type(sessions) is tuple and sessions and type(sessions[0]) is _SessionBatch):
+        from .traces import columns_of
+
+        sessions = columns_of(tuple(sessions))
+    _atomic_write(path, _dataset_pieces(*sessions))
 
 
-def _dataset_pieces(sessions):
-    """The text of :func:`write_dataset`, piece by piece, from an iterator of sessions."""
+def _dataset_pieces(batch: _SessionBatch, labels, tags):
+    """The text of :func:`write_dataset`, piece by piece, from a dataset's columns."""
+    n_sessions = len(tags)
+    slices = (slice(k, min(k + _WRITE_SLICE, n_sessions)) for k in range(0, n_sessions, _WRITE_SLICE))
     yield "["
-    separator = ""
-    while chunk := list(islice(sessions, _WRITE_SLICE)):
-        text = json.dumps([s.to_dict() for s in chunk], separators=(",", ":"), allow_nan=False)
-        yield separator
-        yield text[1:-1]  # the records without the array's brackets
-        separator = ","
+    for rows, view in batch.views(slices):
+        records = _json_records(view, labels[rows].tolist(), tags[rows])
+        yield "," if rows.start else ""
+        yield json.dumps(records, separators=(",", ":"), allow_nan=False)[1:-1]  # no brackets
     yield "]\n"
+
+
+def _json_records(batch: _SessionBatch, labels: list, tags) -> list[dict]:
+    """Each session's record, with the keys and values ``SessionTrace.to_dict`` gives it."""
+    values = iter(batch.quality.tolist())
+    events = iter([{"after_segment": a, "duration_s": d}
+                   for a, d in zip(batch.after.tolist(), batch.durations.tolist())])
+    records = []
+    for length, n_stalls, label, tag in zip(batch.lengths.tolist(), batch.n_stalls.tolist(),
+                                            labels, tags):
+        record = {"segments": list(islice(values, length)),
+                  "interruptions": list(islice(events, n_stalls))}
+        if not math.isnan(label):
+            record["mos"] = label
+        if tag is not None:
+            record["tag"] = tag
+        records.append(record)
+    return records
 
 
 def _bundled_example() -> str:
     return resources.files("hasqoe").joinpath("data/example_session.json").read_text("utf-8")
 
 
-def example_sessions() -> list[SessionTrace]:
-    """The tiny demo trace bundled with the package (constant 5.0 MOS)."""
+def example_sessions() -> list:
+    """The tiny demo ``SessionTrace`` bundled with the package (constant 5.0 MOS)."""
     return sessions_from_text(_bundled_example(), "example_session.json")
 
 

@@ -21,6 +21,11 @@ sessions (``_SessionBatch``), in runs of a few thousand segments:
 are decoded straight into that form (``io.read_dataset``), and
 :func:`feature_matrix` takes either a batch or a sequence of traces.
 
+``SessionTrace``, ``InterruptionEvent`` and the scalar, per-session
+model (``bin_quality``, ``classify_switch``, ``extract_features``,
+``predict`` and the rest) live in ``hasqoe.traces``; they are still
+attributes of this module, loaded on first use.
+
 The 22-slot layout is defined once, by ``FEATURE_NAMES`` and the group
 slices next to it, and the bins are fixed: the interruption edges are
 ``DEFAULT_INTERRUPTION_EDGES``, so a weights file always means the same
@@ -32,10 +37,9 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from importlib import resources
-from itertools import chain, starmap
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -121,167 +125,6 @@ def _json_integer(value, label: str) -> int:
     return int(number)
 
 
-@dataclass(frozen=True)
-class InterruptionEvent:
-    """A playback stall after ``after_segment`` segments, lasting ``duration_s``."""
-
-    after_segment: int
-    duration_s: float
-
-    def __post_init__(self) -> None:
-        after_segment = int(self.after_segment)
-        if after_segment != self.after_segment:
-            raise ValidationError(
-                f"after_segment {self.after_segment!r} must be a whole number"
-            )
-        object.__setattr__(self, "after_segment", after_segment)
-        object.__setattr__(self, "duration_s", float(self.duration_s))
-        if self.after_segment < 1:
-            # A stall before any playback is initial delay, which this
-            # model does not cover.
-            raise ValidationError(
-                f"after_segment {self.after_segment} must be >= 1"
-            )
-        if not math.isfinite(self.duration_s) or self.duration_s <= 0.0:
-            raise ValidationError(
-                f"interruption duration {self.duration_s!r} must be a positive number"
-            )
-
-    def to_dict(self) -> dict:
-        return {"after_segment": self.after_segment, "duration_s": self.duration_s}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InterruptionEvent":
-        if not isinstance(data, dict):
-            raise UsageError(f"interruption record must be an object, got {data!r}")
-        try:
-            after_segment = _json_integer(data["after_segment"], "'after_segment'")
-            duration_s = _json_number(data["duration_s"], "'duration_s'")
-        except KeyError as exc:
-            raise UsageError(f"interruption record missing key {exc}") from None
-        return cls(after_segment, duration_s)
-
-
-@dataclass(frozen=True)
-class SessionTrace:
-    """One playback session: segment quality values plus interruptions.
-
-    ``ground_truth_mos`` carries a subjective session rating when known.
-    ``tag`` is free-form dataset metadata (e.g. ``"multi-factor"``) used
-    by the evaluation protocol to select test pools.
-    """
-
-    segments: tuple[float, ...]
-    interruptions: tuple[InterruptionEvent, ...] = ()
-    ground_truth_mos: float | None = None
-    tag: str | None = None
-
-    def __post_init__(self) -> None:
-        segments = tuple(map(float, self.segments))
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "interruptions", tuple(self.interruptions))
-        if not segments:
-            raise ValidationError("session must contain at least one segment")
-        for k, q in enumerate(segments):
-            if not MIN_MOS <= q <= MAX_MOS:  # also false for NaN
-                raise ValidationError(
-                    f"segment {k} quality {q!r} outside [{MIN_MOS}, {MAX_MOS}]"
-                )
-        for event in self.interruptions:
-            if not isinstance(event, InterruptionEvent):
-                raise ValidationError(f"interruption {event!r} is not an InterruptionEvent")
-            if event.after_segment > len(segments):
-                raise ValidationError(
-                    f"after_segment {event.after_segment} exceeds "
-                    f"segment count {len(segments)}"
-                )
-        if self.ground_truth_mos is not None:
-            object.__setattr__(
-                self,
-                "ground_truth_mos",
-                _check_mos(self.ground_truth_mos, "ground-truth MOS"),
-            )
-
-    def to_dict(self) -> dict:
-        data: dict = {
-            "segments": list(self.segments),
-            "interruptions": [e.to_dict() for e in self.interruptions],
-        }
-        if self.ground_truth_mos is not None:
-            data["mos"] = self.ground_truth_mos
-        if self.tag is not None:
-            data["tag"] = self.tag
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionTrace":
-        if not isinstance(data, dict):
-            raise UsageError(f"session record must be an object, got {type(data).__name__}")
-        if "segments" not in data:
-            raise UsageError("session record missing 'segments'")
-        segments = data["segments"]
-        if not isinstance(segments, (list, tuple)) or not _JSON_NUMBER_TYPES.issuperset(
-            map(type, segments)
-        ):
-            raise UsageError("'segments' must be an array of numbers")
-        raw_events = data.get("interruptions", [])
-        if not isinstance(raw_events, (list, tuple)):
-            raise UsageError("'interruptions' must be an array of objects")
-        events = tuple(InterruptionEvent.from_dict(e) for e in raw_events)
-        mos = data.get("mos")
-        if mos is not None:
-            mos = _json_number(mos, "'mos'")
-        tag = data.get("tag")
-        if tag is not None and not isinstance(tag, str):
-            raise UsageError(f"'tag' must be a string, got {tag!r}")
-        try:
-            return cls(segments, events, mos, tag)
-        except OverflowError:  # an integer beyond the float range
-            raise UsageError("'segments' must be an array of numbers") from None
-
-
-@dataclass(frozen=True)
-class SwitchEvent:
-    """A segment boundary: starting quality bin and amplitude bin.
-
-    ``amplitude_bin`` < 0 is a down-switch; 0 covers quality maintaining
-    and sub-half-step wobble; > 0 is an up-switch.
-    """
-
-    starting_quality_bin: int
-    amplitude_bin: int
-
-
-def bin_quality(q: float) -> int:
-    """Map a quality value in [1, 5] to its level bin 1..5.
-
-    Bins are half-open on the right, so a value exactly on an edge
-    (e.g. 4.5) belongs to the upper bin.
-    """
-    return int(math.floor(_check_mos(q, "quality value") + 0.5))
-
-
-def bin_interruption(duration_s: float) -> int:
-    """Map a stall duration in seconds to its bin 1..6 (left-open, right-closed)."""
-    duration_s = float(duration_s)
-    if not math.isfinite(duration_s) or duration_s <= 0.0:
-        raise ValidationError(
-            f"interruption duration {duration_s!r} must be a positive number"
-        )
-    return bisect_left(DEFAULT_INTERRUPTION_EDGES, duration_s) + 1
-
-
-def classify_switch(q_before: float, q_after: float) -> SwitchEvent:
-    """Classify the boundary between two consecutive segments.
-
-    Both values lie in [1, 5], so the amplitude bin j lies in -4..4, and as
-    ``q_before < i + 0.5`` and rounding is monotone, a drop keeps i + j >= 1.
-    """
-    q_before = _check_mos(q_before, "quality value")
-    q_after = _check_mos(q_after, "quality value")
-    return SwitchEvent(bin_quality(q_before), int(math.floor(q_after - q_before + 0.5)))
-
-
 class _SlotGroups:
     """The 22 slots as the four fields of a frozen dataclass.
 
@@ -324,30 +167,6 @@ class _SlotGroups:
         )
 
 
-@dataclass(frozen=True)
-class FeatureVector(_SlotGroups):
-    """Normalized histogram frequencies for one session.
-
-    ``f_quality`` is normalized by the segment count; ``f_downswitch``,
-    ``f_um`` and ``f_interruption`` by the total event count (segment
-    boundaries plus interruptions) and are all zero when a session has
-    no events.
-    """
-
-    f_quality: tuple[float, ...]
-    f_downswitch: dict[tuple[int, int], float]
-    f_um: float
-    f_interruption: tuple[float, ...]
-
-    _NOUN = "frequencies"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for v in self.as_vector():
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"frequency {v!r} outside [0, 1]")
-
-
 def _switch_columns() -> np.ndarray:
     """Feature column of a boundary, indexed by (starting level i, amplitude bin j + 4).
 
@@ -381,7 +200,11 @@ def _run_rows(lengths):
 
 
 class _SessionBatch(NamedTuple):
-    """Sessions as columns: per-session counts, then per-segment and per-stall values in order."""
+    """Sessions as columns: per-session counts, then per-segment and per-stall values in order.
+
+    A NamedTuple, so ``np.concatenate`` of batches, field by field, is the batch of all their
+    sessions.  ``traces.columns_of`` and ``traces.traces_of`` convert from and to traces.
+    """
 
     lengths: np.ndarray
     quality: np.ndarray
@@ -389,73 +212,45 @@ class _SessionBatch(NamedTuple):
     after: np.ndarray
     durations: np.ndarray
 
-    @classmethod
-    def of(cls, traces) -> "_SessionBatch":
-        """The columns of a sequence of :class:`SessionTrace` objects."""
-        stalls = [e for s in traces for e in s.interruptions]
-        return cls(
-            np.fromiter((len(s.segments) for s in traces), np.intp, len(traces)),
-            np.fromiter(chain.from_iterable(s.segments for s in traces), float),
-            np.fromiter((len(s.interruptions) for s in traces), np.intp, len(traces)),
-            np.fromiter((e.after_segment for e in stalls), np.intp, len(stalls)),
-            np.fromiter((e.duration_s for e in stalls), float, len(stalls)),
-        )
-
-    @classmethod
-    def runs_of(cls, traces):
-        """:meth:`runs` of the batch of a sequence of traces, each run's columns built alone."""
-        for rows in _run_rows(len(s.segments) for s in traces):
-            yield rows, cls.of(traces[rows])
-
     def _ends(self) -> tuple[list[int], list[int]]:
         """Where each session's segments and stalls end, after a leading 0."""
         return tuple(np.insert(np.cumsum(n), 0, 0).tolist() for n in (self.lengths, self.n_stalls))
 
     def runs(self):
-        """``(rows, run)`` per run of :func:`_run_rows`; ``run`` views the columns of ``rows``."""
+        """``(rows, run)`` per run of :func:`_run_rows` (see :meth:`views`)."""
+        return self.views(_run_rows(self.lengths.tolist()))
+
+    def views(self, row_slices):
+        """``(rows, view)`` per slice of sessions in ``row_slices``; ``view`` views their columns."""
         ends, stall_ends = self._ends()
-        for rows in _run_rows(self.lengths.tolist()):
+        for rows in row_slices:
             stalls = slice(stall_ends[rows.start], stall_ends[rows.stop])
             yield rows, _SessionBatch(
                 self.lengths[rows], self.quality[ends[rows.start]:ends[rows.stop]],
                 self.n_stalls[rows], self.after[stalls], self.durations[stalls],
             )
 
-    def traces(self, rows, labels, tags) -> list[SessionTrace]:
-        """A :class:`SessionTrace` of each session ``rows`` lists, with the label and tag given."""
-        (ends, stall_ends), values = self._ends(), self.quality.tolist()
-        stalls = list(zip(self.after.tolist(), self.durations.tolist()))
-        return [
-            SessionTrace(values[ends[k]:ends[k + 1]],
-                         list(starmap(InterruptionEvent, stalls[stall_ends[k]:stall_ends[k + 1]])),
-                         label, tag)
-            for k, label, tag in zip(rows, labels, tags)
-        ]
+    def select(self, keep: np.ndarray) -> "_SessionBatch":
+        """The batch of the sessions where the boolean column ``keep`` is true."""
+        segments, stalls = np.repeat(keep, self.lengths), np.repeat(keep, self.n_stalls)
+        return _SessionBatch(self.lengths[keep], self.quality[segments], self.n_stalls[keep],
+                             self.after[stalls], self.durations[stalls])
 
 
 def _runs(sessions):
-    """The session count and ``(rows, run)`` pairs of a ``_SessionBatch`` or of traces.
+    """The session count and :meth:`~_SessionBatch.runs` of a ``_SessionBatch`` or of traces."""
+    if not isinstance(sessions, _SessionBatch):
+        from .traces import batch_of
 
-    A batch yields :meth:`~_SessionBatch.runs`, views of its columns; traces
-    yield :meth:`~_SessionBatch.runs_of`, so no batch of them all is built.
-    """
-    if isinstance(sessions, _SessionBatch):
-        return len(sessions.lengths), sessions.runs()
-    sessions = tuple(sessions)
-    return len(sessions), _SessionBatch.runs_of(sessions)
-
-
-def _label_column(traces) -> np.ndarray:
-    """Each trace's ground-truth MOS, NaN where it has none."""
-    labels = [s.ground_truth_mos for s in traces]
-    return np.array([math.nan if mos is None else mos for mos in labels], dtype=float)
+        sessions = batch_of(tuple(sessions))
+    return len(sessions.lengths), sessions.runs()
 
 
 def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The level bin of every value of ``q`` and the amplitude bin of every step to the next.
 
-    These are the float operations of :func:`bin_quality` and
-    :func:`classify_switch`: levels lie in 1..5 and amplitude bins in
+    These are the float operations of ``traces.bin_quality`` and
+    ``traces.classify_switch``: levels lie in 1..5 and amplitude bins in
     -4..4.  Where ``q`` concatenates sessions, the steps across their
     boundaries are the caller's to drop.
     """
@@ -499,17 +294,6 @@ def feature_matrix(sessions) -> np.ndarray:
     """
     n_sessions, runs = _runs(sessions)
     return _feature_rows(runs, n_sessions)
-
-
-def extract_features(trace: SessionTrace) -> FeatureVector:
-    """Compute the 22 histogram frequencies of a session.
-
-    Every consecutive-segment boundary counts as an event, including
-    zero-amplitude quality maintaining; maintaining and up-switches are
-    grouped into the single ``f_um`` frequency.  This is
-    :func:`feature_matrix` of one session.
-    """
-    return FeatureVector.from_vector(feature_matrix((trace,))[0].tolist())
 
 
 #: The fields of one entry of a weights file's ``beta_down`` list.
@@ -575,20 +359,6 @@ def paper_weights() -> ModelWeights:
     return ModelWeights.from_dict(json.loads(text))
 
 
-def perceptual_quality(features: FeatureVector, weights: ModelWeights) -> float:
-    """Quality-driven score: level reward minus switch penalties (no floor)."""
-    reward = sum(a * f for a, f in zip(weights.alpha, features.f_quality))
-    down = sum(
-        weights.beta_down[b] * features.f_downswitch[b] for b in DOWN_SWITCH_BINS
-    )
-    return float(reward - down - weights.beta_um * features.f_um)
-
-
-def interruption_degradation(features: FeatureVector, weights: ModelWeights) -> float:
-    """Penalty contributed by playback interruptions."""
-    return float(sum(g * f for g, f in zip(weights.gamma, features.f_interruption)))
-
-
 def _ordered_sum(weights, columns: np.ndarray) -> np.ndarray:
     """Row sums of ``weights * columns``, added term by term like ``sum(w * f ...)``."""
     total = np.zeros(len(columns))
@@ -600,8 +370,8 @@ def _ordered_sum(weights, columns: np.ndarray) -> np.ndarray:
 def _raw_scores(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
     """The linear score of every row of a :func:`feature_matrix`, before the 1.0 floor.
 
-    The terms are added in the order :func:`perceptual_quality` and
-    :func:`interruption_degradation` add them, not as one matrix
+    The terms are added in the order ``traces.perceptual_quality`` and
+    ``traces.interruption_degradation`` add them, not as one matrix
     product, so each value equals their difference bit for bit.
     """
     w = weights.as_vector()
@@ -614,14 +384,22 @@ def _raw_scores(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
 
 
 def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """:func:`predict` for every row of a :func:`feature_matrix`, bit for bit."""
+    """``traces.predict`` for every row of a :func:`feature_matrix`, bit for bit."""
     return np.maximum(_raw_scores(features, weights), MIN_MOS)
 
 
-def predict(trace: SessionTrace, weights: ModelWeights) -> float:
-    """Predicted session MOS: quality score minus stall penalty, floored at 1.0."""
-    features = extract_features(trace)
-    return max(
-        perceptual_quality(features, weights) - interruption_degradation(features, weights),
-        MIN_MOS,
-    )
+#: The names of ``traces`` that this module has always offered.
+_TRACE_NAMES = frozenset((
+    "InterruptionEvent", "SessionTrace", "SwitchEvent", "FeatureVector", "bin_quality",
+    "bin_interruption", "classify_switch", "extract_features", "perceptual_quality",
+    "interruption_degradation", "predict",
+))
+
+
+def __getattr__(name: str):
+    """A name of :data:`_TRACE_NAMES`, from ``traces`` on first use (PEP 562)."""
+    if name in _TRACE_NAMES:
+        from . import traces
+
+        return getattr(traces, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,8 +12,10 @@ the substream ``SeedSequence(rng_seed).spawn(...)[k]``, so generation
 is reproducible and sessions are independent.  Each substream makes
 three draws: the segment count (when ``n_segments`` is a range), its
 rows of one block of uniforms, and the label noise.  The block becomes
-the sessions' batch (``model._SessionBatch``), tags and labels at once;
-only then is a ``SessionTrace`` built for each session returned.
+the sessions' batch (``model._SessionBatch``), tags and labels at once,
+a round of at most ``_ROUND_SESSIONS`` sessions at a time.  A labeled
+dataset and :func:`generate_columns` stay columns; only
+:func:`generate_session` and :func:`generate_sessions` build traces.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, ValidationError
 from .fitting import LabeledDataset
 from .model import (
     DEFAULT_INTERRUPTION_EDGES,
     MAX_MOS,
     MIN_MOS,
     ModelWeights,
-    SessionTrace,
     _feature_rows,
     _json_integer,
     _json_number,
@@ -297,22 +298,51 @@ def _tags(multi_factor: np.ndarray) -> list[str]:
     return np.where(multi_factor, "multi-factor", "single-factor").tolist()
 
 
+#: Most sessions drawn in one round.  A round holds a ``Generator`` per
+#: session, about 900 bytes each, and its columns' temporaries; which
+#: sessions come out does not depend on it.
+_ROUND_SESSIONS = 8192
+
+
+def _draw(config: GeneratorConfig, root: np.random.SeedSequence, size: int):
+    """:func:`_sessions` of the next ``size`` substreams of ``root``."""
+    return _sessions(config, map(np.random.default_rng, root.spawn(size)))
+
+
+def _concatenate(batches) -> _SessionBatch:
+    """The batch of the sessions of ``batches``, in order."""
+    return _SessionBatch(*map(np.concatenate, zip(*batches)))
+
+
 def generate_session(
     config: GeneratorConfig, rng: np.random.Generator | None = None
-) -> SessionTrace:
-    """Generate one session; without an explicit ``rng``, seeds from the config."""
+):
+    """Generate one ``SessionTrace``; without an explicit ``rng``, seeds from the config."""
+    from .traces import traces_of
+
     rng = np.random.default_rng(config.rng_seed) if rng is None else rng
     batch, multi_factor, _ = _sessions(config, (rng,))
-    return batch.traces([0], [None], _tags(multi_factor))[0]
+    return traces_of(batch, np.array([math.nan]), _tags(multi_factor))[0]
 
 
-def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple[SessionTrace, ...]:
-    """Generate ``n_sessions`` unlabeled sessions from per-session substreams."""
+def generate_columns(config: GeneratorConfig, n_sessions: int) -> tuple[_SessionBatch, np.ndarray, list]:
+    """:func:`generate_sessions` as the columns of ``io.read_dataset``: batch, NaN labels, tags."""
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
-    substreams = np.random.SeedSequence(config.rng_seed).spawn(n_sessions)
-    batch, multi_factor, _ = _sessions(config, map(np.random.default_rng, substreams))
-    return tuple(batch.traces(range(n_sessions), [None] * n_sessions, _tags(multi_factor)))
+    root = np.random.SeedSequence(config.rng_seed)
+    rounds = [
+        _draw(config, root, min(_ROUND_SESSIONS, n_sessions - start))
+        for start in range(0, n_sessions, _ROUND_SESSIONS)
+    ]
+    batches, multi_factor, _ = zip(*rounds)
+    return _concatenate(batches), np.full(n_sessions, math.nan), _tags(np.concatenate(multi_factor))
+
+
+def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple:
+    """Generate ``n_sessions`` unlabeled ``SessionTrace`` objects from per-session substreams."""
+    from .traces import traces_of
+
+    return tuple(traces_of(*generate_columns(config, n_sessions)))
 
 
 def _round_size(needed: int, attempts: int, kept: int) -> int:
@@ -342,31 +372,39 @@ def generate_labeled_dataset(
     exactly linear function of the features — the setting a
     planted-weights recovery needs.  Candidates come in rounds from
     consecutive substreams, and the first ``n_sessions`` kept are the
-    dataset, so session k is the same whatever ``n_sessions``.
+    dataset, so session k is the same whatever ``n_sessions``.  The
+    dataset holds columns and builds its traces on request.
     """
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     if not 0.0 <= noise_std < math.inf:  # NaN fails
         raise UsageError(f"noise_std {noise_std} must be a finite number >= 0")
     root = np.random.SeedSequence(config.rng_seed)
-    sessions: list[SessionTrace] = []
-    attempts = 0
+    kept: list[tuple[_SessionBatch, np.ndarray, np.ndarray]] = []  # per round: batch, labels, flags
+    n_kept = attempts = 0
     max_attempts = 20 * n_sessions + 100
-    while len(sessions) < n_sessions:
+    while n_kept < n_sessions:
         if attempts >= max_attempts:
             raise UsageError(
                 f"gave up after {attempts} attempts: config almost always "
                 "produces clamp-active sessions"
             )
-        needed = n_sessions - len(sessions)
-        size = min(_round_size(needed, attempts, len(sessions)), max_attempts - attempts)
+        needed = n_sessions - n_kept
+        size = min(_round_size(needed, attempts, n_kept), max_attempts - attempts, _ROUND_SESSIONS)
         attempts += size
-        batch, multi_factor, noise = _sessions(config, map(np.random.default_rng, root.spawn(size)))
+        batch, multi_factor, noise = _draw(config, root, size)
         raw = _raw_scores(_feature_rows(batch.runs(), size), weights)
         labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
         # "not below 1", as the floor reads it: a NaN score from overflowing
-        # weights is kept, and its label then fails validation.
-        keep = np.flatnonzero(~(raw < MIN_MOS)) if skip_clamped else np.arange(size)
-        keep = keep[:needed].tolist()
-        sessions.extend(batch.traces(keep, labels[keep].tolist(), _tags(multi_factor[keep])))
-    return LabeledDataset(tuple(sessions))
+        # weights is kept, and its label then fails the check below.
+        keep = ~(raw < MIN_MOS) if skip_clamped else np.ones(size, dtype=bool)
+        keep &= np.cumsum(keep) <= needed
+        labels = labels[keep]
+        if np.isnan(labels).any():
+            raise ValidationError(f"ground-truth MOS nan outside [{MIN_MOS}, {MAX_MOS}]")
+        kept.append((batch.select(keep), labels, multi_factor[keep]))
+        n_kept += len(labels)
+    batches, labels, multi_factor = zip(*kept)
+    return LabeledDataset.from_columns(
+        _concatenate(batches), np.concatenate(labels), _tags(np.concatenate(multi_factor))
+    )

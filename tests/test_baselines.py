@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hasqoe.model
+import hasqoe.traces
 from hasqoe import (
     DEFAULT_INTERRUPTION_EDGES,
     MODEL_STATISTICS,
@@ -270,7 +271,7 @@ def test_baseline_matrix_equals_the_scalar_oracle(dataset, chunk_segments) -> No
         return classify_switch(*args)
 
     with mock.patch.object(hasqoe.model, "_CHUNK_SEGMENTS", chunk_segments), \
-            mock.patch.object(hasqoe.model, "classify_switch", spy), \
+            mock.patch.object(hasqoe.traces, "classify_switch", spy), \
             mock.patch.object(baselines, "classify_switch", spy, create=True):
         matrix = baseline_matrix(dataset, ALL_STATISTICS)
     assert not calls

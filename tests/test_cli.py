@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import hasqoe
 from hasqoe import (
     GeneratorConfig,
     InterruptionEvent,
@@ -158,6 +162,49 @@ def test_gen_rejects_negative_seed(tmp_path) -> None:
     out = tmp_path / "out.json"
     assert run_cli("gen", "--count", "3", "--output", str(out), "--seed", "-1") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_gen_nan_label_is_validation_error(tmp_path, capsys) -> None:
+    # alpha - beta_down overflows to inf - inf, a NaN score, which is kept
+    # as "not below 1" and so reaches a label.
+    weights = paper_weights().to_dict()
+    weights["alpha"] = [1.7e308] * 5
+    for entry in weights["beta_down"]:
+        entry["w"] = -1.7e308
+    path, out = tmp_path / "weights.json", tmp_path / "out.json"
+    path.write_text(json.dumps(weights))
+    assert run_cli("gen", "--weights", str(path), "--noise-std", "1e308", "--count", "50",
+                   "--seed", "3", "--output", str(out)) == 2
+    assert capsys.readouterr().err == "error: ground-truth MOS nan outside [1.0, 5.0]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+@pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
+def test_output_files_follow_the_umask(tmp_path, monkeypatch, umask) -> None:
+    monkeypatch.chdir(tmp_path)
+    Path("d.json").write_text("[]")
+    Path("d.json").chmod(0o600)
+    previous = os.umask(umask)
+    try:
+        assert run_cli("gen", "--count", "40", "--weights", "paper", "--output", "d.json") == 0
+        assert run_cli("fit", "--input", "d.json", "--output", "w.json", "--report", "r.json") == 0
+        assert run_cli("predict", "--input", "d.json", "--weights", "w.json", "--output", "p.csv") == 0
+    finally:
+        os.umask(previous)
+    for name in ("d.json", "w.json", "r.json", "p.csv"):
+        assert Path(name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
+def test_importing_the_cli_loads_neither_traces_nor_scipy() -> None:
+    src = str(Path(hasqoe.__file__).parents[1])
+    code = ("import sys, hasqoe.cli; "
+            "print(sorted(m for m in sys.modules if m in ('hasqoe.traces', 'scipy')))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 # ------------------------------------------------------------ predict
@@ -375,6 +422,9 @@ def test_predict_rejects_non_finite_weights(tmp_path, capsys) -> None:
         ("evaluate", "--baseline", "liu"),
         ("evaluate", "--baseline", "vriendt", "--splits", "2", "--test-size", "20"),
         ("evaluate", "--baseline", "guo", "--coefficients", "guo.json"),
+        ("gen", "--count", "60", "--output", "g.json"),
+        ("gen", "--count", "60", "--weights", "paper", "--noise-std", "0.2", "--output", "g.json"),
+        ("gen", "--count", "60", "--weights", "paper", "--skip-clamped", "--output", "g.json"),
     ],
 )
 def test_file_inputs_build_no_session_objects(tmp_path, monkeypatch, capsys, labeled_path,
@@ -391,8 +441,12 @@ def test_file_inputs_build_no_session_objects(tmp_path, monkeypatch, capsys, lab
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     command, *rest = args
-    assert run_cli(command, "--input", labeled_path, *rest) == 0
-    assert capsys.readouterr().out
+    if command == "gen":  # generated sessions, from columns to the file
+        assert run_cli(*args) == 0
+        assert len(io.read_dataset("g.json")[2]) == 60
+    else:
+        assert run_cli(command, "--input", labeled_path, *rest) == 0
+        assert capsys.readouterr().out
     assert built == Counter()
     io.read_sessions(labeled_path)  # the per-record reader is counted
     assert built["SessionTrace"] == 80

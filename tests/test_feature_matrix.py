@@ -30,6 +30,7 @@ from hasqoe import (
     model,
     predict,
     predict_matrix,
+    traces,
 )
 from hasqoe.cli import main
 
@@ -198,18 +199,18 @@ def labeled_sessions(draw):
     [1, 1, 0],
 )
 def test_session_batch_round_trips_traces(dataset, picked) -> None:
-    batch = model._SessionBatch.of(dataset)
-    labels, tags = [s.ground_truth_mos for s in dataset], [s.tag for s in dataset]
-    assert batch.traces(range(len(dataset)), labels, tags) == dataset
-    picked = [k % len(dataset) for k in picked]
-    assert batch.traces(picked, [None] * len(picked), [None] * len(picked)) == [
-        dataclasses.replace(dataset[k], ground_truth_mos=None, tag=None) for k in picked
+    batch, labels, tags = traces.columns_of(dataset)
+    assert traces.traces_of(batch, labels, tags) == dataset
+    keep = np.isin(np.arange(len(dataset)), [k % len(dataset) for k in picked])
+    kept_tags = [tag for tag, kept in zip(tags, keep) if kept]
+    assert traces.traces_of(batch.select(keep), labels[keep], kept_tags) == [
+        session for session, kept in zip(dataset, keep) if kept
     ]
 
 
 def test_empty_dataset_gives_an_empty_matrix() -> None:
     assert feature_matrix([]).shape == (0, 22)
-    assert model._SessionBatch.of([]).traces([], [], []) == []
+    assert traces.traces_of(*traces.columns_of([])) == []
 
 
 def test_cli_predictions_equal_scalar_predict(tmp_path, capsys) -> None:

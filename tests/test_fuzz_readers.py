@@ -35,7 +35,7 @@ from hasqoe import (
     io,
     paper_weights,
 )
-from hasqoe.model import _label_column, _SessionBatch
+from hasqoe.traces import columns_of
 
 scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 json_values = st.recursive(
@@ -220,8 +220,7 @@ def assert_readers_agree(text: str) -> None:
     assert got[0] == "ok"
     traces = expected[1]
     batch, labels, tags = got[1]
-    expected_columns = _SessionBatch.of(traces), _label_column(traces), [s.tag for s in traces]
-    columns_equal(got[1], expected_columns)
+    columns_equal(got[1], columns_of(traces))
     assert feature_matrix(batch).tobytes() == feature_matrix(traces).tobytes()
     for names in MODEL_STATISTICS.values():
         assert baseline_matrix(batch, names).tobytes() == baseline_matrix(traces, names).tobytes()

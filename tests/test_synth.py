@@ -229,8 +229,10 @@ def test_each_returned_session_is_built_once_and_no_other(monkeypatch, skip_clam
     dataset = generate_labeled_dataset(
         _MOSTLY_CLAMPED, 600, paper_weights(), skip_clamped=skip_clamped
     )
-    assert built["SessionTrace"] == len(dataset) == 600
-    assert built["InterruptionEvent"] == sum(len(s.interruptions) for s in dataset.sessions)
+    assert built == Counter()  # the dataset holds columns until its traces are asked for
+    sessions = dataset.sessions
+    assert built["SessionTrace"] == len(sessions) == 600
+    assert built["InterruptionEvent"] == sum(len(s.interruptions) for s in sessions)
 
 
 @pytest.mark.parametrize("skip_clamped", [False, True])
@@ -245,6 +247,21 @@ def test_any_run_size_gives_the_same_dataset(skip_clamped, noise_std) -> None:
     for chunk_segments in range(1, 41):
         with mock.patch.object(model, "_CHUNK_SEGMENTS", chunk_segments):
             assert generate() == expected, chunk_segments
+
+
+@pytest.mark.parametrize("round_sessions", [1, 3, 7])
+def test_any_round_cap_gives_the_same_sessions(round_sessions) -> None:
+    def generate():
+        labeled = [
+            generate_labeled_dataset(_MOSTLY_CLAMPED, 20, paper_weights(), noise_std=0.3,
+                                     skip_clamped=skip_clamped)
+            for skip_clamped in (False, True)
+        ]
+        return labeled, generate_sessions(_MOSTLY_CLAMPED, 20)
+
+    expected = generate()
+    with mock.patch.object(synth, "_ROUND_SESSIONS", round_sessions):
+        assert generate() == expected
 
 
 def test_noise_is_seeded_and_bounded() -> None:

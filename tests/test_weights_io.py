@@ -1,17 +1,24 @@
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hasqoe import (
     DOWN_SWITCH_BINS,
     GeneratorConfig,
+    InterruptionEvent,
     ModelWeights,
+    SessionTrace,
     UsageError,
     ValidationError,
     generate_sessions,
     paper_weights,
 )
 from hasqoe import io
+from hasqoe.traces import columns_of
 
 REFERENCE_ALPHA = (1.11, 2.20, 3.20, 4.00, 4.50)
 REFERENCE_BETA_DOWN = {
@@ -157,6 +164,41 @@ def test_write_dataset_in_slices_writes_one_array(tmp_path, monkeypatch, slice_s
     assert path.read_text() == whole + "\n"
     io.write_dataset([], str(path))
     assert path.read_text() == "[]\n"
+
+
+@st.composite
+def written_sessions(draw):
+    """A session with integer or float qualities, often one segment or no stall, maybe a label and tag."""
+    segments = draw(st.lists(st.integers(1, 5) | st.floats(1.0, 5.0), min_size=1, max_size=6))
+    stalls = st.builds(InterruptionEvent, st.integers(1, len(segments)), st.floats(1e-6, 50.0))
+    return SessionTrace(
+        segments,
+        draw(st.lists(stalls, max_size=3)),
+        draw(st.none() | st.integers(1, 5) | st.floats(1.0, 5.0)),
+        draw(st.none() | st.text(max_size=3)),
+    )
+
+
+@settings(max_examples=300)
+@given(st.lists(written_sessions(), max_size=10), st.sampled_from([1, 2, 3, io._WRITE_SLICE]))
+def test_columnar_encoder_writes_what_to_dict_gives(sessions, slice_size) -> None:
+    expected = json.dumps([s.to_dict() for s in sessions], separators=(",", ":")) + "\n"
+    with mock.patch.object(io, "_WRITE_SLICE", slice_size):
+        assert "".join(io._dataset_pieces(*columns_of(sessions))) == expected
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_written_files_follow_the_umask(tmp_path, umask) -> None:
+    path = tmp_path / "out.json"
+    previous = os.umask(umask)
+    try:
+        io.write_json({"a": 1}, str(path))
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        path.chmod(0o640)  # a file that is replaced takes the umask's mode, not its own
+        io.write_dataset(generate_sessions(GeneratorConfig(rng_seed=3), 2), str(path))
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    finally:
+        os.umask(previous)
 
 
 def test_external_predictions_csv(tmp_path) -> None:
