@@ -7,15 +7,19 @@ a run of sessions at a time.  Weights, baseline coefficients and
 evaluation reports are single JSON objects, written indented.  CSV
 outputs round to 6 decimal places; JSON keeps full precision.  All file
 writes go through a temp-file-and-rename so readers never observe
-partial output.
+partial output; through a symlink the rename lands on the link's target,
+and an existing target that is not a regular file is written in place.
 
 Session files have two readers.  :func:`read_dataset` decodes a file
-into a batch with its labels and tags (``model._SessionBatch``), and
-checks every value in numpy; it builds no ``SessionTrace``.
-:func:`read_sessions` builds one validated ``SessionTrace`` per record
-(``traces.sessions_from_records``).  A file the columns reject is read
-again by the latter, so that its errors, their messages and which one
-comes first are defined once.
+into a batch with its labels and tags (``model._SessionBatch``) a run of
+sessions at a time: a JSON array an element at a time with the stdlib
+scanner, NDJSON a line at a time, and each run of at most
+``model._CHUNK_SEGMENTS`` segments into columns checked in numpy, so one
+run's decoded values are alive at once; it builds no ``SessionTrace``.
+:func:`read_sessions` decodes the whole file and builds one validated
+``SessionTrace`` per record (``traces.sessions_from_records``).  A file
+the scan or the columns reject is read again by the latter, so that its
+errors, their messages and which one comes first are defined once.
 
 Session files have one writer, :func:`write_dataset`, which encodes a
 batch; given traces, it converts them to a batch first.
@@ -27,6 +31,7 @@ import csv
 import json
 import math
 import os
+import stat
 import tempfile
 from importlib import resources
 from io import StringIO
@@ -35,6 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import model
 from .baselines import BaselineCoefficients
 from .errors import UsageError
 from .model import (
@@ -43,6 +49,7 @@ from .model import (
     MAX_MOS,
     MIN_MOS,
     ModelWeights,
+    _concatenate,
     _SessionBatch,
     paper_weights,
 )
@@ -58,9 +65,20 @@ def _atomic_write(path: str, pieces) -> None:
     """Write the strings ``pieces`` yields to ``path`` via a temp file in the same directory.
 
     The file gets the mode ``open`` would give a new file, ``0o666`` less the umask, rather
-    than the temp file's owner-only one.
+    than the temp file's owner-only one.  A symlink's target is written, and the link kept;
+    an existing file that is not a regular one (a FIFO, a device) is written in place, as the
+    rename would replace it.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no file yet, or an error that creating the temp file reports, as before
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+        return
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         umask = os.umask(0o077)  # the umask can only be read by setting it
@@ -191,18 +209,71 @@ def _columns(records: list):
 def dataset_from_text(text: str, source: str) -> _SessionBatch:
     """:func:`sessions_from_text` as a batch, with the labels (NaN for none) and tags.
 
-    A file the column checks do not pass is read again by
-    :func:`sessions_from_text`, which raises its error.
+    A file the scan or the column checks of :func:`_streamed_batch` do not
+    pass is read again by :func:`sessions_from_text`, which raises its error.
     """
     try:
-        batch = _columns(list(_records(text, source)))
-    except UsageError:
+        batch = _streamed_batch(text, source)
+    except (UsageError, ValueError):  # an undecodable line, or a failed scan of an array
         batch = None
     if batch is None:
         from .traces import batch_of
 
         batch = batch_of(sessions_from_text(text, source))
     return batch
+
+
+def _streamed_batch(text: str, source: str):
+    """The batch of a session file decoded a run at a time, or None where a run fails the checks.
+
+    A JSON array is decoded an element at a time, and NDJSON a line at a
+    time, so only one run's decoded values are alive at once.
+    """
+    start = json.decoder.WHITESPACE.match(text).end()
+    array = text.startswith("[", start)
+    records = _array_elements(text, start) if array else _records(text, source)
+    batches = []
+    for batch in map(_columns, _record_runs(records)):
+        if batch is None:
+            return None
+        batches.append(batch)
+    return _concatenate(batches)
+
+
+def _array_elements(text: str, start: int):
+    """Each element of the JSON array that opens at ``text[start]``, decoded by the stdlib scanner.
+
+    Raises ``ValueError`` at the first element it cannot scan, an empty array's
+    ``]`` included, and after the last one if anything but whitespace follows
+    the ``]``; so it yields every element only of a text ``json.loads`` takes.
+    """
+    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    end = start  # at the "[" or "," before each element
+    while True:
+        record, end = decode(text, skip(text, end + 1).end())
+        yield record
+        end = skip(text, end).end()
+        if not text.startswith(",", end):
+            break
+    if not text.startswith("]", end) or skip(text, end + 1).end() != len(text):
+        raise ValueError("not one JSON array")
+
+
+def _record_runs(records):
+    """Lists of consecutive records, cut as ``model._run_rows`` cuts a batch's sessions.
+
+    A record without a list of segments counts as one segment; :func:`_columns` rejects it.
+    """
+    run, size = [], 0
+    for record in records:
+        segments = record.get("segments") if type(record) is dict else None
+        length = len(segments) if type(segments) is list else 1
+        if run and size + length > model._CHUNK_SEGMENTS:
+            yield run
+            run, size = [], 0
+        run.append(record)
+        size += length
+    yield run
 
 
 def read_dataset(path: str) -> _SessionBatch:

@@ -244,6 +244,11 @@ class _SessionBatch(NamedTuple):
                              self.tags[keep])
 
 
+def _concatenate(batches) -> _SessionBatch:
+    """The batch of the sessions of ``batches``, in order."""
+    return _SessionBatch(*map(np.concatenate, zip(*batches)))
+
+
 def _runs(sessions):
     """The session count and :meth:`~_SessionBatch.runs` of a ``_SessionBatch`` or of traces."""
     if not isinstance(sessions, _SessionBatch):

@@ -34,6 +34,7 @@ from .model import (
     MAX_MOS,
     MIN_MOS,
     ModelWeights,
+    _concatenate,
     _feature_rows,
     _json_integer,
     _json_number,
@@ -308,11 +309,6 @@ _ROUND_SESSIONS = 8192
 def _draw(config: GeneratorConfig, root: np.random.SeedSequence, size: int):
     """:func:`_sessions` of the next ``size`` substreams of ``root``."""
     return _sessions(config, map(np.random.default_rng, root.spawn(size)))
-
-
-def _concatenate(batches) -> _SessionBatch:
-    """The batch of the sessions of ``batches``, in order."""
-    return _SessionBatch(*map(np.concatenate, zip(*batches)))
 
 
 def generate_session(

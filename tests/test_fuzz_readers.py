@@ -7,12 +7,15 @@ arrays, objects and integers beyond the float range.  Whatever parses
 must also be usable: weights and coefficients are finite floats, and a
 generator config generates a session.  The columnar session reader
 (``io.dataset_from_text``) is checked against the per-record one
-(``io.sessions_from_text``) on such files, in all three file shapes.
+(``io.sessions_from_text``) on such files, in all three file shapes,
+with runs of one session up to the default size, and on arrays that only
+a whole-file decode would reject.
 """
 
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from hasqoe import (
     feature_matrix,
     generate_sessions,
     io,
+    model,
     paper_weights,
 )
 from hasqoe.traces import batch_of
@@ -241,6 +245,64 @@ def assert_readers_agree(text: str) -> None:
 @given(session_files())
 def test_the_column_reader_matches_the_per_record_reader(text) -> None:
     assert_readers_agree(text)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@settings(max_examples=300)
+@given(text=session_files())
+def test_the_column_reader_matches_across_run_boundaries(bound, text) -> None:
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):  # a run of one or a few sessions
+        assert_readers_agree(text)
+
+
+A, B = '{"segments": [3.0]}', '{"segments": [4.0, 2.5], "mos": 3.0}'
+
+
+@pytest.mark.parametrize("bound", [1, 2, model._CHUNK_SEGMENTS])
+@pytest.mark.parametrize(
+    ("text", "error", "message"),
+    [
+        ("[", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 2 (char 1)"),
+        ("[]", UsageError, "f.json: no sessions"),
+        ("[ ]", UsageError, "f.json: no sessions"),
+        (" \n[ ]\t", UsageError, "f.json: no sessions"),
+        (f"[{A}, {B},]", UsageError,
+         "f.json: invalid JSON: Expecting value: line 1 column 60 (char 59)"),
+        (f"[{A} {B}]", UsageError,
+         "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+        (f"[{A}, {B}] x", UsageError,
+         "f.json: invalid JSON: Extra data: line 1 column 61 (char 60)"),
+        (f"[{A}, {B}]]", UsageError,
+         "f.json: invalid JSON: Extra data: line 1 column 60 (char 59)"),
+        (f"\n [{A},\n {B}] x\n", UsageError,
+         "f.json: invalid JSON: Extra data: line 3 column 40 (char 63)"),
+        (f'[{A}, {{"segments": [3.0, NaN]}}]', ValidationError,
+         "session 1: segment 1 quality nan outside [1.0, 5.0]"),
+        (f"[{A}, [{B}]]", UsageError, "session 1: session record must be an object, got list"),
+    ],
+)
+def test_the_column_reader_rejects_arrays_as_the_whole_file_decoder_does(
+        text, error, message, bound) -> None:
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):
+        for read in (io.dataset_from_text, io.sessions_from_text):
+            with pytest.raises(error) as raised:
+                read(text, "f.json")
+            assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, model._CHUNK_SEGMENTS])
+def test_the_column_reader_scans_arrays_without_a_whole_file_decode(monkeypatch, bound) -> None:
+    records = [json.loads(A), json.loads(B), SESSIONS[0], SESSIONS[1], json.loads(B)]
+    text = " \n\t[" + ",\n  ".join(map(json.dumps, records)) + "]\r\n "
+    expected = batch_of(io.sessions_from_text(text, "inline"))
+
+    def whole_file(*args):
+        raise AssertionError("decoded as a whole")
+
+    monkeypatch.setattr(io, "_parse_json", whole_file)
+    monkeypatch.setattr(io, "sessions_from_text", whole_file)
+    monkeypatch.setattr(model, "_CHUNK_SEGMENTS", bound)
+    columns_equal(io.dataset_from_text(text, "inline"), expected)
 
 
 def _session(**fields) -> str:

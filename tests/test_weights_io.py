@@ -1,7 +1,11 @@
 import json
 import os
+import stat
+import threading
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from hasqoe import (
     SessionTrace,
     UsageError,
     ValidationError,
+    generate_labeled_dataset,
     generate_sessions,
     paper_weights,
 )
@@ -157,6 +162,23 @@ def test_dataset_round_trip(tmp_path) -> None:
     assert io.read_sessions(str(path)) == sessions
 
 
+def test_reading_a_dataset_holds_one_run_of_decoded_records(tmp_path) -> None:
+    dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=5), 5000, paper_weights(),
+                                       noise_std=0.2)
+    path = tmp_path / "ds.json"
+    io.write_dataset(dataset.batch, str(path))
+    text = path.read_text()
+    tracemalloc.start()
+    try:
+        batch = io.dataset_from_text(text, "ds.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(map(np.array_equal, batch, dataset.batch))
+    # A whole-file decode peaks at about 8x the columns' bytes; one run at a time, at about 2.3x.
+    assert peak < 3 * sum(column.nbytes for column in batch)
+
+
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 def test_write_dataset_in_slices_writes_one_array(tmp_path, monkeypatch, chunk) -> None:
     sessions = generate_sessions(GeneratorConfig(rng_seed=3), 7)
@@ -202,6 +224,36 @@ def test_written_files_follow_the_umask(tmp_path, umask) -> None:
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
     finally:
         os.umask(previous)
+
+
+def test_a_symlinked_output_writes_the_links_target(tmp_path) -> None:
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    io.write_json({"a": 1}, str(link))
+    assert link.is_symlink() and target.read_text() == '{\n  "a": 1\n}\n'
+
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "new.json")
+    io.write_json({"b": 2}, str(dangling))
+    assert dangling.is_symlink() and (tmp_path / "new.json").read_text() == '{\n  "b": 2\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.json", "link.json", "new.json", "target.json"]  # no temp file left
+
+
+def test_a_fifo_output_is_written_in_place(tmp_path) -> None:
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    sessions = generate_sessions(GeneratorConfig(rng_seed=3), 300)  # more than a pipe buffer
+    io.write_dataset(sessions, str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    expected = json.dumps([s.to_dict() for s in sessions], separators=(",", ":")) + "\n"
+    assert len(expected) > 1 << 16 and received == [expected]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 def test_external_predictions_csv(tmp_path) -> None:
