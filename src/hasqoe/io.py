@@ -10,16 +10,16 @@ writes go through a temp-file-and-rename so readers never observe
 partial output; through a symlink the rename lands on the link's target,
 and an existing target that is not a regular file is written in place.
 
-Session files have two readers.  :func:`read_dataset` decodes a file
+Session files have one reader.  :func:`read_dataset` decodes a file
 into a batch with its labels and tags (``model._SessionBatch``) a run of
 sessions at a time: a JSON array an element at a time with the stdlib
 scanner, NDJSON a line at a time, and each run of at most
 ``model._CHUNK_SEGMENTS`` segments into columns checked in numpy, so one
 run's decoded values are alive at once; it builds no ``SessionTrace``.
-:func:`read_sessions` decodes the whole file and builds one validated
-``SessionTrace`` per record (``traces.sessions_from_records``).  A file
-the scan or the columns reject is read again by the latter, so that its
-errors, their messages and which one comes first are defined once.
+A run the columns reject goes, alone, to the per-record reader
+(``traces.sessions_from_records``), which raises its first error; so
+the first fault in file order is reported, whatever the shape or run
+size.  :func:`read_sessions` gives the batch's sessions as traces.
 
 Session files have one writer, :func:`write_dataset`, which encodes a
 batch; given traces, it converts them to a batch first.
@@ -31,11 +31,12 @@ import csv
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from importlib import resources
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -107,42 +108,65 @@ def _read_text(path: str) -> str:
 def _parse_json(text: str, source: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise UsageError(f"{source}: invalid JSON: {exc}") from None
 
 
 def _records(text: str, source: str):
     """The JSON value of each session of a file: a single object, a JSON array, or NDJSON lines.
 
-    NDJSON lines are decoded one at a time as the values are consumed, so
-    that a bad session is reported before a later undecodable line.
+    Array elements and NDJSON lines are decoded one at a time as the
+    values are consumed, so that a bad session is reported before a later
+    undecodable element or line.
     """
-    stripped = text.lstrip()
-    if not stripped:
+    start = re.match(r"\s*", text).end()  # the whitespace of str.isspace, without a copy
+    if start == len(text):
         raise UsageError(f"{source}: empty file")
-    if stripped.startswith("["):
-        data = _parse_json(text, source)
-        if not data:
-            raise UsageError(f"{source}: no sessions")
-        return data
+    if text.startswith("[", start):
+        return _array_elements(text, start, source)
     try:
         return [json.loads(text)]
-    except json.JSONDecodeError:
-        # Multiple top-level values: treat as newline-delimited JSON.
-        lines = (line for line in text.splitlines() if line.strip())
-        return (_parse_json(line, f"{source} line {k}") for k, line in enumerate(lines))
+    except json.JSONDecodeError:  # multiple top-level values: newline-delimited JSON
+        pass
+    except RecursionError as exc:
+        raise UsageError(f"{source}: invalid JSON: {exc}") from None
+    # The non-blank lines of str.splitlines, a piece between two "\n"s (".+") at a time.
+    pieces = map(re.Match.group, re.finditer(".+", text))
+    lines = (line for piece in pieces for line in piece.splitlines() if line.strip())
+    return (_parse_json(line, f"{source} line {k}") for k, line in enumerate(lines))
 
 
-def sessions_from_text(text: str, source: str) -> list:
-    """Parse ``SessionTrace`` objects from a single object, a JSON array, or NDJSON lines."""
-    from .traces import sessions_from_records
+def _array_elements(text: str, start: int, source: str):
+    """Each element of the JSON array that opens at ``text[start]``, decoded by the stdlib scanner.
 
-    return sessions_from_records(_records(text, source))
+    Where the scan fails, an empty array's ``]`` included, or after the last
+    element if the text is not one JSON array, raises the error of ``json.loads``
+    on the whole text, so the text is decoded whole only to explain a fault.
+    """
+    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    end = start  # at the "[" or "," before each element
+    try:
+        if skip(text, 0).end() == start:  # only JSON whitespace before the "["
+            while True:
+                record, end = decode(text, skip(text, end + 1).end())
+                yield record
+                end = skip(text, end).end()
+                if not text.startswith(",", end):
+                    break
+            if text.startswith("]", end) and skip(text, end + 1).end() == len(text):
+                return
+    except (json.JSONDecodeError, RecursionError):
+        pass
+    if _parse_json(text, source):
+        raise AssertionError(f"{source}: the scan rejected a JSON array that json.loads reads")
+    raise UsageError(f"{source}: no sessions")
 
 
 def read_sessions(path: str) -> list:
     """Read a session file into ``SessionTrace`` objects: single object, JSON array, or NDJSON lines."""
-    return sessions_from_text(_read_text(path), path)
+    from .traces import traces_of
+
+    return traces_of(read_dataset(path))
 
 
 _DICTS, _LISTS = frozenset((dict,)), frozenset((list,))
@@ -207,73 +231,47 @@ def _columns(records: list):
 
 
 def dataset_from_text(text: str, source: str) -> _SessionBatch:
-    """:func:`sessions_from_text` as a batch, with the labels (NaN for none) and tags.
+    """The batch of a session file, with the labels (NaN for none) and tags, read a run at a time.
 
-    A file the scan or the column checks of :func:`_streamed_batch` do not
-    pass is read again by :func:`sessions_from_text`, which raises its error.
+    Each run of records goes into columns before the next is decoded, and
+    nothing holds a run once it is in columns.
     """
-    try:
-        batch = _streamed_batch(text, source)
-    except (UsageError, ValueError):  # an undecodable line, or a failed scan of an array
-        batch = None
-    if batch is None:
-        from .traces import batch_of
+    return _concatenate(starmap(_run_batch, _record_runs(_records(text, source))))
 
-        batch = batch_of(sessions_from_text(text, source))
+
+def _run_batch(start: int, run: list) -> _SessionBatch:
+    """The batch of a list of records, the first of which has index ``start`` in its file.
+
+    A run the column checks reject goes, alone, to the per-record reader, which raises its error.
+    """
+    batch = _columns(run)
+    if batch is None:
+        from .traces import batch_of, sessions_from_records
+
+        batch = batch_of(sessions_from_records(run, start))
     return batch
 
 
-def _streamed_batch(text: str, source: str):
-    """The batch of a session file decoded a run at a time, or None where a run fails the checks.
-
-    A JSON array is decoded an element at a time, and NDJSON a line at a
-    time, so only one run's decoded values are alive at once.
-    """
-    start = json.decoder.WHITESPACE.match(text).end()
-    array = text.startswith("[", start)
-    records = _array_elements(text, start) if array else _records(text, source)
-    batches = []
-    for batch in map(_columns, _record_runs(records)):
-        if batch is None:
-            return None
-        batches.append(batch)
-    return _concatenate(batches)
-
-
-def _array_elements(text: str, start: int):
-    """Each element of the JSON array that opens at ``text[start]``, decoded by the stdlib scanner.
-
-    Raises ``ValueError`` at the first element it cannot scan, an empty array's
-    ``]`` included, and after the last one if anything but whitespace follows
-    the ``]``; so it yields every element only of a text ``json.loads`` takes.
-    """
-    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
-    end = start  # at the "[" or "," before each element
-    while True:
-        record, end = decode(text, skip(text, end + 1).end())
-        yield record
-        end = skip(text, end).end()
-        if not text.startswith(",", end):
-            break
-    if not text.startswith("]", end) or skip(text, end + 1).end() != len(text):
-        raise ValueError("not one JSON array")
-
-
 def _record_runs(records):
-    """Lists of consecutive records, cut as ``model._run_rows`` cuts a batch's sessions.
+    """Each list of consecutive records, cut as ``model._run_rows`` cuts, with its first's index.
 
     A record without a list of segments counts as one segment; :func:`_columns` rejects it.
+    The run in front of an undecodable record is yielded, to be checked, before it is reported.
     """
-    run, size = [], 0
-    for record in records:
-        segments = record.get("segments") if type(record) is dict else None
-        length = len(segments) if type(segments) is list else 1
-        if run and size + length > model._CHUNK_SEGMENTS:
-            yield run
-            run, size = [], 0
-        run.append(record)
-        size += length
-    yield run
+    start, run, size = 0, [], 0
+    try:
+        for record in records:
+            segments = record.get("segments") if type(record) is dict else None
+            length = len(segments) if type(segments) is list else 1
+            if run and size + length > model._CHUNK_SEGMENTS:
+                yield start, run
+                start, run, size = start + len(run), [], 0
+            run.append(record)
+            size += length
+    except UsageError:
+        yield start, run
+        raise
+    yield start, run
 
 
 def read_dataset(path: str) -> _SessionBatch:
@@ -326,13 +324,8 @@ def _bundled_example() -> str:
     return resources.files("hasqoe").joinpath("data/example_session.json").read_text("utf-8")
 
 
-def example_sessions() -> list:
-    """The tiny demo ``SessionTrace`` bundled with the package (constant 5.0 MOS)."""
-    return sessions_from_text(_bundled_example(), "example_session.json")
-
-
 def example_dataset() -> _SessionBatch:
-    """:func:`example_sessions` as a batch (see :func:`dataset_from_text`)."""
+    """The tiny demo session bundled with the package (constant 5.0 MOS), as a batch."""
     return dataset_from_text(_bundled_example(), "example_session.json")
 
 

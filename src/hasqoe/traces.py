@@ -6,8 +6,8 @@ reads, counts, labels and writes sessions as the columns of a
 ``model._SessionBatch``.  This module holds what only traces need:
 
 * the per-record reader (:func:`sessions_from_records`), which
-  ``io`` falls back on for a file its column checks reject, so that
-  every error message is defined once;
+  explains a run of records that the column checks of ``io``'s one
+  reader reject, so that every error message is defined once;
 * the conversions between traces and a batch with its labels and tags
   (:func:`batch_of`, :func:`traces_of`);
 * the scalar, per-session model: :func:`bin_quality`,
@@ -166,10 +166,13 @@ class SessionTrace:
             raise UsageError("'segments' must be an array of numbers") from None
 
 
-def sessions_from_records(records) -> list[SessionTrace]:
-    """One :class:`SessionTrace` per decoded JSON record; an error names the record's index."""
+def sessions_from_records(records, start: int = 0) -> list[SessionTrace]:
+    """One :class:`SessionTrace` per decoded JSON record; an error names the record's index.
+
+    The first record has index ``start``, as when it is not the first of its file.
+    """
     traces = []
-    for index, obj in enumerate(records):
+    for index, obj in enumerate(records, start):
         try:
             traces.append(SessionTrace.from_dict(obj))
         except (UsageError, ValidationError) as exc:

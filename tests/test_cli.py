@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,30 @@ def test_predict_garbage_json_is_usage_error(tmp_path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("[{not json")
     assert run_cli("predict", "--input", str(bad), "--weights", "paper") == 1
+
+
+@pytest.mark.parametrize(
+    ("option", "before", "after", "line"),
+    [
+        ("--input", '[{"segments": [3.0]}, ', "]", ""),
+        ("--input", '{"segments": ', "}", ""),
+        ("--input", '{"segments": [3.0]}\n', "\n", " line 1"),
+        ("--weights", '{"alpha": ', "}", ""),
+    ],
+    ids=["array", "object", "ndjson", "weights"],
+)
+def test_deeply_nested_json_is_usage_error_without_a_traceback(tmp_path, option, before,
+                                                              after, line) -> None:
+    text = before + "[" * 100_000 + "]" * 100_000 + after
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    files = {"--input": "example", "--weights": "paper", option: str(path)}
+    env = {**os.environ, "PYTHONPATH": str(Path(hasqoe.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "hasqoe.cli", "predict", *chain(*files.items())],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {path}{line}: invalid JSON: maximum recursion depth")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(

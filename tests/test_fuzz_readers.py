@@ -5,16 +5,18 @@ values replaced anywhere inside them, so every field of every nested
 record is reached: by ``NaN``, ``Infinity``, booleans, strings, ``null``,
 arrays, objects and integers beyond the float range.  Whatever parses
 must also be usable: weights and coefficients are finite floats, and a
-generator config generates a session.  The columnar session reader
-(``io.dataset_from_text``) is checked against the per-record one
-(``io.sessions_from_text``) on such files, in all three file shapes,
-with runs of one session up to the default size, and on arrays that only
-a whole-file decode would reject.
+generator config generates a session.  The session reader
+(``io.dataset_from_text``) is checked against a whole-file reference
+(:func:`whole_file_sessions`) on such files, in all three file shapes,
+with runs of one session up to the default size, on arrays that only a
+whole-file decode would reject, and on files with two faults, of which
+it reports the first in file order.
 """
 
 import dataclasses
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -38,8 +40,9 @@ from hasqoe import (
     io,
     model,
     paper_weights,
+    traces,
 )
-from hasqoe.traces import batch_of
+from hasqoe.traces import batch_of, sessions_from_records
 
 scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 json_values = st.recursive(
@@ -97,7 +100,7 @@ def parses(read, value) -> bool:
 
 
 def read_sessions(value):
-    return io.sessions_from_text(json.dumps(value), "fuzz")
+    return io.dataset_from_text(json.dumps(value), "fuzz")
 
 
 @settings(max_examples=300)
@@ -119,7 +122,7 @@ SESSIONS = [
 @given(mutants(SESSIONS, SESSIONS[0]), st.booleans())
 def test_session_files(value, ndjson) -> None:
     if ndjson and isinstance(value, list):
-        parses(lambda v: io.sessions_from_text("\n".join(map(json.dumps, v)), "fuzz"), value)
+        parses(lambda v: io.dataset_from_text("\n".join(map(json.dumps, v)), "fuzz"), value)
     else:
         parses(read_sessions, value)
 
@@ -197,6 +200,35 @@ def session_files(draw):
     return json.dumps(records if shape == "array" else [])
 
 
+def _loads(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{source}: invalid JSON: {exc}") from None
+
+
+def whole_file_sessions(text: str, source: str) -> list:
+    """The reference reader: ``json.loads`` of the whole text, or of each non-blank line.
+
+    A single object is one record, an array its elements, and anything else
+    NDJSON; then one ``SessionTrace`` per record, with the per-record reader.
+    """
+    stripped = text.lstrip()
+    if not stripped:
+        raise UsageError(f"{source}: empty file")
+    if stripped.startswith("["):
+        records = _loads(text, source)
+        if not records:
+            raise UsageError(f"{source}: no sessions")
+    else:
+        try:
+            records = [json.loads(text)]
+        except json.JSONDecodeError:
+            lines = (line for line in text.splitlines() if line.strip())
+            records = (_loads(line, f"{source} line {k}") for k, line in enumerate(lines))
+    return sessions_from_records(records)
+
+
 def outcome(read, *args):
     """``("ok", result)``, or ``("error", type, message)`` of a reader's own error."""
     try:
@@ -217,8 +249,8 @@ def columns_equal(got, expected) -> None:
 
 
 def assert_readers_agree(text: str) -> None:
-    """The column reader gives the per-record reader's columns, or raises its error."""
-    expected = outcome(io.sessions_from_text, text, "fuzz")
+    """The column reader gives the whole-file reference's columns, or raises its error."""
+    expected = outcome(whole_file_sessions, text, "fuzz")
     got = outcome(io.dataset_from_text, text, "fuzz")
     if expected[0] == "error":
         assert got == expected
@@ -258,7 +290,10 @@ def test_the_column_reader_matches_across_run_boundaries(bound, text) -> None:
 A, B = '{"segments": [3.0]}', '{"segments": [4.0, 2.5], "mos": 3.0}'
 
 
-@pytest.mark.parametrize("bound", [1, 2, model._CHUNK_SEGMENTS])
+BOUNDS = [1, 2, 3, model._CHUNK_SEGMENTS]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize(
     ("text", "error", "message"),
     [
@@ -284,23 +319,92 @@ A, B = '{"segments": [3.0]}', '{"segments": [4.0, 2.5], "mos": 3.0}'
 def test_the_column_reader_rejects_arrays_as_the_whole_file_decoder_does(
         text, error, message, bound) -> None:
     with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):
-        for read in (io.dataset_from_text, io.sessions_from_text):
-            with pytest.raises(error) as raised:
-                read(text, "f.json")
-            assert type(raised.value) is error and str(raised.value) == message
+        for read in (io.dataset_from_text, whole_file_sessions):
+            assert outcome(read, text, "f.json") == ("error", error, message)
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, model._CHUNK_SEGMENTS])
-def test_the_column_reader_scans_arrays_without_a_whole_file_decode(monkeypatch, bound) -> None:
-    records = [json.loads(A), json.loads(B), SESSIONS[0], SESSIONS[1], json.loads(B)]
-    text = " \n\t[" + ",\n  ".join(map(json.dumps, records)) + "]\r\n "
-    expected = batch_of(io.sessions_from_text(text, "inline"))
+BAD = '{"segments": [3.0, 7.0]}'
+BAD_MESSAGE = "session 1: segment 1 quality 7.0 outside [1.0, 5.0]"
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize(
+    ("text", "error", "message"),
+    [
+        (f"[{A}, {BAD}, {B},]", ValidationError, BAD_MESSAGE),
+        (f"[{A}, {BAD}, {B}] x", ValidationError, BAD_MESSAGE),
+        (f"[{A} {B}, {BAD}]", UsageError,
+         "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+        (f"[{A}, {B},, {BAD}]", UsageError,
+         "f.json: invalid JSON: Expecting value: line 1 column 60 (char 59)"),
+        (f"{A}\n{BAD}\n{{x\n", ValidationError, BAD_MESSAGE),
+        (f"{A}\n{{x\n{BAD}\n", UsageError,
+         "f.json line 1: invalid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (f"\x0b[{A}]", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (f"\xa0[{A}]", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[] x", UsageError, "f.json: invalid JSON: Extra data: line 1 column 4 (char 3)"),
+        (f"[{A}, {B}", UsageError,
+         "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 59 (char 58)"),
+    ],
+)
+def test_the_first_fault_in_file_order_is_reported(text, error, message, bound) -> None:
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):
+        assert outcome(io.dataset_from_text, text, "f.json") == ("error", error, message)
+    # A whole-file decode reports an array's syntax fault first, wherever it is.
+    if not (text.startswith("[") and error is ValidationError):
+        assert outcome(whole_file_sessions, text, "f.json") == ("error", error, message)
+
+
+def test_a_rejected_run_is_explained_on_its_own(monkeypatch) -> None:
+    records = [json.loads(A), json.loads(B), json.loads(A), json.loads(BAD), json.loads(B)]
+    seen = []
+
+    def spy(run, start=0):
+        seen.append((list(run), start))
+        return sessions_from_records(run, start)
 
     def whole_file(*args):
         raise AssertionError("decoded as a whole")
 
+    monkeypatch.setattr(traces, "sessions_from_records", spy)
     monkeypatch.setattr(io, "_parse_json", whole_file)
-    monkeypatch.setattr(io, "sessions_from_text", whole_file)
+    monkeypatch.setattr(model, "_CHUNK_SEGMENTS", 1)
+    with pytest.raises(ValidationError) as raised:
+        io.dataset_from_text(json.dumps(records), "f.json")
+    assert str(raised.value) == "session 3: segment 1 quality 7.0 outside [1.0, 5.0]"
+    assert seen == [([records[3]], 3)]
+
+
+LINE_PIECES = st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                               "\u2028", "\u2029", " ", "\t", "\x1f", "\xa0", "a", "b"])
+
+
+@settings(max_examples=300)
+@given(st.lists(LINE_PIECES, max_size=12).map("".join))
+def test_ndjson_lines_are_split_as_splitlines_splits_them(text) -> None:
+    expected = [line for line in text.splitlines() if line.strip()]
+    with mock.patch.object(io, "_parse_json", lambda line, source: line):
+        assert outcome(lambda: list(io._records(text, "f"))) == (
+            ("ok", expected) if expected else ("error", UsageError, "f: empty file"))
+
+
+def test_leading_whitespace_is_what_str_isspace_calls_whitespace() -> None:
+    chars = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_the_column_reader_scans_arrays_without_a_whole_file_decode(monkeypatch, bound) -> None:
+    records = [json.loads(A), json.loads(B), SESSIONS[0], SESSIONS[1], json.loads(B)]
+    text = " \n\t[" + ",\n  ".join(map(json.dumps, records)) + "]\r\n "
+    expected = batch_of(whole_file_sessions(text, "inline"))
+
+    def whole_file(*args):
+        raise AssertionError("decoded as a whole, or by the per-record reader")
+
+    monkeypatch.setattr(io, "_parse_json", whole_file)
+    monkeypatch.setattr(traces, "sessions_from_records", whole_file)
     monkeypatch.setattr(model, "_CHUNK_SEGMENTS", bound)
     columns_equal(io.dataset_from_text(text, "inline"), expected)
 
@@ -349,11 +453,11 @@ def test_the_column_reader_matches_on_each_check(text) -> None:
     ],
 )
 def test_the_column_reader_takes_valid_files_without_traces(monkeypatch, text) -> None:
-    def unexpected(text, source):
-        raise AssertionError("read again by the per-record reader")
+    def unexpected(*args):
+        raise AssertionError("read by the per-record reader")
 
-    expected = io.dataset_from_text(text, "inline")
-    monkeypatch.setattr(io, "sessions_from_text", unexpected)
+    expected = batch_of(whole_file_sessions(text, "inline"))
+    monkeypatch.setattr(traces, "sessions_from_records", unexpected)
     columns_equal(io.dataset_from_text(text, "inline"), expected)
 
 

@@ -23,7 +23,7 @@ from hasqoe import (
     paper_weights,
 )
 from hasqoe import io, model
-from hasqoe.traces import batch_of
+from hasqoe.traces import batch_of, traces_of
 
 #: Segments per run of the dataset writer: one session per run, a few, and the default.
 CHUNK_SIZES = [1, 2, 3, 7, 100, model._CHUNK_SEGMENTS]
@@ -144,19 +144,10 @@ def test_read_sessions_rejects_garbage(tmp_path) -> None:
 
 
 def test_dataset_round_trip(tmp_path) -> None:
-    sessions = io.sessions_from_text(
-        json.dumps(
-            [
-                {"segments": [5.0, 4.4], "mos": 4.0, "tag": "single-factor"},
-                {
-                    "segments": [2.0, 2.0, 3.0],
-                    "interruptions": [{"after_segment": 2, "duration_s": 1.5}],
-                    "mos": 2.2,
-                },
-            ]
-        ),
-        "inline",
-    )
+    sessions = [
+        SessionTrace([5.0, 4.4], (), 4.0, "single-factor"),
+        SessionTrace([2.0, 2.0, 3.0], [InterruptionEvent(2, 1.5)], 2.2),
+    ]
     path = tmp_path / "ds.json"
     io.write_dataset(sessions, str(path))
     assert io.read_sessions(str(path)) == sessions
@@ -270,6 +261,6 @@ def test_external_predictions_csv(tmp_path) -> None:
 
 
 def test_example_sessions_bundled() -> None:
-    sessions = io.example_sessions()
+    sessions = traces_of(io.example_dataset())
     assert len(sessions) == 1
     assert set(sessions[0].segments) == {5.0}
