@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model import _json_number, _json_record, _runs, _SessionBatch
+from .model import _batch, _json_number, _json_record, _SessionBatch
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -131,9 +131,9 @@ def baseline_matrix(sessions, names) -> np.ndarray:
             raise UsageError(
                 f"unknown statistic {name!r}; known statistics: {sorted(_KNOWN_STATISTICS)}"
             )
-    n_sessions, runs = _runs(sessions)
-    matrix = np.ones((n_sessions, len(names) + 1))
-    for rows, run in runs:
+    batch = _batch(sessions)
+    matrix = np.ones((len(batch.lengths), len(names) + 1))
+    for rows, run in batch.runs():
         statistics = _run_statistics(run)
         for column, name in enumerate(names):
             matrix[rows, column] = statistics[name]

@@ -76,7 +76,7 @@ def cmd_predict(args) -> None:
 
 
 def cmd_fit(args) -> None:
-    dataset = LabeledDataset.from_columns(io.read_dataset(args.input))
+    dataset = LabeledDataset(io.read_dataset(args.input))
     report = fit(dataset, nonnegative=args.nonnegative)
     io.write_weights(report.weights, args.output)
     if args.report:
@@ -115,27 +115,33 @@ _PROTOCOL_DEFAULTS = {"test_size": 90, "test_pool": "multi-factor", "seed": 0, "
 
 
 def cmd_evaluate(args) -> None:
-    dataset = LabeledDataset.from_columns(io.read_dataset(args.input))
-    truths = dataset.labels()
-    compensate = not args.no_compensation
-
+    # The flags are checked before the input is read, so a wrong one costs no decoding.
     if args.coefficients is not None and args.baseline is None:
         raise UsageError("--coefficients only makes sense with --baseline")
     if args.nonnegative and not args.refit:
         raise UsageError("--nonnegative only makes sense with --refit")
-
     given = {name: getattr(args, name) for name in _PROTOCOL_DEFAULTS
              if getattr(args, name) is not None}
+    options = {**_PROTOCOL_DEFAULTS, **given}
     if args.splits is not None:
         if args.external_predictions:
             raise UsageError("--external-predictions cannot be combined with --splits")
-        options = {**_PROTOCOL_DEFAULTS, **given}
         protocol = SplitProtocol(
             n_repetitions=args.splits,
             test_size=options["test_size"],
             test_pool=options["test_pool"],
             rng_seed=options["seed"],
         )
+    elif args.refit:
+        raise UsageError("--refit only makes sense with --splits")
+    elif given:
+        flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
+        raise UsageError(f"{flags} only make sense with --splits")
+
+    dataset = LabeledDataset(io.read_dataset(args.input))
+    truths = dataset.labels()
+    compensate = not args.no_compensation
+    if args.splits is not None:
         report = run_split_protocol(
             dataset,
             protocol,
@@ -144,11 +150,6 @@ def cmd_evaluate(args) -> None:
             compensation_on=options["compensate_on"],
         )
     else:
-        if args.refit:
-            raise UsageError("--refit only makes sense with --splits")
-        if given:
-            flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
-            raise UsageError(f"{flags} only make sense with --splits")
         if args.external_predictions is not None:
             predictions = _external_predictions(args.external_predictions, len(dataset))
         else:

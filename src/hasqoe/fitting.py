@@ -12,9 +12,10 @@ rarely populated bins the design can be rank-deficient, in which case the
 minimum-norm solution is returned and ``condition_warning`` is set.  The
 clamp at 1.0 MOS is applied to the training metrics, not while solving.
 
-A :class:`LabeledDataset` read from a file or made by the generator
-holds a batch with its labels and tags; :func:`fit` reads it, so no
-``SessionTrace`` is built for it.
+A :class:`LabeledDataset` holds a batch with its labels and tags, made
+from traces or given as read from a file or made by the generator;
+:func:`fit` reads the batch, so a dataset given one builds no
+``SessionTrace``.
 """
 
 from __future__ import annotations
@@ -26,32 +27,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateMetricError, UsageError
-from .model import EVENT_SLOTS, ModelWeights, _SessionBatch, feature_matrix
+from .model import EVENT_SLOTS, ModelWeights, _batch, _SessionBatch, feature_matrix
 
 
 class LabeledDataset:
     """Sessions that all carry a ground-truth MOS.
 
-    Built from :class:`~hasqoe.traces.SessionTrace` objects, or by
-    :meth:`from_columns` from a batch with its labels and tags, such as
-    ``io.read_dataset`` decodes a file into.  Fitting and the split
-    protocol read :attr:`batch`, :meth:`labels` and :attr:`tags`; a
-    dataset made from a batch builds its traces only when a caller asks
-    for them.
+    Built from :class:`~hasqoe.traces.SessionTrace` objects, which it
+    keeps as :attr:`sessions`, or from a batch with its labels (NaN for
+    none, which is an error here) and tags, such as ``io.read_dataset``
+    decodes a file into.  Fitting and the split protocol read
+    :attr:`batch`, :meth:`labels` and :attr:`tags`; a dataset made from
+    a batch builds its traces only when a caller asks for them.
     """
 
     def __init__(self, sessions) -> None:
-        from .traces import batch_of
-
-        self.sessions = tuple(sessions)
-        self.batch = _checked(batch_of(self.sessions))
-
-    @classmethod
-    def from_columns(cls, batch: _SessionBatch) -> "LabeledDataset":
-        """The dataset of a batch, whose labels (NaN for none) must all be set."""
-        dataset = cls.__new__(cls)
-        dataset.batch = _checked(batch)
-        return dataset
+        if not isinstance(sessions, _SessionBatch):
+            self.sessions = sessions = tuple(sessions)
+        self.batch = _checked(_batch(sessions))
 
     def __len__(self) -> int:
         return len(self.batch.labels)

@@ -101,8 +101,20 @@ def write_json(data, path: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The UTF-8 text of a file with its line ends read as text mode reads them: CRLF and CR as LF.
+
+    The bytes are freed once decoded, and each replacement frees the text it replaces, so at most
+    two copies of the file are alive at once.
+    """
+    try:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
 
 
 def _parse_json(text: str, source: str):
@@ -246,9 +258,9 @@ def _run_batch(start: int, run: list) -> _SessionBatch:
     """
     batch = _columns(run)
     if batch is None:
-        from .traces import batch_of, sessions_from_records
+        from .traces import sessions_from_records
 
-        batch = batch_of(sessions_from_records(run, start))
+        batch = model._batch(sessions_from_records(run, start))
     return batch
 
 
@@ -285,11 +297,7 @@ def write_dataset(sessions, path: str) -> None:
     ``sessions`` is a sequence of ``SessionTrace`` objects, or a batch with
     its labels (NaN for none) and tags, as :func:`read_dataset` returns it.
     """
-    if not isinstance(sessions, _SessionBatch):
-        from .traces import batch_of
-
-        sessions = batch_of(tuple(sessions))
-    _atomic_write(path, _dataset_pieces(sessions))
+    _atomic_write(path, _dataset_pieces(model._batch(sessions)))
 
 
 def _dataset_pieces(batch: _SessionBatch):
@@ -355,8 +363,8 @@ def read_generator_config(path: str) -> GeneratorConfig:
 def read_external_predictions(path: str) -> dict[int, float]:
     """Read a ``session-id,predicted-mos`` CSV whose first non-blank row may be a header."""
     predictions: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [(k, row) for k, row in enumerate(csv.reader(handle)) if "".join(row).strip()]
+    rows = [(k, row) for k, row in enumerate(csv.reader(StringIO(_read_text(path))))
+            if "".join(row).strip()]
     for n, (k, row) in enumerate(rows):
         try:
             if len(row) != 2 or "_" in row[0] + row[1]:  # int() and float() skip a "_"

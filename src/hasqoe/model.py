@@ -20,8 +20,9 @@ sessions (``_SessionBatch``), in runs of a few thousand segments:
 ``baselines.baseline_matrix`` all count over such runs.  A batch also
 carries each session's label and tag, so a dataset is one value: session
 files are decoded straight into a batch (``io.read_dataset``), the
-generator makes one and the dataset writer encodes one.
-:func:`feature_matrix` takes either a batch or a sequence of traces.
+generator makes one and the dataset writer encodes one.  Every function
+that takes sessions, :func:`feature_matrix` among them, takes either a
+batch or a sequence of traces, and converts traces through :func:`_batch`.
 
 ``SessionTrace``, ``InterruptionEvent`` and the scalar, per-session
 model (``bin_quality``, ``classify_switch``, ``extract_features``,
@@ -205,8 +206,8 @@ class _SessionBatch(NamedTuple):
 
     The last two fields hold each session's label (NaN for none) and tag (an object column of
     ``str`` or None).  A NamedTuple, so ``np.concatenate`` of batches, field by field, is the
-    batch of all their sessions.  ``traces.batch_of`` and ``traces.traces_of`` convert from and
-    to traces.
+    batch of all their sessions.  :func:`_batch` takes traces or a batch to a batch, and
+    ``traces.traces_of`` converts back to traces.
     """
 
     lengths: np.ndarray
@@ -249,13 +250,13 @@ def _concatenate(batches) -> _SessionBatch:
     return _SessionBatch(*map(np.concatenate, zip(*batches)))
 
 
-def _runs(sessions):
-    """The session count and :meth:`~_SessionBatch.runs` of a ``_SessionBatch`` or of traces."""
-    if not isinstance(sessions, _SessionBatch):
-        from .traces import batch_of
+def _batch(sessions) -> _SessionBatch:
+    """A ``_SessionBatch`` as it is, or the batch of a sequence of traces."""
+    if isinstance(sessions, _SessionBatch):
+        return sessions
+    from .traces import batch_of
 
-        sessions = batch_of(tuple(sessions))
-    return len(sessions.lengths), sessions.runs()
+    return batch_of(tuple(sessions))
 
 
 def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,21 +292,16 @@ def _count_into(out: np.ndarray, batch: _SessionBatch) -> None:
     out[:, EVENT_SLOTS] = counts[:, EVENT_SLOTS] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]
 
 
-def _feature_rows(runs, n_sessions: int) -> np.ndarray:
-    """The 22 frequencies of ``n_sessions`` sessions, counted over their ``(rows, run)`` pairs."""
-    matrix = np.zeros((n_sessions, N_PARAMETERS))
-    for rows, run in runs:
-        _count_into(matrix[rows], run)
-    return matrix
-
-
 def feature_matrix(sessions) -> np.ndarray:
     """Each session's 22 histogram frequencies, unsigned, as a row in ``FEATURE_NAMES`` order.
 
-    ``sessions`` is a sequence of traces or a ``_SessionBatch``.
+    ``sessions`` is a sequence of traces or a ``_SessionBatch``, counted a run at a time.
     """
-    n_sessions, runs = _runs(sessions)
-    return _feature_rows(runs, n_sessions)
+    batch = _batch(sessions)
+    matrix = np.zeros((len(batch.lengths), N_PARAMETERS))
+    for rows, run in batch.runs():
+        _count_into(matrix[rows], run)
+    return matrix
 
 
 #: The fields of one entry of a weights file's ``beta_down`` list.

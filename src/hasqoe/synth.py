@@ -35,13 +35,13 @@ from .model import (
     MIN_MOS,
     ModelWeights,
     _concatenate,
-    _feature_rows,
     _json_integer,
     _json_number,
     _json_record,
     _raw_scores,
     _SessionBatch,
     _switch_bins,
+    feature_matrix,
 )
 
 #: Default share of stalls per duration bin: most stalls are short,
@@ -387,7 +387,7 @@ def generate_labeled_dataset(
         size = min(_round_size(needed, attempts, n_kept), max_attempts - attempts, _ROUND_SESSIONS)
         attempts += size
         batch, noise = _draw(config, root, size)
-        raw = _raw_scores(_feature_rows(batch.runs(), size), weights)
+        raw = _raw_scores(feature_matrix(batch), weights)
         labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
         # "not below 1", as the floor reads it: a NaN score from overflowing
         # weights is kept, and its label then fails the check below.
@@ -397,4 +397,4 @@ def generate_labeled_dataset(
             raise ValidationError(f"ground-truth MOS nan outside [{MIN_MOS}, {MAX_MOS}]")
         kept.append(batch._replace(labels=labels).select(keep))
         n_kept += len(kept[-1].lengths)
-    return LabeledDataset.from_columns(_concatenate(kept))
+    return LabeledDataset(_concatenate(kept))

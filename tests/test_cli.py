@@ -799,6 +799,8 @@ _MODE_ERRORS = {
     ("evaluate", "--weights", "paper", "--refit", "--splits", "2"):
         "argument --refit: not allowed with argument --weights",
     ("evaluate",): "one of the arguments --weights --refit --baseline --external-predictions",
+    ("evaluate", "--external-predictions", "p.csv", "--splits", "2"):
+        "--external-predictions cannot be combined with --splits",
 }
 
 
@@ -818,16 +820,42 @@ _MODE_ERRORS = {
         ("evaluate", "--weights", "paper", "--seed", "3"),
         ("evaluate", "--weights", "paper", "--compensate-on", "train"),
         ("evaluate", "--weights", "paper", "--refit", "--splits", "2"),
+        ("evaluate", "--refit"),
+        ("evaluate", "--external-predictions", "p.csv", "--splits", "2"),
         ("evaluate",),
     ],
 )
 def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args) -> None:
     output = tmp_path / "out.json"
     command, *rest = args
-    target = ("--input", labeled_path) if command == "evaluate" else ()
-    assert run_cli(command, *target, "--output", str(output), *rest) == 1
-    assert _MODE_ERRORS.get(args, "only make") in capsys.readouterr().err
-    assert not output.exists()
+    # evaluate checks its flags before it reads the input, so a missing input hides no flag error.
+    inputs = (labeled_path, str(tmp_path / "missing.json")) if command == "evaluate" else (None,)
+    for source in inputs:
+        target = ("--input", source) if source else ()
+        assert run_cli(command, *target, "--output", str(output), *rest) == 1
+        assert _MODE_ERRORS.get(args, "only make") in capsys.readouterr().err
+        assert not output.exists()
+
+
+@pytest.mark.parametrize("kind", ["sessions", "weights", "coefficients", "recipe", "predictions"])
+def test_a_file_that_is_not_utf8_exits_1_with_one_error_line(tmp_path, capsys, labeled_path,
+                                                              kind) -> None:
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"segments": [3.0]}\n0,3.5\xff\n')
+    argv = {
+        "sessions": ("predict", "--input", str(bad), "--weights", "paper"),
+        "weights": ("predict", "--input", labeled_path, "--weights", str(bad)),
+        "coefficients": ("evaluate", "--input", labeled_path, "--baseline", "guo",
+                         "--coefficients", str(bad)),
+        "recipe": ("gen", "--count", "3", "--output", str(tmp_path / "out.json"),
+                   "--config", str(bad)),
+        "predictions": ("evaluate", "--input", labeled_path, "--external-predictions", str(bad)),
+    }[kind]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_protocol_flags_default_only_with_splits(tmp_path, capsys) -> None:

@@ -10,11 +10,15 @@ from hasqoe import (
     LabeledDataset,
     SessionTrace,
     UsageError,
+    baseline_runner,
     design_matrix,
+    feature_matrix,
     fit,
     generate_labeled_dataset,
+    io,
     paper_weights,
     predict,
+    refit_runner,
 )
 
 
@@ -50,11 +54,26 @@ def test_comparing_generated_datasets_builds_no_traces(monkeypatch) -> None:
     relabeled = batch._replace(labels=np.where(np.arange(50) == 7, 1.0, batch.labels))
     retagged = batch._replace(tags=np.where(np.arange(50) == 7, None, batch.tags))
     for changed in (relabeled, retagged):
-        assert first != LabeledDataset.from_columns(changed)
+        assert first != LabeledDataset(changed)
     assert built == []
     # The columns compare as the traces they hold do.
     assert LabeledDataset(first.sessions) == first
     assert first.sessions == second.sessions and len(built) == 100
+
+
+def test_session_taking_functions_take_traces_or_their_batch(tmp_path) -> None:
+    dataset = make_dataset(40)
+    traces, batch = dataset.sessions, dataset.batch
+    for matrix in (feature_matrix, design_matrix, refit_runner().matrix,
+                   baseline_runner("liu").matrix):
+        assert matrix(iter(traces)).tobytes() == matrix(batch).tobytes()
+    paths = tmp_path / "traces.json", tmp_path / "batch.json"
+    for sessions, path in zip((iter(traces), batch), paths):
+        io.write_dataset(sessions, str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    from_traces, from_batch = LabeledDataset(iter(traces)), LabeledDataset(batch)
+    assert from_traces == from_batch and from_traces.sessions == traces
+    assert from_batch.batch is batch and from_batch.sessions == traces
 
 
 def test_design_matrix_signs() -> None:

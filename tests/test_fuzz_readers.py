@@ -264,7 +264,7 @@ def assert_readers_agree(text: str) -> None:
 
     # The labelled readers: a session without a label fails both the same way.
     expected = outcome(LabeledDataset, traces)
-    got = outcome(LabeledDataset.from_columns, batch)
+    got = outcome(LabeledDataset, batch)
     if expected[0] == "error":
         assert got == expected
     else:

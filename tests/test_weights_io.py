@@ -170,6 +170,35 @@ def test_reading_a_dataset_holds_one_run_of_decoded_records(tmp_path) -> None:
     assert peak < 3 * sum(column.nbytes for column in batch)
 
 
+#: Line ends, characters text mode leaves alone, and letters of one to three UTF-8 bytes.
+TEXT_PIECES = st.sampled_from(["\r", "\n", "\r\n", "\r\r\n", "\x85", "\u2028", " ", "  ",
+                               "a", "\xe9", "\u0436", "\u6c34"])
+
+
+@settings(max_examples=300)
+@given(st.lists(TEXT_PIECES, max_size=16).map("".join))
+def test_files_are_read_as_text_mode_reads_them(tmp_path_factory, text) -> None:
+    path = tmp_path_factory.getbasetemp() / "text.json"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        assert io._read_text(str(path)) == handle.read()
+
+
+def test_a_crlf_file_is_read_with_at_most_two_copies_alive(tmp_path) -> None:
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{"segments": [3.0, 4.5], "mos": 2.5}\r\n' * 80_000)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        text = io._read_text(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\r" not in text and len(text) == size - 80_000
+    # The bytes and their text, then one text and its replacement, not all three at once.
+    assert peak <= 2.2 * size
+
+
 @pytest.mark.parametrize("chunk", CHUNK_SIZES)
 def test_write_dataset_in_slices_writes_one_array(tmp_path, monkeypatch, chunk) -> None:
     sessions = generate_sessions(GeneratorConfig(rng_seed=3), 7)
