@@ -51,38 +51,19 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_input(spec: str):
-    """The batch of a session file, or of the bundled demo trace for ``"example"``."""
-    if spec == "example":
-        return io.example_dataset()
-    return io.read_dataset(spec)
-
-
 def cmd_predict(args) -> None:
     weights = io.read_weights(args.weights)
-    features = feature_matrix(_read_input(args.input))
+    features = feature_matrix(io.read_dataset(args.input))
     values = _finite(predict_matrix(features, weights)).tolist()
-    if args.format == "json":
-        payload = [{"index": k, "prediction": value} for k, value in enumerate(values)]
-        if args.features:
-            for record, row in zip(payload, features.tolist()):
-                record["features"] = row
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
-    else:
-        _emit(
-            io.predictions_csv_text(values, features if args.features else None),
-            args.output,
-        )
+    text = io.predictions_json_text if args.format == "json" else io.predictions_csv_text
+    _emit(text(values, features if args.features else None), args.output)
 
 
 def cmd_fit(args) -> None:
     dataset = LabeledDataset(io.read_dataset(args.input))
     report = fit(dataset, nonnegative=args.nonnegative)
     io.write_weights(report.weights, args.output)
-    if args.report:
-        io.write_json(report.to_dict(), args.report)
-    else:
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
+    _emit(io.json_text(report.to_dict()), args.report)
 
 
 def _linear_model(args) -> LinearModel:
@@ -95,8 +76,7 @@ def _linear_model(args) -> LinearModel:
     return baseline_runner(args.baseline)
 
 
-def _external_predictions(path: str, n_sessions: int) -> list[float]:
-    table = io.read_external_predictions(path)
+def _external_predictions(table: dict[int, float], n_sessions: int) -> list[float]:
     ids = set(range(n_sessions))
     for problem, bad in (("missing", ids - set(table)), ("name unknown", set(table) - ids)):
         if bad:
@@ -115,7 +95,7 @@ _PROTOCOL_DEFAULTS = {"test_size": 90, "test_pool": "multi-factor", "seed": 0, "
 
 
 def cmd_evaluate(args) -> None:
-    # The flags are checked before the input is read, so a wrong one costs no decoding.
+    # The flags, then the model files, are checked before the input is read: no decoding is wasted.
     if args.coefficients is not None and args.baseline is None:
         raise UsageError("--coefficients only makes sense with --baseline")
     if args.nonnegative and not args.refit:
@@ -138,6 +118,10 @@ def cmd_evaluate(args) -> None:
         flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
         raise UsageError(f"{flags} only make sense with --splits")
 
+    if args.external_predictions is not None:
+        table = io.read_external_predictions(args.external_predictions)
+    else:
+        model = _linear_model(args)
     dataset = LabeledDataset(io.read_dataset(args.input))
     truths = dataset.labels()
     compensate = not args.no_compensation
@@ -145,22 +129,19 @@ def cmd_evaluate(args) -> None:
         report = run_split_protocol(
             dataset,
             protocol,
-            _linear_model(args),
+            model,
             compensate=compensate,
             compensation_on=options["compensate_on"],
         )
     else:
         if args.external_predictions is not None:
-            predictions = _external_predictions(args.external_predictions, len(dataset))
+            predictions = _external_predictions(table, len(dataset))
         else:
-            model = _linear_model(args)
             predictions = model.fit_predict(model.matrix(dataset.batch), truths)
         report = evaluate_predictions(predictions, truths, compensate=compensate)
 
-    if args.format == "csv":
-        _emit(io.per_split_csv_text(report), args.output)
-    else:
-        _emit(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n", args.output)
+    text = io.per_split_csv_text(report) if args.format == "csv" else io.json_text(report.to_dict())
+    _emit(text, args.output)
 
 
 def cmd_gen(args) -> None:

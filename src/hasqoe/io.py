@@ -1,25 +1,28 @@
-"""File formats and atomic output.
+"""File formats and atomic output: the one module that turns values into text and text into values.
 
-Sessions travel as JSON objects with ``segments``, ``interruptions``
-and optional ``mos``/``tag`` fields; datasets as JSON arrays of those
-objects or as newline-delimited JSON, and are written as compact JSON,
-a run of sessions at a time.  Weights, baseline coefficients and
-evaluation reports are single JSON objects, written indented.  CSV
+Every input is UTF-8 text; a leading byte-order mark is skipped, and CRLF
+and CR line ends read as LF.  Sessions travel as JSON objects with
+``segments``, ``interruptions`` and optional ``mos``/``tag`` fields;
+datasets as JSON arrays of those objects or as newline-delimited JSON,
+and are written as compact JSON, a run of sessions at a time.  Weights,
+baseline coefficients, fit and evaluation reports and JSON predictions
+are written as :func:`json_text` spells them: strict JSON, indented.  CSV
 outputs round to 6 decimal places; JSON keeps full precision.  All file
 writes go through a temp-file-and-rename so readers never observe
 partial output; through a symlink the rename lands on the link's target,
 and an existing target that is not a regular file is written in place.
 
-Session files have one reader.  :func:`read_dataset` decodes a file
-into a batch with its labels and tags (``model._SessionBatch``) a run of
-sessions at a time: a JSON array an element at a time with the stdlib
-scanner, NDJSON a line at a time, and each run of at most
-``model._CHUNK_SEGMENTS`` segments into columns checked in numpy, so one
-run's decoded values are alive at once; it builds no ``SessionTrace``.
-A run the columns reject goes, alone, to the per-record reader
-(``traces.sessions_from_records``), which raises its first error; so
-the first fault in file order is reported, whatever the shape or run
-size.  :func:`read_sessions` gives the batch's sessions as traces.
+Session files have one reader.  :func:`read_dataset` decodes a file, or
+the bundled demo session for ``"example"``, into a batch with its labels
+and tags (``model._SessionBatch``) a run of sessions at a time, in one
+loop: a JSON array an element at a time with the stdlib scanner, NDJSON
+a line at a time, and each run of at most ``model._CHUNK_SEGMENTS``
+segments into columns checked in numpy, so one run's decoded values are
+alive at once; it builds no ``SessionTrace``.  A run the columns reject
+goes, alone, to the per-record reader (``traces.sessions_from_records``),
+which raises its first error; so the first fault in file order is
+reported, whatever the shape or run size.  :func:`read_sessions` gives
+the batch's sessions as traces.
 
 Session files have one writer, :func:`write_dataset`, which encodes a
 batch; given traces, it converts them to a batch first.
@@ -36,7 +39,7 @@ import stat
 import tempfile
 from importlib import resources
 from io import StringIO
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -96,8 +99,13 @@ def _atomic_write(path: str, pieces) -> None:
         raise
 
 
+def json_text(data) -> str:
+    """Every JSON output but a session file, as text: strict JSON, indented, with a last newline."""
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
 def write_json(data, path: str) -> None:
-    atomic_write_text(path, json.dumps(data, indent=2, allow_nan=False) + "\n")
+    atomic_write_text(path, json_text(data))
 
 
 def _read_text(path: str) -> str:
@@ -108,7 +116,7 @@ def _read_text(path: str) -> str:
     """
     try:
         with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
+            text = handle.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
     if "\r" in text:
@@ -245,10 +253,27 @@ def _columns(records: list):
 def dataset_from_text(text: str, source: str) -> _SessionBatch:
     """The batch of a session file, with the labels (NaN for none) and tags, read a run at a time.
 
-    Each run of records goes into columns before the next is decoded, and
-    nothing holds a run once it is in columns.
+    Records are cut into runs as ``model._run_rows`` cuts, a record without
+    a list of segments counting as one segment (:func:`_columns` rejects
+    it).  Each run goes into columns before the next is decoded, and
+    nothing holds a run once it is in columns.  The run in front of an
+    undecodable record is checked before the decode fault is reported.
     """
-    return _concatenate(starmap(_run_batch, _record_runs(_records(text, source))))
+    batches, start, run, size = [], 0, [], 0
+    try:
+        for record in _records(text, source):
+            segments = record.get("segments") if type(record) is dict else None
+            length = len(segments) if type(segments) is list else 1
+            if run and size + length > model._CHUNK_SEGMENTS:
+                batches.append(_run_batch(start, run))
+                start, run, size = start + len(run), [], 0
+            run.append(record)
+            size += length
+    except UsageError:
+        _run_batch(start, run)
+        raise
+    batches.append(_run_batch(start, run))
+    return _concatenate(batches)
 
 
 def _run_batch(start: int, run: list) -> _SessionBatch:
@@ -264,31 +289,15 @@ def _run_batch(start: int, run: list) -> _SessionBatch:
     return batch
 
 
-def _record_runs(records):
-    """Each list of consecutive records, cut as ``model._run_rows`` cuts, with its first's index.
+def read_dataset(spec: str) -> _SessionBatch:
+    """Read a session file, or the bundled demo session (constant 5.0 MOS) for ``"example"``.
 
-    A record without a list of segments counts as one segment; :func:`_columns` rejects it.
-    The run in front of an undecodable record is yielded, to be checked, before it is reported.
+    The file becomes a batch (see :func:`dataset_from_text`); no traces are built.
     """
-    start, run, size = 0, [], 0
-    try:
-        for record in records:
-            segments = record.get("segments") if type(record) is dict else None
-            length = len(segments) if type(segments) is list else 1
-            if run and size + length > model._CHUNK_SEGMENTS:
-                yield start, run
-                start, run, size = start + len(run), [], 0
-            run.append(record)
-            size += length
-    except UsageError:
-        yield start, run
-        raise
-    yield start, run
-
-
-def read_dataset(path: str) -> _SessionBatch:
-    """Read a session file into a batch (see :func:`dataset_from_text`), building no traces."""
-    return dataset_from_text(_read_text(path), path)
+    if spec == "example":
+        bundled = resources.files("hasqoe").joinpath("data/example_session.json")
+        return dataset_from_text(bundled.read_text("utf-8"), "example_session.json")
+    return dataset_from_text(_read_text(spec), spec)
 
 
 def write_dataset(sessions, path: str) -> None:
@@ -326,15 +335,6 @@ def _json_records(batch: _SessionBatch) -> list[dict]:
             record["tag"] = tag
         records.append(record)
     return records
-
-
-def _bundled_example() -> str:
-    return resources.files("hasqoe").joinpath("data/example_session.json").read_text("utf-8")
-
-
-def example_dataset() -> _SessionBatch:
-    """The tiny demo session bundled with the package (constant 5.0 MOS), as a batch."""
-    return dataset_from_text(_bundled_example(), "example_session.json")
 
 
 def read_weights(spec: str) -> ModelWeights:
@@ -380,6 +380,15 @@ def read_external_predictions(path: str) -> dict[int, float]:
     if not predictions:
         raise UsageError(f"{path}: no predictions found")
     return predictions
+
+
+def predictions_json_text(predictions, features=None) -> str:
+    """JSON of per-session predictions; ``features``, a ``feature_matrix``, adds each one's row."""
+    records = [{"index": k, "prediction": value} for k, value in enumerate(predictions)]
+    if features is not None:
+        for record, row in zip(records, features.tolist()):
+            record["features"] = row
+    return json_text(records)
 
 
 def predictions_csv_text(predictions, features=None) -> str:

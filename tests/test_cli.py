@@ -198,20 +198,39 @@ def test_output_files_follow_the_umask(tmp_path, monkeypatch, umask) -> None:
         assert Path(name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
+#: The modules the benchmark's tracer wraps; it looks each up after ``import hasqoe.cli``.
+TRACED = [f"hasqoe.{name}" for name in
+          ("baselines", "cli", "evaluation", "fitting", "io", "model", "synth")]
+
+
 def test_importing_the_cli_loads_neither_traces_nor_scipy() -> None:
     src = str(Path(hasqoe.__file__).parents[1])
     code = ("import sys, hasqoe.cli; "
-            "print(sorted(m for m in sys.modules if m in ('hasqoe.traces', 'scipy')))")
+            "print(sorted(m for m in sys.modules if m in ('hasqoe.traces', 'scipy')), "
+            f"sorted(set({TRACED!r}) - set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[] []\n"
+
+
+def test_a_traced_benchmark_op_runs_the_cli(tmp_path) -> None:
+    src = Path(hasqoe.__file__).parents[1]
+    op = Path(__file__).parents[1] / "perfbench" / "op.py"
+    result_path = tmp_path / "result.json"
+    subprocess.run([sys.executable, str(op), str(result_path), str(src), "1", "--",
+                    "predict", "--input", "example", "--weights", "paper"],
+                   capture_output=True, cwd=tmp_path, check=True)
+    result = json.loads(result_path.read_text())
+    assert result["exit_code"] == 0 and result["error"] is None
+    assert result["trace"]["cli.main"]["calls"] == 1
+    assert result["trace"]["io.read_dataset"]["calls"] == 1
 
 
 # ------------------------------------------------------------ predict
 
 
-def test_predict_bundled_example_to_stdout(capsys) -> None:
+def test_predict_the_example_to_stdout(capsys) -> None:
     assert run_cli("predict", "--input", "example", "--weights", "paper") == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "index,prediction"
@@ -285,6 +304,15 @@ def test_predict_garbage_json_is_usage_error(tmp_path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("[{not json")
     assert run_cli("predict", "--input", str(bad), "--weights", "paper") == 1
+
+
+def test_a_deeply_nested_object_is_usage_error(tmp_path, capsys) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text('{"segments": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run_cli("predict", "--input", str(path), "--weights", "paper") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: invalid JSON: maximum recursion depth")
 
 
 @pytest.mark.parametrize(
@@ -657,6 +685,15 @@ def test_fit_rejects_unlabeled_dataset(tmp_path) -> None:
     assert run_cli("fit", "--input", str(data), "--output", str(tmp_path / "w.json")) == 1
 
 
+@pytest.mark.parametrize("args", [("fit", "--output", "w.json"), ("evaluate", "--weights", "paper")])
+def test_the_example_input_has_no_label(tmp_path, monkeypatch, capsys, args) -> None:
+    monkeypatch.chdir(tmp_path)
+    command, *rest = args
+    assert run_cli(command, "--input", "example", *rest) == 1
+    assert capsys.readouterr().err == "error: session 0 has no ground-truth MOS label\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------- evaluate
 
 
@@ -858,6 +895,47 @@ def test_a_file_that_is_not_utf8_exits_1_with_one_error_line(tmp_path, capsys, l
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "kind", ["array", "ndjson", "weights", "coefficients", "recipe", "predictions"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, labeled_path, kind) -> None:
+    records = json.loads(Path(labeled_path).read_text())
+    text = {
+        "array": json.dumps(records),
+        "ndjson": "".join(json.dumps(record) + "\n" for record in records),
+        "weights": json.dumps(paper_weights().to_dict()),
+        "coefficients": '{"model": "guo", "coefficients": '
+                        '{"median_quality": 0.6, "min_quality": 0.3}, "intercept": 0.8}',
+        "recipe": '{"n_segments": [2, 30], "rng_seed": 3}',
+        "predictions": "".join(f"{k},{3.0 + k / 100}\n" for k in range(len(records))),  # no header
+    }[kind]
+    outcomes = []
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path, output = tmp_path / f"{name}.txt", tmp_path / f"{name}.out"
+        path.write_bytes(bom + text.encode("utf-8"))
+        argv = {
+            "array": ("predict", "--input", str(path), "--weights", "paper"),
+            "ndjson": ("predict", "--input", str(path), "--weights", "paper"),
+            "weights": ("predict", "--input", labeled_path, "--weights", str(path)),
+            "coefficients": ("evaluate", "--input", labeled_path, "--baseline", "guo",
+                             "--coefficients", str(path)),
+            "recipe": ("gen", "--count", "5", "--config", str(path)),
+            "predictions": ("evaluate", "--input", labeled_path,
+                            "--external-predictions", str(path)),
+        }[kind]
+        code = run_cli(*argv, "--output", str(output))
+        outcomes.append((code, output.read_bytes(), capsys.readouterr()))
+    assert outcomes[0][0] == 0 and outcomes[1] == outcomes[0]
+
+
+@pytest.mark.parametrize(
+    "mode", [("--weights",), ("--baseline", "guo", "--coefficients"), ("--external-predictions",)])
+def test_evaluate_reads_its_model_file_before_the_input(tmp_path, capsys, mode) -> None:
+    model, data = tmp_path / "no-model.json", tmp_path / "no-input.json"
+    assert run_cli("evaluate", "--input", str(data), *mode, str(model)) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory: "
+                                              f"{str(model)!r}")
+
+
 def test_protocol_flags_default_only_with_splits(tmp_path, capsys) -> None:
     data = tmp_path / "data.json"
     assert run_cli("gen", "--count", "400", "--output", str(data), "--weights", "paper",
@@ -1033,6 +1111,24 @@ def test_evaluate_constant_predictions_is_numerical_error(tmp_path, labeled_path
                 "--external-predictions", str(csv_path))
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("--weights", "paper", "--splits", "2", "--test-size", "80", "--test-pool", "all"),
+         "test_size leaves no sessions to train on"),
+        (("--external-predictions", "header-only.csv"), "header-only.csv: no predictions found"),
+    ],
+    ids=["no-training-sessions", "header-only-predictions"],
+)
+def test_evaluate_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, labeled_path, args,
+                                            message) -> None:
+    monkeypatch.chdir(tmp_path)
+    Path("header-only.csv").write_text("session-id,predicted-mos\n")
+    assert run_cli("evaluate", "--input", labeled_path, *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_evaluate_pool_too_small_is_usage_error(labeled_path) -> None:

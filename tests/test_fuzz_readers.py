@@ -207,17 +207,44 @@ def _loads(text: str, source: str):
         raise UsageError(f"{source}: invalid JSON: {exc}") from None
 
 
+def _elements_before_a_fault(text: str) -> list:
+    """The elements of the JSON array that ``text`` opens, decoded one at a time up to a syntax fault.
+
+    None are decoded unless only JSON whitespace precedes the ``[``.
+    """
+    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
+    elements, end = [], skip(text, 0).end()  # at the "[" or "," before each element
+    if not text.startswith("[", end):
+        return elements
+    while True:
+        try:
+            element, end = decode(text, skip(text, end + 1).end())
+        except json.JSONDecodeError:
+            return elements
+        elements.append(element)
+        end = skip(text, end).end()
+        if not text.startswith(",", end):
+            return elements
+
+
 def whole_file_sessions(text: str, source: str) -> list:
     """The reference reader: ``json.loads`` of the whole text, or of each non-blank line.
 
     A single object is one record, an array its elements, and anything else
     NDJSON; then one ``SessionTrace`` per record, with the per-record reader.
+    An array that does not decode whole reports the first fault in file
+    order: a bad session among the elements before its syntax fault, or
+    else that fault.
     """
     stripped = text.lstrip()
     if not stripped:
         raise UsageError(f"{source}: empty file")
     if stripped.startswith("["):
-        records = _loads(text, source)
+        try:
+            records = json.loads(text)
+        except json.JSONDecodeError as exc:
+            sessions_from_records(_elements_before_a_fault(text))
+            raise UsageError(f"{source}: invalid JSON: {exc}") from None
         if not records:
             raise UsageError(f"{source}: no sessions")
     else:
@@ -346,14 +373,17 @@ BAD_MESSAGE = "session 1: segment 1 quality 7.0 outside [1.0, 5.0]"
         ("[] x", UsageError, "f.json: invalid JSON: Extra data: line 1 column 4 (char 3)"),
         (f"[{A}, {B}", UsageError,
          "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 59 (char 58)"),
+        # An NDJSON file whose first record is a list reads as an array with extra data.
+        ('[3.0]\n{"segments": []}\n{"segments": [1.0]}\n', UsageError,
+         "session 0: session record must be an object, got float"),
+        ('[3.0]\n{"segments": [1.0], "interruptions": [{"after_segment": 1, "duration_s": 0.5}]}\n',
+         UsageError, "session 0: session record must be an object, got float"),
     ],
 )
 def test_the_first_fault_in_file_order_is_reported(text, error, message, bound) -> None:
     with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):
-        assert outcome(io.dataset_from_text, text, "f.json") == ("error", error, message)
-    # A whole-file decode reports an array's syntax fault first, wherever it is.
-    if not (text.startswith("[") and error is ValidationError):
-        assert outcome(whole_file_sessions, text, "f.json") == ("error", error, message)
+        for read in (io.dataset_from_text, whole_file_sessions):
+            assert outcome(read, text, "f.json") == ("error", error, message)
 
 
 def test_a_rejected_run_is_explained_on_its_own(monkeypatch) -> None:

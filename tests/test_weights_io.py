@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import threading
@@ -170,9 +171,10 @@ def test_reading_a_dataset_holds_one_run_of_decoded_records(tmp_path) -> None:
     assert peak < 3 * sum(column.nbytes for column in batch)
 
 
-#: Line ends, characters text mode leaves alone, and letters of one to three UTF-8 bytes.
+#: Line ends, characters text mode leaves alone, letters of one to three UTF-8 bytes, and a
+#: byte-order mark, which is skipped only at the start of a file.
 TEXT_PIECES = st.sampled_from(["\r", "\n", "\r\n", "\r\r\n", "\x85", "\u2028", " ", "  ",
-                               "a", "\xe9", "\u0436", "\u6c34"])
+                               "a", "\xe9", "\u0436", "\u6c34", "\ufeff"])
 
 
 @settings(max_examples=300)
@@ -180,7 +182,7 @@ TEXT_PIECES = st.sampled_from(["\r", "\n", "\r\n", "\r\r\n", "\x85", "\u2028", "
 def test_files_are_read_as_text_mode_reads_them(tmp_path_factory, text) -> None:
     path = tmp_path_factory.getbasetemp() / "text.json"
     path.write_bytes(text.encode("utf-8"))
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         assert io._read_text(str(path)) == handle.read()
 
 
@@ -261,6 +263,14 @@ def test_a_symlinked_output_writes_the_links_target(tmp_path) -> None:
         "dangling.json", "link.json", "new.json", "target.json"]  # no temp file left
 
 
+def test_a_failed_write_leaves_no_file(tmp_path) -> None:
+    batch = batch_of(generate_sessions(GeneratorConfig(rng_seed=3), 2))
+    batch.quality[0] = math.nan
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        io.write_dataset(batch, str(tmp_path / "ds.json"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_fifo_output_is_written_in_place(tmp_path) -> None:
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
@@ -290,6 +300,6 @@ def test_external_predictions_csv(tmp_path) -> None:
 
 
 def test_example_sessions_bundled() -> None:
-    sessions = traces_of(io.example_dataset())
+    sessions = traces_of(io.read_dataset("example"))
     assert len(sessions) == 1
     assert set(sessions[0].segments) == {5.0}
