@@ -14,7 +14,10 @@ sessions' batch that the histogram features count (``model._SessionBatch``):
 the median exactly, as the mean of the two middle values of each
 session's sorted qualities, and the sums per session, so the mean,
 standard deviation and mean squared down amplitude may differ from a
-per-session ``numpy`` call in the last bits.
+per-session ``numpy`` call in the last bits.  It computes a statistic
+only when a requested column needs it, so guo alone sorts, and the
+per-run intermediates the statistics share (session starts, segment
+rows, the steps between segments, the mean) at most once per run.
 
 The coefficients that turn statistics into a MOS prediction are not
 reproduced here; they are supplied by the caller or fitted by least
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,42 +87,73 @@ class BaselineCoefficients:
         return coefficients
 
 
-def _run_statistics(batch: _SessionBatch) -> dict[str, np.ndarray]:
-    """Every statistic of each session of a run (see ``model._SessionBatch.runs``)."""
-    lengths, q, n_stalls = batch.lengths, batch.quality, batch.n_stalls
-    n = len(lengths)
-    starts = np.cumsum(lengths) - lengths
-    segment_rows = np.repeat(np.arange(n), lengths)
-    # Each session's qualities in ascending order, for its two middle values.
-    ordered = q[np.lexsort((q, segment_rows))]
-    lower, upper = ordered[starts + (lengths - 1) // 2], ordered[starts + lengths // 2]
-    mean = np.add.reduceat(q, starts) / lengths
-    deviations = q - np.repeat(mean, lengths)
-    deltas = np.diff(q)
-    within = np.ones(deltas.size, dtype=bool)
-    within[starts[1:] - 1] = False  # the boundary between two sessions
-    boundary_rows = segment_rows[:-1]
-    down = within & (deltas < 0.0)
-    n_down = np.bincount(boundary_rows[down], minlength=n)
-    down_squares = np.bincount(boundary_rows[down], deltas[down] ** 2, minlength=n)
-    stall_rows = np.repeat(np.arange(n), n_stalls)
-    return {
-        "median_quality": (lower + upper) / 2,
-        "min_quality": np.minimum.reduceat(q, starts),
+class _RunStatistics:
+    """The statistics of each session of a run (see ``model._SessionBatch.runs``), as attributes.
+
+    The session starts and segment rows, which every model reads, are computed up front; each
+    statistic, and each other intermediate it needs, when first read, and at most once.
+    """
+
+    def __init__(self, run: _SessionBatch) -> None:
+        self.lengths, self.q, self.stall_count = run.lengths, run.quality, run.n_stalls
+        self.durations, self.n = run.durations, len(run.lengths)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.segment_rows = np.repeat(np.arange(self.n), self.lengths)
+
+    @cached_property
+    def deltas(self) -> np.ndarray:
+        return np.diff(self.q)
+
+    @cached_property
+    def within(self) -> np.ndarray:
+        within = np.ones(self.deltas.size, dtype=bool)
+        within[self.starts[1:] - 1] = False  # the boundary between two sessions
+        return within
+
+    @cached_property
+    def median_quality(self) -> np.ndarray:
+        # Each session's qualities in ascending order, for its two middle values.
+        ordered = self.q[np.lexsort((self.q, self.segment_rows))]
+        starts, lengths = self.starts, self.lengths
+        return (ordered[starts + (lengths - 1) // 2] + ordered[starts + lengths // 2]) / 2
+
+    @cached_property
+    def min_quality(self) -> np.ndarray:
+        return np.minimum.reduceat(self.q, self.starts)
+
+    @cached_property
+    def switch_count(self) -> np.ndarray:
         # A "switch" is a boundary whose amplitude rounds to a nonzero bin;
         # sub-half-step wobble does not count.
-        "switch_count": np.bincount(
-            boundary_rows[within & (np.floor(deltas + 0.5) != 0.0)], minlength=n
-        ),
-        "mean_quality": mean,
-        "std_quality": np.sqrt(np.add.reduceat(deviations * deviations, starts) / lengths),
+        switches = self.within & (np.floor(self.deltas + 0.5) != 0.0)
+        return np.bincount(self.segment_rows[:-1][switches], minlength=self.n)
+
+    @cached_property
+    def mean_quality(self) -> np.ndarray:
+        return np.add.reduceat(self.q, self.starts) / self.lengths
+
+    @cached_property
+    def std_quality(self) -> np.ndarray:
+        deviations = self.q - np.repeat(self.mean_quality, self.lengths)
+        return np.sqrt(np.add.reduceat(deviations * deviations, self.starts) / self.lengths)
+
+    @property
+    def weighted_quality_sum(self) -> np.ndarray:
         # Uniform segment durations: weighting each quality value by its
         # share of presence time reduces to the arithmetic mean.
-        "weighted_quality_sum": mean,
-        "mean_sq_down_amplitude": down_squares / np.maximum(n_down, 1),
-        "stall_duration_sum": np.bincount(stall_rows, batch.durations, minlength=n),
-        "stall_count": n_stalls,
-    }
+        return self.mean_quality
+
+    @cached_property
+    def mean_sq_down_amplitude(self) -> np.ndarray:
+        down = self.within & (self.deltas < 0.0)
+        rows = self.segment_rows[:-1][down]
+        squares = np.bincount(rows, self.deltas[down] ** 2, minlength=self.n)
+        return squares / np.maximum(np.bincount(rows, minlength=self.n), 1)
+
+    @cached_property
+    def stall_duration_sum(self) -> np.ndarray:
+        stall_rows = np.repeat(np.arange(self.n), self.stall_count)
+        return np.bincount(stall_rows, self.durations, minlength=self.n)
 
 
 def baseline_matrix(sessions, names) -> np.ndarray:
@@ -134,7 +169,7 @@ def baseline_matrix(sessions, names) -> np.ndarray:
     batch = _batch(sessions)
     matrix = np.ones((len(batch.lengths), len(names) + 1))
     for rows, run in batch.runs():
-        statistics = _run_statistics(run)
+        statistics = _RunStatistics(run)
         for column, name in enumerate(names):
-            matrix[rows, column] = statistics[name]
+            matrix[rows, column] = getattr(statistics, name)
     return matrix

@@ -116,7 +116,8 @@ def _read_text(path: str) -> str:
     """
     try:
         with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8-sig")
+            # The mark is dropped after decoding, so a fault's position is its offset in the file.
+            text = handle.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
     if "\r" in text:

@@ -282,3 +282,35 @@ def test_baseline_matrix_equals_the_scalar_oracle(dataset, chunk_segments) -> No
             assert np.array_equal(matrix[:, column], expected[:, column]), name
         else:  # sums in another order
             assert np.abs(matrix[:, column] - expected[:, column]).max() <= 1e-14, name
+
+
+@settings(max_examples=100)
+@given(st.lists(sessions(), min_size=1, max_size=20), st.integers(min_value=1, max_value=40),
+       st.lists(st.sampled_from(sorted(baselines._KNOWN_STATISTICS)), min_size=1, unique=True))
+def test_any_statistics_in_any_order_equal_their_columns_of_the_full_matrix(
+        dataset, chunk_segments, subset) -> None:
+    batch = hasqoe.model._batch(dataset)
+    with mock.patch.object(hasqoe.model, "_CHUNK_SEGMENTS", chunk_segments):
+        full = baseline_matrix(batch, ALL_STATISTICS)
+        for names in (*MODEL_STATISTICS.values(), subset):
+            matrix = baseline_matrix(batch, names)
+            assert matrix.shape == (len(dataset), len(names) + 1)
+            assert matrix[:, -1].tobytes() == np.ones(len(dataset)).tobytes()
+            for column, name in enumerate(names):
+                expected = full[:, ALL_STATISTICS.index(name)]
+                assert matrix[:, column].tobytes() == expected.tobytes(), (names, name)
+
+
+class Sorted(Exception):
+    pass
+
+
+def test_only_guo_sorts_qualities() -> None:
+    batch = hasqoe.model._batch(generate_sessions(GeneratorConfig(rng_seed=5), 200))
+    with mock.patch.object(hasqoe.model, "_CHUNK_SEGMENTS", 256), \
+            mock.patch.object(np, "lexsort", side_effect=Sorted):
+        for model in ("vriendt", "liu"):
+            names = MODEL_STATISTICS[model]
+            assert baseline_matrix(batch, names).shape == (200, len(names) + 1)
+        with pytest.raises(Sorted):
+            baseline_matrix(batch, MODEL_STATISTICS["guo"])

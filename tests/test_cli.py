@@ -895,6 +895,22 @@ def test_a_file_that_is_not_utf8_exits_1_with_one_error_line(tmp_path, capsys, l
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind", ["sessions", "weights"])
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_offset_in_the_file(
+        tmp_path, capsys, labeled_path, kind) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xef\xbb\xbf[{"segments": [3.0]}]\xff')  # 25 bytes, the last at offset 24
+    argv = {
+        "sessions": ("predict", "--input", str(bad), "--weights", "paper"),
+        "weights": ("predict", "--input", labeled_path, "--weights", str(bad)),
+    }[kind]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 24: "
+        "invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize(
     "kind", ["array", "ndjson", "weights", "coefficients", "recipe", "predictions"])
 def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, labeled_path, kind) -> None:
