@@ -108,18 +108,25 @@ def write_json(data, path: str) -> None:
     atomic_write_text(path, json_text(data))
 
 
+_BYTE_ORDER_MARK = "\ufeff".encode("utf-8")
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of a file with its line ends read as text mode reads them: CRLF and CR as LF.
 
     The bytes are freed once decoded, and each replacement frees the text it replaces, so at most
     two copies of the file are alive at once.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = len(_BYTE_ORDER_MARK) if data.startswith(_BYTE_ORDER_MARK) else 0
     try:
-        with open(path, "rb") as handle:
-            # The mark is dropped after decoding, so a fault's position is its offset in the file.
-            text = handle.read().decode("utf-8").removeprefix("\ufeff")
+        # A view skips the mark without copying the bytes; a fault is reported at its file offset.
+        text = str(memoryview(data)[start:], "utf-8")
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+        fault = UnicodeDecodeError(exc.encoding, data, start + exc.start, start + exc.end, exc.reason)
+        raise UsageError(f"{path}: not UTF-8 text: {fault}") from None
+    del data
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         text = text.replace("\r", "\n")
