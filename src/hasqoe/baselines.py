@@ -111,9 +111,18 @@ class _RunStatistics:
         return within
 
     @cached_property
+    def quality_order(self) -> np.ndarray:
+        # The segments by session, then quality, as ``np.lexsort((q, segment_rows))`` orders
+        # them: a stable sort by quality, then by session rows in their narrowest dtype, which
+        # numpy radix-sorts.
+        order = np.argsort(self.q, kind="stable")
+        rows = self.segment_rows.astype(np.min_scalar_type(self.n))[order]
+        return order[np.argsort(rows, kind="stable")]
+
+    @cached_property
     def median_quality(self) -> np.ndarray:
         # Each session's qualities in ascending order, for its two middle values.
-        ordered = self.q[np.lexsort((self.q, self.segment_rows))]
+        ordered = self.q[self.quality_order]
         starts, lengths = self.starts, self.lengths
         return (ordered[starts + (lengths - 1) // 2] + ordered[starts + lengths // 2]) / 2
 

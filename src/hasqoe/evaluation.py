@@ -9,14 +9,19 @@ matrix once per dataset, from the dataset's columnar batch, and selects
 each split's rows with a mask drawn over the dataset's tags; neither
 needs a ``SessionTrace``.
 
-Split ``k`` of a protocol run draws its RNG substream from
-``SeedSequence(rng_seed).spawn(n_repetitions)[k]``, so results are
-bit-reproducible and independent of the order splits are executed in.
+Split ``k`` of a protocol run draws its test set as numpy's
+``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
+test_size, replace=False)`` would (PCG64 under the seed sequence), so
+results are bit-reproducible and independent of the order splits are
+executed in.  The draws are computed in Python without loading
+``numpy.random``, and a test holds them equal to numpy's.  ``rng_seed``
+must be a non-negative integer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -130,7 +135,8 @@ class SplitProtocol:
 
     ``test_pool`` selects which sessions may enter test sets: ``"all"``
     or a tag value that session traces carry.  Training sets are always
-    the full complement of the drawn test set.
+    the full complement of the drawn test set.  ``rng_seed`` is a
+    non-negative integer.
     """
 
     n_repetitions: int = 50
@@ -143,6 +149,10 @@ class SplitProtocol:
             raise UsageError(f"n_repetitions {self.n_repetitions} must be >= 1")
         if self.test_size < 2:
             raise UsageError(f"test_size {self.test_size} must be >= 2 for PCC")
+        seed = operator.index(self.rng_seed)
+        if seed < 0:
+            raise UsageError(f"rng_seed {seed} must be >= 0")
+        object.__setattr__(self, "rng_seed", seed)
 
 
 @dataclass(frozen=True)
@@ -271,13 +281,101 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     if protocol.test_size >= len(tags):
         raise UsageError("test_size leaves no sessions to train on")
 
-    substreams = np.random.SeedSequence(protocol.rng_seed).spawn(protocol.n_repetitions)
+    entropy = _words32(protocol.rng_seed)
+    entropy += [0] * (4 - len(entropy))  # a spawned SeedSequence pads its seed to the pool size
+    pool = np.array(pool)
     masks = []
-    for substream in substreams:
-        rng = np.random.default_rng(substream)
-        drawn = rng.choice(pool, size=protocol.test_size, replace=False)
-        masks.append(np.isin(np.arange(len(tags)), drawn))
+    for k in range(protocol.n_repetitions):
+        drawn = _drawn(_pcg64_draws(entropy + _words32(k)), len(pool), protocol.test_size)
+        mask = np.zeros(len(tags), dtype=bool)
+        mask[pool[drawn]] = True
+        masks.append(mask)
     return masks
+
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(n: int) -> list[int]:
+    """``n`` as ``SeedSequence`` reads an integer: little-endian 32-bit words, one for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, multiplier: int):
+    """``SeedSequence``'s hashmix: each call hashes one word and steps the shared constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _pcg64_draws(entropy: list[int]):
+    """The 32-bit draws of ``default_rng(SeedSequence)`` over the ``entropy`` words.
+
+    The seed sequence mixes the words into a 4-word pool and hashes that
+    into PCG64's 128-bit state and increment; numpy's buffered ``next32``
+    then yields the low, then the high half of each 64-bit output.
+    """
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [_mix(value, hashmix(word)) for value in pool]
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64), little-endian pairs
+    words = [hashmix(pool[i % 4]) for i in range(8)]
+    seed_high, seed_low, inc_high, inc_low = (words[i] | words[i + 1] << 32 for i in (0, 2, 4, 6))
+    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+    state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+    while True:
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        rotation, word = state >> 122, (state >> 64 ^ state) & _MASK64
+        word = (word >> rotation | word << 64 - rotation) & _MASK64
+        yield word & _MASK32
+        yield word >> 32
+
+
+def _bounded(draws, high: int) -> int:
+    """numpy's ``random_bounded_uint64(0, high)`` for ``high < 2**32 - 1``: Lemire's method."""
+    if high == 0:
+        return 0
+    span = high + 1
+    threshold, product = (1 << 32) % span, next(draws) * span
+    while product & _MASK32 < threshold:
+        product = next(draws) * span
+    return product >> 32
+
+
+def _drawn(draws, pool_size: int, size: int) -> list[int]:
+    """The positions ``Generator.choice(pool_size, size, replace=False)`` picks, in no order."""
+    if pool_size > 10000 and size > pool_size // 50:
+        # Shuffle the tail: swap each position i, from the last down, with a draw from [0, i].
+        moved: dict[int, int] = {}
+        for i in range(pool_size - 1, max(pool_size - size, 1) - 1, -1):
+            j = _bounded(draws, i)
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return [moved.get(i, i) for i in range(pool_size - size, pool_size)]
+    drawn: set[int] = set()  # Floyd's algorithm
+    for j in range(pool_size - size, pool_size):
+        value = _bounded(draws, j)
+        drawn.add(j if value in drawn else value)
+    return list(drawn)
 
 
 def run_split_protocol(

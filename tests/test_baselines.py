@@ -308,9 +308,34 @@ class Sorted(Exception):
 def test_only_guo_sorts_qualities() -> None:
     batch = hasqoe.model._batch(generate_sessions(GeneratorConfig(rng_seed=5), 200))
     with mock.patch.object(hasqoe.model, "_CHUNK_SEGMENTS", 256), \
-            mock.patch.object(np, "lexsort", side_effect=Sorted):
+            mock.patch.object(np, "argsort", side_effect=Sorted):
         for model in ("vriendt", "liu"):
             names = MODEL_STATISTICS[model]
             assert baseline_matrix(batch, names).shape == (200, len(names) + 1)
         with pytest.raises(Sorted):
             baseline_matrix(batch, MODEL_STATISTICS["guo"])
+
+
+def assert_sorted_as_lexsort(batch) -> None:
+    for _, run in batch.runs():
+        statistics = baselines._RunStatistics(run)
+        expected = np.lexsort((statistics.q, statistics.segment_rows))
+        assert np.array_equal(statistics.quality_order, expected)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from([1.0, 2.5, 3.0, 5.0]), min_size=1, max_size=12),
+                min_size=1, max_size=300),
+       st.integers(min_value=1, max_value=60))
+def test_the_median_sort_orders_segments_as_lexsort_does(qualities, chunk_segments) -> None:
+    # Four quality values force ties; one-segment sessions and small runs come up often.
+    batch = hasqoe.model._batch([SessionTrace(tuple(q)) for q in qualities])
+    with mock.patch.object(hasqoe.model, "_CHUNK_SEGMENTS", chunk_segments):
+        assert_sorted_as_lexsort(batch)
+
+
+def test_the_median_sort_orders_runs_of_many_sessions_as_lexsort_does() -> None:
+    # Runs of more than 255 sessions sort their session rows as uint16.
+    batch = hasqoe.model._batch(generate_sessions(GeneratorConfig(n_segments=(1, 20)), 3000))
+    assert max(len(run.lengths) for _, run in batch.runs()) > 255
+    assert_sorted_as_lexsort(batch)

@@ -214,6 +214,20 @@ def test_importing_the_cli_loads_neither_traces_nor_scipy() -> None:
     assert result.stdout == "[] []\n"
 
 
+def test_protocol_runs_leave_numpy_random_unloaded(labeled_path) -> None:
+    # The split masks compute numpy's draws themselves, so no evaluate run imports numpy.random.
+    src = str(Path(hasqoe.__file__).parents[1])
+    common = ["--input", labeled_path, "--splits", "2", "--test-size", "20", "--test-pool", "all"]
+    runs = [["evaluate", "--refit", *common], ["evaluate", "--baseline", "guo", *common]]
+    code = ("import sys, hasqoe.cli; "
+            f"codes = [hasqoe.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_a_traced_benchmark_op_runs_the_cli(tmp_path) -> None:
     src = Path(hasqoe.__file__).parents[1]
     op = Path(__file__).parents[1] / "perfbench" / "op.py"
@@ -1011,6 +1025,13 @@ def test_evaluate_overflowing_weights_and_coefficients_is_numerical_error(
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "overflow" in captured.err
+
+
+@pytest.mark.parametrize("mode", [["--refit"], ["--baseline", "guo"]])
+def test_evaluate_rejects_a_negative_seed(capsys, labeled_path, mode) -> None:
+    assert run_cli("evaluate", "--input", labeled_path, *mode, "--splits", "2",
+                   "--test-size", "20", "--test-pool", "all", "--seed", "-1") == 1
+    assert capsys.readouterr().err == "error: rng_seed -1 must be >= 0\n"
 
 
 def test_evaluate_baseline_protocol(capsys, labeled_path) -> None:

@@ -1,0 +1,91 @@
+"""The protocol's test-set draws against numpy's own generator.
+
+``evaluation.split_masks`` computes numpy's
+``default_rng(SeedSequence(seed).spawn(n)[k]).choice(pool, size, replace=False)``
+stream without loading ``numpy.random``.  These tests hold the two equal:
+over seeds of one to seven 32-bit words, pools on both sides of
+``choice``'s switch from Floyd's algorithm to a tail shuffle (more than
+10000 sessions and a test set of more than ``pool // 50``), and test sizes
+up to the whole pool.  One draw is pinned as a literal, so the stream
+stays frozen even if a later numpy changes ``choice``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hasqoe import UsageError
+from hasqoe.evaluation import SplitProtocol, _bounded, _pcg64_draws, _words32, split_masks
+
+seeds = st.one_of(
+    st.just(0),
+    st.integers(min_value=1, max_value=2**32),
+    st.integers(min_value=2**64, max_value=2**66),
+    st.integers(min_value=2**128, max_value=2**200),
+)
+
+
+@st.composite
+def pools_and_sizes(draw):
+    pool = draw(st.one_of(
+        st.integers(min_value=2, max_value=300),
+        st.integers(min_value=9990, max_value=10010),
+        st.integers(min_value=10001, max_value=25000),
+    ))
+    size = draw(st.one_of(
+        st.integers(min_value=2, max_value=pool),
+        st.sampled_from([pool // 50, pool // 50 + 1, pool]).filter(lambda n: n >= 2),
+    ))
+    return pool, size
+
+
+def numpy_test_sets(seed: int, repetitions: int, pool: int, size: int) -> list[list[int]]:
+    return [
+        sorted(np.random.default_rng(substream).choice(pool, size, replace=False).tolist())
+        for substream in np.random.SeedSequence(seed).spawn(repetitions)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=3), pools_and_sizes())
+def test_each_test_set_is_the_one_numpy_draws(seed, repetitions, pool_and_size) -> None:
+    pool, size = pool_and_size
+    tags = ["pool"] * pool + ["train"]  # one session outside the pool leaves a training set
+    masks = split_masks(tags, SplitProtocol(repetitions, size, "pool", seed))
+    drawn = [np.flatnonzero(mask).tolist() for mask in masks]
+    assert drawn == numpy_test_sets(seed, repetitions, pool, size)
+
+
+@settings(max_examples=50)
+@given(seeds, st.integers(min_value=0, max_value=10),
+       st.integers(min_value=0, max_value=2**32 - 2))
+def test_a_bounded_draw_is_numpys(seed, split, high) -> None:
+    # Highs near 2**32 reject often, so the rejection loop is exercised too.
+    expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(split,)))
+    words = _words32(seed)
+    draws = _pcg64_draws(words + [0] * (4 - len(words)) + _words32(split))
+    actual = [_bounded(draws, high) for _ in range(20)]
+    assert actual == expected.integers(0, high, size=20, endpoint=True).tolist()
+
+
+def test_seed_0s_first_test_set_over_1700_sessions_is_pinned() -> None:
+    tags = ["multi-factor"] * 1700 + ["single-factor"]
+    mask = split_masks(tags, SplitProtocol(n_repetitions=50))[0]
+    assert np.flatnonzero(mask).tolist() == [
+        1, 8, 11, 36, 58, 77, 92, 143, 145, 147, 191, 203, 285, 302, 330, 333, 339, 344,
+        368, 420, 427, 437, 447, 486, 510, 562, 603, 637, 641, 656, 685, 690, 706, 708,
+        730, 752, 761, 764, 769, 780, 786, 803, 808, 835, 880, 944, 1012, 1015, 1023, 1024,
+        1040, 1044, 1051, 1066, 1076, 1079, 1087, 1098, 1107, 1123, 1133, 1167, 1183, 1194,
+        1225, 1233, 1269, 1287, 1292, 1326, 1331, 1333, 1361, 1379, 1387, 1394, 1449, 1454,
+        1479, 1490, 1509, 1520, 1540, 1557, 1591, 1597, 1598, 1599, 1638, 1658,
+    ]
+
+
+def test_a_seed_is_a_non_negative_integer() -> None:
+    with pytest.raises(UsageError, match=r"^rng_seed -1 must be >= 0$"):
+        SplitProtocol(rng_seed=-1)
+    with pytest.raises(TypeError):
+        SplitProtocol(rng_seed=1.5)
+    seed = SplitProtocol(rng_seed=np.int64(7)).rng_seed
+    assert seed == 7 and type(seed) is int
