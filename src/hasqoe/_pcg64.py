@@ -1,0 +1,276 @@
+"""numpy's ``SeedSequence`` → PCG64 streams, computed without loading ``numpy.random``.
+
+A stream is what ``numpy.random.default_rng(seed_sequence)`` draws from.
+The seed sequence hashes its entropy words (the seed's little-endian
+32-bit words, and for a spawned child the seed padded to four words and
+then the child's index) into a 4-word pool, and ``generate_state(4,
+uint64)`` of that pool seeds PCG64's 128-bit state and increment.  Each
+PCG64 step sets ``state = state * MULTIPLIER + inc`` modulo 2**128 and
+outputs the XSL-RR hash of the new state, 64 bits.
+
+Many streams are held at once as :class:`Lanes`, one lane per stream,
+and every draw below is computed for all lanes in numpy.  A 128-bit
+number is a pair of ``uint64`` arrays, its high and its low half;
+numpy's fixed-width products wrap modulo 2**64, and the high half of a
+64-bit product is put together from 32-bit halves.  Tests hold every draw
+equal to numpy's own.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _halves(value: int) -> tuple[int, int]:
+    return value >> 64, value & _MASK64
+
+
+def _mul_high(a, b):
+    """The high 64 bits of each 128-bit product of 64-bit ``a`` and ``b``, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low_cross = a1 * b0 + (a0 * b0 >> 32)  # neither sum can pass 2**64
+    high_cross = (low_cross & _MASK32) + a0 * b1
+    return a1 * b1 + (low_cross >> 32) + (high_cross >> 32)
+
+
+def _mul(a, b):
+    """``a * b`` modulo 2**128, of (high, low) pairs; at least one pair holds arrays."""
+    (a_high, a_low), (b_high, b_low) = a, b
+    return _mul_high(a_low, b_low) + a_high * b_low + a_low * b_high, a_low * b_low
+
+
+def _add(a, b):
+    """``a + b`` modulo 2**128, of (high, low) pairs; at least one pair holds arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+_MULTIPLIER_HALVES = _halves(_MULTIPLIER)
+
+
+def _step(state, inc):
+    return _add(_mul(state, _MULTIPLIER_HALVES), inc)
+
+
+def _output(state):
+    """The XSL-RR output of each state: its halves xor-ed, rotated right by its top 6 bits."""
+    high, low = state
+    word, rotation = high ^ low, high >> 58
+    return word >> rotation | word << 64 - rotation  # numpy shifts a uint64 by 64 to 0
+
+
+class Lanes(NamedTuple):
+    """PCG64's state and increment per stream, each a (high, low) pair of ``uint64`` arrays."""
+
+    state: tuple[np.ndarray, np.ndarray]
+    inc: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return len(self.inc[1])
+
+    def take(self, k) -> Lanes:
+        """The lanes at the positions ``k``."""
+        return Lanes(*((high[k], low[k]) for high, low in self))
+
+    def numbers(self, k: int) -> tuple[int, int]:
+        """Lane ``k``'s state and increment as Python integers."""
+        return tuple(int(high[k]) << 64 | int(low[k]) for high, low in self)
+
+
+def _words32(n: int) -> list[int]:
+    """``n`` as ``SeedSequence`` reads an integer: little-endian 32-bit words, one for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, multiplier: int):
+    """``SeedSequence``'s hashmix: each call hashes one word and steps the shared constant.
+
+    A word is a Python integer or a ``uint64`` array of 32-bit values; the
+    constant is the same for every lane.
+    """
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * multiplier & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    value = (x * 0xCA01F9DD & _MASK32) - (y * 0x4973F715 & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def seed(entropy: int, children=None) -> Lanes:
+    """PCG64 as ``default_rng`` seeds it from each ``SeedSequence(entropy).spawn(...)[k]``.
+
+    ``children`` holds the child indices ``k``, each below 2**32; without
+    it, the one lane is the unspawned ``SeedSequence(entropy)``'s.  The
+    seed's words are the same in every lane, so only the child's word is
+    hashed in numpy.
+    """
+    words: list = _words32(entropy)
+    if children is not None:
+        words += [0] * (4 - len(words))
+        words.append(np.asarray(children, np.uint64))
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [_mix(value, hashmix(word)) for value in pool]
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64), little-endian pairs
+    state = [np.array(hashmix(pool[i % 4]), np.uint64, ndmin=1) for i in range(8)]
+    seed_high, seed_low, inc_high, inc_low = (state[i] | state[i + 1] << 32 for i in (0, 2, 4, 6))
+    inc = (inc_high << 1 | inc_low >> 63, inc_low << 1 | 1)
+    return Lanes(_step(_add((seed_high, seed_low), inc), inc), inc)
+
+
+def integers(lanes: Lanes, low: int, high: int) -> tuple[np.ndarray, Lanes]:
+    """Each lane's ``Generator.integers(low, high + 1)``, and the lanes after it.
+
+    For ``high - low < 2**32 - 1`` numpy draws this by Lemire's method on
+    its buffered 32-bit draws: the low, then the high half of a 64-bit
+    output, until one is not rejected.  A range of one value draws nothing.
+    """
+    span = high - low + 1
+    if span == 1:
+        return np.full(lanes.size, low, np.intp), lanes
+    threshold = (1 << 32) % span
+    after = Lanes(tuple(half.copy() for half in lanes.state), lanes.inc)
+    values = np.empty(lanes.size, np.intp)
+    todo = np.arange(lanes.size)
+    while todo.size:
+        drawing = after.take(todo)
+        moved = _step(drawing.state, drawing.inc)
+        after.state[0][todo], after.state[1][todo] = moved
+        word = _output(moved)
+        first, second = (word & _MASK32) * span, (word >> 32) * span
+        kept = (first & _MASK32) >= threshold
+        done = kept | ((second & _MASK32) >= threshold)
+        values[todo[done]] = np.where(kept, first, second)[done] >> 32
+        todo = todo[~done]
+    return values + low, after
+
+
+#: The draws of one row of :func:`random`.  A lane's draws are cut into
+#: rows; each row starts from its lane's state by a jump from a table of
+#: multiples of the row length, and then all rows step together.
+_ROW = 16
+#: Rows stepped at a time, which bounds the temporaries.
+_CHUNK_ROWS = 16384
+
+
+def _jumps(n: int):
+    """``(A, G)`` for ``r < n``: ``_ROW * r`` steps take each state ``s`` to ``A[r] s + G[r] inc``.
+
+    The table doubles from ``r = 0`` (no steps): the jump of ``h`` rows
+    after each entry ``r < h`` gives entry ``h + r``.
+    """
+    scale = np.zeros(1, np.uint64), np.ones(1, np.uint64)
+    shift = np.zeros(1, np.uint64), np.zeros(1, np.uint64)
+    jump_scale, jump_shift = 1, 0  # the jump of one row, then of as many rows as the table holds
+    for _ in range(_ROW):
+        jump_scale, jump_shift = jump_scale * _MULTIPLIER, jump_shift * _MULTIPLIER + 1
+    jump_scale, jump_shift = jump_scale & _MASK128, jump_shift & _MASK128
+    while len(scale[1]) < n:
+        factor = _halves(jump_scale)
+        scale = tuple(map(np.concatenate, zip(scale, _mul(scale, factor))))
+        moved = _add(_mul(shift, factor), _halves(jump_shift))
+        shift = tuple(map(np.concatenate, zip(shift, moved)))
+        jump_scale, jump_shift = (
+            jump_scale * jump_scale & _MASK128,
+            (jump_scale * jump_shift + jump_shift) & _MASK128,
+        )
+    return scale, shift
+
+
+def random(lanes: Lanes, counts: np.ndarray) -> np.ndarray:
+    """``counts[k]`` of lane ``k``'s ``Generator.random()`` doubles, lane after lane.
+
+    A double is ``(next64 >> 11) * 2**-53``.
+    """
+    rows = -(-counts // _ROW)
+    lane = np.repeat(np.arange(lanes.size), rows)
+    row = np.arange(len(lane)) - np.repeat(np.cumsum(rows) - rows, rows)
+    scale, shift = _jumps(int(rows.max()))
+    out = np.empty(int(counts.sum()))
+    words = np.empty((_ROW, min(len(lane), _CHUNK_ROWS)), np.uint64)  # a column of rows per step
+    filled = 0
+    for first in range(0, len(lane), _CHUNK_ROWS):
+        k, r = lane[first:first + _CHUNK_ROWS], row[first:first + _CHUNK_ROWS]
+        start = lanes.take(k)
+        state = _add(
+            _mul((scale[0][r], scale[1][r]), start.state),
+            _mul((shift[0][r], shift[1][r]), start.inc),
+        )
+        for column in words[:, :len(k)]:
+            state = _step(state, start.inc)
+            column[:] = _output(state)
+        drawn = words[:, :len(k)].T[np.arange(_ROW) < (counts[k] - _ROW * r)[:, None]]
+        np.multiply(drawn >> 11, 2.0**-53, out=out[filled:filled + len(drawn)])
+        filled += len(drawn)
+    return out
+
+
+def standard_normal(lanes: Lanes, skip: np.ndarray) -> np.ndarray:
+    """Each lane's ``Generator.standard_normal()`` after ``skip[k]`` 64-bit draws of lane ``k``.
+
+    numpy's own generator draws these: this imports ``numpy.random`` and
+    places one PCG64 at each lane's state in turn.
+    """
+    import numpy.random
+
+    bit_generator = numpy.random.PCG64(0)
+    generator = numpy.random.Generator(bit_generator)
+    values = np.empty(lanes.size)
+    for k in range(lanes.size):
+        state, inc = lanes.numbers(k)
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        bit_generator.advance(int(skip[k]))
+        values[k] = generator.standard_normal()
+    return values
+
+
+def draws32(lanes: Lanes, k: int):
+    """Lane ``k``'s buffered 32-bit draws, in Python: the low, then the high half of each output."""
+    state, inc = lanes.numbers(k)
+    while True:
+        state = (state * _MULTIPLIER + inc) & _MASK128
+        rotation, word = state >> 122, (state >> 64 ^ state) & _MASK64
+        word = (word >> rotation | word << 64 - rotation) & _MASK64
+        yield word & _MASK32
+        yield word >> 32
+
+
+def bounded(draws, high: int) -> int:
+    """numpy's ``random_bounded_uint64(0, high)`` for ``high < 2**32 - 1``, from :func:`draws32`.
+
+    This is Lemire's method, as :func:`integers` draws it for every lane at once.
+    """
+    if high == 0:
+        return 0
+    span = high + 1
+    threshold, product = (1 << 32) % span, next(draws) * span
+    while product & _MASK32 < threshold:
+        product = next(draws) * span
+    return product >> 32

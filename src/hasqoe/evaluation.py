@@ -13,8 +13,9 @@ Split ``k`` of a protocol run draws its test set as numpy's
 ``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
 test_size, replace=False)`` would (PCG64 under the seed sequence), so
 results are bit-reproducible and independent of the order splits are
-executed in.  The draws are computed in Python without loading
-``numpy.random``, and a test holds them equal to numpy's.  ``rng_seed``
+executed in.  The draws are computed without loading ``numpy.random``
+(``_pcg64`` seeds every split's stream at once, and each split's choice
+is drawn in Python), and a test holds them equal to numpy's.  ``rng_seed``
 must be a non-negative integer.
 """
 
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pcg64
 from .baselines import MODEL_STATISTICS, BaselineCoefficients, baseline_matrix
 from .errors import DegenerateMetricError, UsageError
 from .fitting import LabeledDataset, design_matrix, solve
@@ -281,85 +283,15 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     if protocol.test_size >= len(tags):
         raise UsageError("test_size leaves no sessions to train on")
 
-    entropy = _words32(protocol.rng_seed)
-    entropy += [0] * (4 - len(entropy))  # a spawned SeedSequence pads its seed to the pool size
+    lanes = _pcg64.seed(protocol.rng_seed, np.arange(protocol.n_repetitions))
     pool = np.array(pool)
     masks = []
     for k in range(protocol.n_repetitions):
-        drawn = _drawn(_pcg64_draws(entropy + _words32(k)), len(pool), protocol.test_size)
+        drawn = _drawn(_pcg64.draws32(lanes, k), len(pool), protocol.test_size)
         mask = np.zeros(len(tags), dtype=bool)
         mask[pool[drawn]] = True
         masks.append(mask)
     return masks
-
-
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words32(n: int) -> list[int]:
-    """``n`` as ``SeedSequence`` reads an integer: little-endian 32-bit words, one for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hasher(hash_const: int, multiplier: int):
-    """``SeedSequence``'s hashmix: each call hashes one word and steps the shared constant."""
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * multiplier & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _pcg64_draws(entropy: list[int]):
-    """The 32-bit draws of ``default_rng(SeedSequence)`` over the ``entropy`` words.
-
-    The seed sequence mixes the words into a 4-word pool and hashes that
-    into PCG64's 128-bit state and increment; numpy's buffered ``next32``
-    then yields the low, then the high half of each 64-bit output.
-    """
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [_mix(value, hashmix(word)) for value in pool]
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64), little-endian pairs
-    words = [hashmix(pool[i % 4]) for i in range(8)]
-    seed_high, seed_low, inc_high, inc_low = (words[i] | words[i + 1] << 32 for i in (0, 2, 4, 6))
-    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-    state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
-    while True:
-        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
-        rotation, word = state >> 122, (state >> 64 ^ state) & _MASK64
-        word = (word >> rotation | word << 64 - rotation) & _MASK64
-        yield word & _MASK32
-        yield word >> 32
-
-
-def _bounded(draws, high: int) -> int:
-    """numpy's ``random_bounded_uint64(0, high)`` for ``high < 2**32 - 1``: Lemire's method."""
-    if high == 0:
-        return 0
-    span = high + 1
-    threshold, product = (1 << 32) % span, next(draws) * span
-    while product & _MASK32 < threshold:
-        product = next(draws) * span
-    return product >> 32
 
 
 def _drawn(draws, pool_size: int, size: int) -> list[int]:
@@ -368,12 +300,12 @@ def _drawn(draws, pool_size: int, size: int) -> list[int]:
         # Shuffle the tail: swap each position i, from the last down, with a draw from [0, i].
         moved: dict[int, int] = {}
         for i in range(pool_size - 1, max(pool_size - size, 1) - 1, -1):
-            j = _bounded(draws, i)
+            j = _pcg64.bounded(draws, i)
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
         return [moved.get(i, i) for i in range(pool_size - size, pool_size)]
     drawn: set[int] = set()  # Floyd's algorithm
     for j in range(pool_size - size, pool_size):
-        value = _bounded(draws, j)
+        value = _pcg64.bounded(draws, j)
         drawn.add(j if value in drawn else value)
     return list(drawn)
 

@@ -164,6 +164,10 @@ def _records(text: str, source: str):
     return (_parse_json(line, f"{source} line {k}") for k, line in enumerate(lines))
 
 
+#: JSON whitespace, a comma and JSON whitespace: what lies between two array elements.
+_ELEMENT_SEPARATOR = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
+
+
 def _array_elements(text: str, start: int, source: str):
     """Each element of the JSON array that opens at ``text[start]``, decoded by the stdlib scanner.
 
@@ -171,19 +175,18 @@ def _array_elements(text: str, start: int, source: str):
     element if the text is not one JSON array, raises the error of ``json.loads``
     on the whole text, so the text is decoded whole only to explain a fault.
     """
-    decode, skip = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match
-    end = start  # at the "[" or "," before each element
+    scan, skip = json.scanner.make_scanner(json.JSONDecoder()), json.decoder.WHITESPACE.match
     try:
         if skip(text, 0).end() == start:  # only JSON whitespace before the "["
-            while True:
-                record, end = decode(text, skip(text, end + 1).end())
+            record, end = scan(text, skip(text, start + 1).end())
+            yield record
+            while separator := _ELEMENT_SEPARATOR.match(text, end):
+                record, end = scan(text, separator.end())
                 yield record
-                end = skip(text, end).end()
-                if not text.startswith(",", end):
-                    break
+            end = skip(text, end).end()
             if text.startswith("]", end) and skip(text, end + 1).end() == len(text):
                 return
-    except (json.JSONDecodeError, RecursionError):
+    except (StopIteration, json.JSONDecodeError, RecursionError):  # StopIteration: no value there
         pass
     if _parse_json(text, source):
         raise AssertionError(f"{source}: the scan rejected a JSON array that json.loads reads")

@@ -8,10 +8,13 @@ over the six interruption bins (weighted toward sub-second stalls with
 a long tail), so large datasets exercise every bin.
 
 All randomness flows from ``rng_seed``; session ``k`` of a dataset uses
-the substream ``SeedSequence(rng_seed).spawn(...)[k]``, so generation
-is reproducible and sessions are independent.  Each substream makes
-three draws: the segment count (when ``n_segments`` is a range), its
-rows of one block of uniforms, and the label noise.  The block becomes
+the substream ``SeedSequence(rng_seed).spawn(...)[k]`` of numpy's PCG64,
+so generation is reproducible and sessions are independent.  Each
+substream draws the segment count (when ``n_segments`` is a range), then
+its rows of one block of uniforms, and the label noise only when
+``noise_std > 0``.  The count and the block are computed without
+``numpy.random``, for every session of a round at once (``_pcg64``); the
+noise, when drawn, comes from numpy's own generator.  The block becomes
 the sessions' batch with its labels and tags (``model._SessionBatch``)
 at once, a round of at most ``_ROUND_SESSIONS`` sessions at a time.  A
 labeled dataset and :func:`generate_columns` stay a batch; only
@@ -23,10 +26,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
+from . import _pcg64
 from .errors import UsageError, ValidationError
 from .fitting import LabeledDataset
 from .model import (
@@ -165,6 +168,11 @@ class StallDurations:
         return cls(**kwargs)
 
 
+#: The bound on ``high - low`` of an ``n_segments`` range: the edge of the
+#: 32-bit method numpy draws a count by, which ``_pcg64.integers`` computes.
+_MAX_SPAN = 2**32 - 1
+
+
 def _json_segment_count(value) -> int | tuple[int, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(_json_integer(v, "'n_segments'") for v in value)
@@ -195,6 +203,11 @@ class GeneratorConfig:
             low, high = int(n[0]), int(n[1])
             if low < 1 or high < low:
                 raise UsageError(f"bad n_segments range ({low}, {high})")
+            if high - low >= _MAX_SPAN:
+                raise UsageError(
+                    f"n_segments range ({low}, {high}) is too wide: "
+                    f"high - low must be below {_MAX_SPAN}"
+                )
             object.__setattr__(self, "n_segments", (low, high))
         else:
             if int(n) < 1:
@@ -262,19 +275,20 @@ def _clamped_walk(levels: np.ndarray, steps: np.ndarray, starts, lengths) -> Non
 _TAG_NAMES = np.array(["single-factor", "multi-factor"], dtype=object)
 
 
-def _sessions(config: GeneratorConfig, rngs) -> tuple[_SessionBatch, np.ndarray]:
-    """One session from each generator in ``rngs``: their batch (NaN labels, tags) and label noise."""
-    rngs = list(rngs)
+def _sessions(config: GeneratorConfig, lanes: _pcg64.Lanes, draw_noise: bool):
+    """One session from each substream in ``lanes``: their batch (NaN labels, tags) and label noise.
+
+    Unless ``draw_noise``, the noise is not drawn and reads 0.0.
+    """
     n = config.n_segments
-    counts = [rng.integers(n[0], n[1] + 1) for rng in rngs] if isinstance(n, tuple) else repeat(n)
-    lengths = np.fromiter(counts, np.intp, len(rngs))
+    if isinstance(n, tuple):
+        lengths, lanes = _pcg64.integers(lanes, *n)
+    else:
+        lengths = np.full(lanes.size, n, np.intp)
+    u = _pcg64.random(lanes, _N_UNIFORMS * lengths).reshape(-1, _N_UNIFORMS)
+    noise = _pcg64.standard_normal(lanes, _N_UNIFORMS * lengths) if draw_noise else 0.0
     ends = np.cumsum(lengths)
     starts = ends - lengths
-    u = np.empty((ends[-1], _N_UNIFORMS))
-    for rng, start, end in zip(rngs, starts.tolist(), ends.tolist()):
-        rng.random(out=u[start:end])
-    noise = np.fromiter((rng.standard_normal() for rng in rngs), float, len(rngs))  # always drawn
-    del rngs  # 100,000 generators hold about 90 MB
 
     walk = config.quality_walk
     moves = _pick((walk.p_down, walk.p_stay, walk.p_up), u[:, _LEVEL]) - 1
@@ -300,34 +314,31 @@ def _sessions(config: GeneratorConfig, rngs) -> tuple[_SessionBatch, np.ndarray]
     return _SessionBatch(lengths, quality, n_stalls, after, durations, labels, tags), noise
 
 
-#: Most sessions drawn in one round.  A round holds a ``Generator`` per
-#: session, about 900 bytes each, and its columns' temporaries; which
-#: sessions come out does not depend on it.
+#: Most sessions drawn in one round.  A round holds its sessions' block
+#: of uniforms and its columns' temporaries; which sessions come out does
+#: not depend on it.
 _ROUND_SESSIONS = 8192
 
 
-def _draw(config: GeneratorConfig, root: np.random.SeedSequence, size: int):
-    """:func:`_sessions` of the next ``size`` substreams of ``root``."""
-    return _sessions(config, map(np.random.default_rng, root.spawn(size)))
+def _draw(config: GeneratorConfig, first: int, size: int, draw_noise: bool):
+    """:func:`_sessions` of the substreams ``first`` to ``first + size - 1``."""
+    lanes = _pcg64.seed(config.rng_seed, np.arange(first, first + size))
+    return _sessions(config, lanes, draw_noise)
 
 
-def generate_session(
-    config: GeneratorConfig, rng: np.random.Generator | None = None
-):
-    """Generate one ``SessionTrace``; without an explicit ``rng``, seeds from the config."""
+def generate_session(config: GeneratorConfig):
+    """Generate one ``SessionTrace`` from the config's unspawned seed."""
     from .traces import traces_of
 
-    rng = np.random.default_rng(config.rng_seed) if rng is None else rng
-    return traces_of(_sessions(config, (rng,))[0])[0]
+    return traces_of(_sessions(config, _pcg64.seed(config.rng_seed), False)[0])[0]
 
 
 def generate_columns(config: GeneratorConfig, n_sessions: int) -> _SessionBatch:
     """:func:`generate_sessions` as a batch, as ``io.read_dataset`` gives one: NaN labels, tags."""
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
-    root = np.random.SeedSequence(config.rng_seed)
     return _concatenate(
-        _draw(config, root, min(_ROUND_SESSIONS, n_sessions - start))[0]
+        _draw(config, start, min(_ROUND_SESSIONS, n_sessions - start), False)[0]
         for start in range(0, n_sessions, _ROUND_SESSIONS)
     )
 
@@ -373,7 +384,6 @@ def generate_labeled_dataset(
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     if not 0.0 <= noise_std < math.inf:  # NaN fails
         raise UsageError(f"noise_std {noise_std} must be a finite number >= 0")
-    root = np.random.SeedSequence(config.rng_seed)
     kept = []  # the kept sessions of each round, as a batch
     n_kept = attempts = 0
     max_attempts = 20 * n_sessions + 100
@@ -385,8 +395,8 @@ def generate_labeled_dataset(
             )
         needed = n_sessions - n_kept
         size = min(_round_size(needed, attempts, n_kept), max_attempts - attempts, _ROUND_SESSIONS)
+        batch, noise = _draw(config, attempts, size, noise_std > 0.0)
         attempts += size
-        batch, noise = _draw(config, root, size)
         raw = _raw_scores(feature_matrix(batch), weights)
         labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
         # "not below 1", as the floor reads it: a NaN score from overflowing

@@ -150,6 +150,17 @@ def test_gen_rejects_malformed_config(tmp_path, capsys, config) -> None:
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_gen_rejects_a_segment_count_range_of_more_than_32_bits(tmp_path, capsys) -> None:
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text('{"n_segments": [1, 1000000000000]}')
+    assert run_cli("gen", "--count", "2", "--output", str(out), "--config", str(path)) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: n_segments range (1, 1000000000000) is too wide: "
+        "high - low must be below 4294967295\n"
+    )
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
 def test_gen_rejects_non_finite_noise(tmp_path, capsys, noise) -> None:
     out = tmp_path / "out.json"
@@ -226,6 +237,22 @@ def test_protocol_runs_leave_numpy_random_unloaded(labeled_path) -> None:
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.splitlines()[-1] == "[0, 0] False"
+
+
+def test_generating_leaves_numpy_random_unloaded(tmp_path) -> None:
+    # The generator computes numpy's draws itself, and draws label noise only when it is asked for.
+    src = str(Path(hasqoe.__file__).parents[1])
+    out = str(tmp_path / "out.json")
+    runs = [["gen", "--count", "30", "--output", out],
+            ["gen", "--count", "30", "--weights", "paper", "--noise-std", "0", "--output", out],
+            ["gen", "--count", "30", "--weights", "paper", "--skip-clamped", "--output", out]]
+    code = ("import sys, hasqoe.cli; "
+            f"codes = [hasqoe.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_a_traced_benchmark_op_runs_the_cli(tmp_path) -> None:

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hasqoe import UsageError
-from hasqoe.evaluation import SplitProtocol, _bounded, _pcg64_draws, _words32, split_masks
+from hasqoe import _pcg64
+from hasqoe.evaluation import SplitProtocol, split_masks
 
 seeds = st.one_of(
     st.just(0),
@@ -61,11 +62,10 @@ def test_each_test_set_is_the_one_numpy_draws(seed, repetitions, pool_and_size) 
 @given(seeds, st.integers(min_value=0, max_value=10),
        st.integers(min_value=0, max_value=2**32 - 2))
 def test_a_bounded_draw_is_numpys(seed, split, high) -> None:
-    # Highs near 2**32 reject often, so the rejection loop is exercised too.
+    # Highs above 2**31 reject up to half of the draws, so the rejection loop is exercised too.
     expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(split,)))
-    words = _words32(seed)
-    draws = _pcg64_draws(words + [0] * (4 - len(words)) + _words32(split))
-    actual = [_bounded(draws, high) for _ in range(20)]
+    draws = _pcg64.draws32(_pcg64.seed(seed, [split]), 0)
+    actual = [_pcg64.bounded(draws, high) for _ in range(20)]
     assert actual == expected.integers(0, high, size=20, endpoint=True).tolist()
 
 

@@ -290,6 +290,9 @@ def test_generator_usage_errors() -> None:
         GeneratorConfig(n_segments=0)
     with pytest.raises(UsageError):
         GeneratorConfig(n_segments=(5, 2))
+    with pytest.raises(UsageError, match=r"high - low must be below 4294967295$"):
+        GeneratorConfig(n_segments=(3, 2**32 + 2))
+    assert GeneratorConfig(n_segments=(3, 2**32 + 1)).n_segments == (3, 2**32 + 1)
     with pytest.raises(UsageError):
         GeneratorConfig(stall_prob_per_boundary=1.5)
     with pytest.raises(UsageError):
