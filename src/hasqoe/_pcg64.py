@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import UsageError
+
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -123,8 +125,11 @@ def seed(entropy: int, children=None) -> Lanes:
     """
     words: list = _words32(entropy)
     if children is not None:
+        children = np.asarray(children, np.uint64)
+        if (children >= 2**32).any():  # numpy would hash such an index as two words
+            raise UsageError(f"child index {children.max()} must be below 2**32")
         words += [0] * (4 - len(words))
-        words.append(np.asarray(children, np.uint64))
+        words.append(children)
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
     pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
     for src in range(4):

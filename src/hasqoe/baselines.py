@@ -28,7 +28,7 @@ linear model over :func:`baseline_matrix` (``evaluation.baseline_runner``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,11 +58,7 @@ class BaselineCoefficients:
     intercept: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "coefficients": dict(self.coefficients),
-            "intercept": self.intercept,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineCoefficients":

@@ -3,8 +3,8 @@
 Subcommands: ``predict`` (score sessions with a weight file), ``fit``
 (estimate weights from a labeled dataset), ``evaluate`` (PCC/RMSE,
 optionally under the repeated split protocol), ``gen`` (synthesize
-datasets).  Exit codes: 0 success, 1 usage or parse failure, 2 domain
-validation failure, 3 numerical failure.
+datasets).  Exit codes: 0 success, 1 usage, parse or out-of-memory
+failure, 2 domain validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -243,23 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The exit code of each failure that ``main`` reports as one ``error:`` line.
+_EXIT_CODES = {UsageError: EXIT_USAGE, OSError: EXIT_USAGE, json.JSONDecodeError: EXIT_USAGE,
+               MemoryError: EXIT_USAGE, ValidationError: EXIT_VALIDATION,
+               DegenerateMetricError: EXIT_NUMERICAL, np.linalg.LinAlgError: EXIT_NUMERICAL}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DegenerateMetricError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 

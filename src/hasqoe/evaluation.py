@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,6 +84,11 @@ def linear_compensate(predictions, truths) -> tuple[float, float, np.ndarray]:
     return slope, intercept, slope * p + intercept
 
 
+def _set_fields(items) -> dict:
+    """The ``dict_factory`` of a report's ``to_dict``: its fields at every level, less None ones."""
+    return {name: value for name, value in items if value is not None}
+
+
 @dataclass(frozen=True)
 class SplitMetrics:
     """Metrics of one train/test repetition."""
@@ -95,11 +100,7 @@ class SplitMetrics:
     intercept: float | None = None
 
     def to_dict(self) -> dict:
-        data: dict = {"split": self.split, "pcc": self.pcc, "rmse": self.rmse}
-        if self.slope is not None:
-            data["slope"] = self.slope
-            data["intercept"] = self.intercept
-        return data
+        return asdict(self, dict_factory=_set_fields)
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,7 @@ class EvaluationReport:
     per_split: tuple[SplitMetrics, ...] | None = None
 
     def to_dict(self) -> dict:
-        data: dict = {"pcc": self.pcc, "rmse": self.rmse}
-        if self.slope is not None:
-            data["slope"] = self.slope
-            data["intercept"] = self.intercept
-        if self.per_split is not None:
-            data["per_split"] = [m.to_dict() for m in self.per_split]
-        return data
+        return asdict(self, dict_factory=_set_fields)
 
 
 def evaluate_predictions(predictions, truths, *, compensate: bool = False) -> EvaluationReport:
@@ -137,8 +132,8 @@ class SplitProtocol:
 
     ``test_pool`` selects which sessions may enter test sets: ``"all"``
     or a tag value that session traces carry.  Training sets are always
-    the full complement of the drawn test set.  ``rng_seed`` is a
-    non-negative integer.
+    the full complement of the drawn test set.  ``n_repetitions`` is at
+    most 2**32, and ``rng_seed`` a non-negative integer.
     """
 
     n_repetitions: int = 50
@@ -149,6 +144,8 @@ class SplitProtocol:
     def __post_init__(self) -> None:
         if self.n_repetitions < 1:
             raise UsageError(f"n_repetitions {self.n_repetitions} must be >= 1")
+        if self.n_repetitions > 2**32:  # a split's substream index is one 32-bit word
+            raise UsageError(f"n_repetitions {self.n_repetitions} must be at most 2**32")
         if self.test_size < 2:
             raise UsageError(f"test_size {self.test_size} must be >= 2 for PCC")
         seed = operator.index(self.rng_seed)

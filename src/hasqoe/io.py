@@ -402,35 +402,27 @@ def predictions_json_text(predictions, features=None) -> str:
     return json_text(records)
 
 
-def predictions_csv_text(predictions, features=None) -> str:
-    """CSV of per-session predictions; ``features``, a ``feature_matrix``, adds its 22 columns."""
+def _csv_text(header, rows) -> str:
+    """CSV of a header and rows, each row a label and then numbers written with 6 decimals."""
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    header = ["index", "prediction"]
-    if features is not None:
-        header += FEATURE_NAMES
-        features = features.tolist()
     writer.writerow(header)
-    for k, value in enumerate(predictions):
-        row = [str(k), f"{value:.6f}"]
-        if features is not None:
-            row += [f"{v:.6f}" for v in features[k]]
-        writer.writerow(row)
+    for label, *numbers in rows:
+        writer.writerow([label, *(f"{v:.6f}" for v in numbers)])
     return buffer.getvalue()
+
+
+def predictions_csv_text(predictions, features=None) -> str:
+    """CSV of per-session predictions; ``features``, a ``feature_matrix``, adds its 22 columns."""
+    if features is None:
+        return _csv_text(["index", "prediction"], enumerate(predictions))
+    rows = ((k, v, *row) for k, (v, row) in enumerate(zip(predictions, features.tolist())))
+    return _csv_text(["index", "prediction", *FEATURE_NAMES], rows)
 
 
 def per_split_csv_text(report) -> str:
-    """CSV of per-split protocol metrics."""
+    """CSV of per-split protocol metrics: the fields of each ``SplitMetrics.to_dict``."""
     if report.per_split is None:
         raise UsageError("report has no per-split metrics; run with --splits")
-    buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    compensated = any(m.slope is not None for m in report.per_split)
-    header = ["split", "pcc", "rmse"] + (["slope", "intercept"] if compensated else [])
-    writer.writerow(header)
-    for m in report.per_split:
-        row = [str(m.split), f"{m.pcc:.6f}", f"{m.rmse:.6f}"]
-        if compensated:
-            row += [f"{m.slope:.6f}", f"{m.intercept:.6f}"]
-        writer.writerow(row)
-    return buffer.getvalue()
+    records = [m.to_dict() for m in report.per_split]
+    return _csv_text(records[0], (record.values() for record in records))

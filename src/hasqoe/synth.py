@@ -171,6 +171,9 @@ class StallDurations:
 #: The bound on ``high - low`` of an ``n_segments`` range: the edge of the
 #: 32-bit method numpy draws a count by, which ``_pcg64.integers`` computes.
 _MAX_SPAN = 2**32 - 1
+#: The bound on a session's segment count, fixed or a range's high: a round's
+#: uniforms, 6 a segment for ``_ROUND_SESSIONS`` sessions, stay countable in int64.
+_MAX_SEGMENTS = 2**40
 
 
 def _json_segment_count(value) -> int | tuple[int, ...]:
@@ -183,7 +186,7 @@ def _json_segment_count(value) -> int | tuple[int, ...]:
 class GeneratorConfig:
     """Full recipe for synthetic session generation.
 
-    ``n_segments`` is a fixed count or an inclusive (low, high) range.
+    ``n_segments`` is a fixed count or an inclusive (low, high) range, at most 2**40.
     The default range starts at 1: single-segment, stall-free sessions
     have no events at all, and their presence is what makes the
     22-column design matrix of a generated dataset full rank.
@@ -213,6 +216,9 @@ class GeneratorConfig:
             if int(n) < 1:
                 raise UsageError(f"n_segments {n} must be >= 1")
             object.__setattr__(self, "n_segments", int(n))
+        high = self.n_segments[1] if isinstance(self.n_segments, tuple) else self.n_segments
+        if high > _MAX_SEGMENTS:
+            raise UsageError(f"n_segments {self.n_segments} must not exceed 2**40 segments")
         if not 0.0 <= self.stall_prob_per_boundary <= 1.0:
             raise UsageError(
                 f"stall_prob_per_boundary {self.stall_prob_per_boundary} must be in [0, 1]"

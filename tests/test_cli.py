@@ -161,6 +161,33 @@ def test_gen_rejects_a_segment_count_range_of_more_than_32_bits(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    ("n_segments", "message"),
+    [
+        # Within the bound: the allocation fails at once, at 5.46 TiB.
+        ("1000000000000", "Unable to allocate"),
+        ("100000000000000000000", "n_segments 100000000000000000000 must not exceed 2**40"),
+        ("[100000000000000000000, 100000000000000000001]", "must not exceed 2**40 segments"),
+    ],
+)
+def test_gen_segment_count_too_large_is_one_error_line(tmp_path, capsys, n_segments, message):
+    path, out = tmp_path / "config.json", tmp_path / "out.json"
+    path.write_text(f'{{"n_segments": {n_segments}}}')
+    assert run_cli("gen", "--count", "2", "--output", str(out), "--config", str(path)) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_memory_error_without_a_message_is_one_error_line(monkeypatch, capsys) -> None:
+    def exhausted(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(hasqoe.cli, "cmd_predict", exhausted)
+    assert run_cli("predict", "--input", "example", "--weights", "paper") == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
 def test_gen_rejects_non_finite_noise(tmp_path, capsys, noise) -> None:
     out = tmp_path / "out.json"
@@ -433,6 +460,8 @@ def test_predict_output_is_pinned(tmp_path, name, args) -> None:
 _LABELED = ("gen", "--count", "40", "--weights", "paper", "--noise-std", "0.2")
 _PINNED_INPUT = str(DATA / "gen_noise.json")
 _GUO = str(DATA / "guo_coefficients.json")
+_REFIT = ("evaluate", "--input", _PINNED_INPUT, "--refit", "--splits", "3",
+          "--test-pool", "all", "--test-size", "5")
 
 
 @pytest.mark.parametrize(
@@ -442,12 +471,7 @@ _GUO = str(DATA / "guo_coefficients.json")
         ("gen_skip_clamped.json", None, (*_LABELED, "--skip-clamped", "--seed", "12")),
         ("gen_unlabeled.json", None, ("gen", "--count", "30", "--seed", "13")),
         ("fit_weights.json", "fit_stdout.json", ("fit", "--input", _PINNED_INPUT)),
-        (
-            "evaluate_refit.json",
-            None,
-            ("evaluate", "--input", _PINNED_INPUT, "--refit", "--splits", "3",
-             "--test-pool", "all", "--test-size", "5"),
-        ),
+        ("evaluate_refit.json", None, _REFIT),
         (
             "fit_nonnegative_weights.json",
             "fit_nonnegative_stdout.json",
@@ -466,13 +490,21 @@ _GUO = str(DATA / "guo_coefficients.json")
             ("evaluate", "--input", _PINNED_INPUT, "--baseline", "guo", "--coefficients", _GUO,
              "--splits", "3", "--test-pool", "all", "--test-size", "5"),
         ),
+        ("evaluate_refit.csv", None, (*_REFIT, "--format", "csv")),
+        ("evaluate_refit_compensate_test.csv", None, (*_REFIT, "--format", "csv",
+                                                       "--compensate-on", "test")),
+        ("evaluate_refit_no_compensation.csv", None, (*_REFIT, "--format", "csv",
+                                                       "--no-compensation")),
+        ("evaluate_refit_no_compensation.json", None, (*_REFIT, "--no-compensation")),
     ],
 )
 @pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
 def test_gen_fit_and_evaluate_output_is_pinned(tmp_path, capsys, name, stdout, args) -> None:
     # The first five were recorded from the generator that built a trace
-    # per candidate, the rest before fit and the baselines shared one
-    # solve; fit and evaluate read the first generated file.
+    # per candidate, the four refit CSV and --no-compensation pins before
+    # the reports and CSV tables shared one writer each, the rest before fit
+    # and the baselines shared one solve; fit and evaluate read the first
+    # generated file.
     out = tmp_path / name
     assert run_cli(*args, "--output", str(out)) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
@@ -780,6 +812,15 @@ def test_evaluate_requires_exactly_one_mode(labeled_path) -> None:
 
 def test_evaluate_refit_requires_splits(labeled_path) -> None:
     assert run_cli("evaluate", "--input", labeled_path, "--refit") == 1
+
+
+def test_evaluate_too_many_splits_is_one_error_line(labeled_path, capsys) -> None:
+    # Without the bound, 10**20 splits died in np.arange with a ValueError traceback.
+    assert run_cli("evaluate", "--input", labeled_path, "--refit", "--splits", str(10**20),
+                   "--test-pool", "all", "--test-size", "5") == 1
+    assert capsys.readouterr().err == (
+        "error: n_repetitions 100000000000000000000 must be at most 2**32\n"
+    )
 
 
 @pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")

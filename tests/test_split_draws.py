@@ -82,6 +82,16 @@ def test_seed_0s_first_test_set_over_1700_sessions_is_pinned() -> None:
     ]
 
 
+def test_split_and_child_indices_fit_one_32_bit_word() -> None:
+    # numpy hashes a child index of 2**32 or more as two words; the seeding here as one.
+    with pytest.raises(UsageError, match=r"^n_repetitions 4294967297 must be at most 2\*\*32$"):
+        SplitProtocol(n_repetitions=2**32 + 1)
+    assert SplitProtocol(n_repetitions=2**32).n_repetitions == 2**32
+    with pytest.raises(UsageError, match=r"^child index 4294967296 must be below 2\*\*32$"):
+        _pcg64.seed(0, [2**32])
+    assert _pcg64.seed(0, [2**32 - 1]).size == 1
+
+
 def test_a_seed_is_a_non_negative_integer() -> None:
     with pytest.raises(UsageError, match=r"^rng_seed -1 must be >= 0$"):
         SplitProtocol(rng_seed=-1)

@@ -293,6 +293,10 @@ def test_generator_usage_errors() -> None:
     with pytest.raises(UsageError, match=r"high - low must be below 4294967295$"):
         GeneratorConfig(n_segments=(3, 2**32 + 2))
     assert GeneratorConfig(n_segments=(3, 2**32 + 1)).n_segments == (3, 2**32 + 1)
+    for n_segments in (2**40 + 1, (10**20, 10**20 + 1)):
+        with pytest.raises(UsageError, match=r"must not exceed 2\*\*40 segments$"):
+            GeneratorConfig(n_segments=n_segments)
+    assert GeneratorConfig(n_segments=2**40).n_segments == 2**40
     with pytest.raises(UsageError):
         GeneratorConfig(stall_prob_per_boundary=1.5)
     with pytest.raises(UsageError):
