@@ -22,7 +22,6 @@ from .errors import DegenerateMetricError, UsageError, ValidationError
 from .evaluation import (
     LinearModel,
     SplitProtocol,
-    _finite,
     baseline_runner,
     evaluate_predictions,
     fixed_weights_runner,
@@ -54,7 +53,7 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_predict(args) -> None:
     weights = io.read_weights(args.weights)
     features = feature_matrix(io.read_dataset(args.input))
-    values = _finite(predict_matrix(features, weights)).tolist()
+    values = predict_matrix(features, weights).tolist()
     text = io.predictions_json_text if args.format == "json" else io.predictions_csv_text
     _emit(text(values, features if args.features else None), args.output)
 
@@ -253,7 +252,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # Every overflow is caught by a finiteness check, which reports it as one line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

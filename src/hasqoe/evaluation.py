@@ -32,7 +32,7 @@ from . import _pcg64
 from .baselines import MODEL_STATISTICS, BaselineCoefficients, baseline_matrix
 from .errors import DegenerateMetricError, UsageError
 from .fitting import LabeledDataset, design_matrix, solve
-from .model import MAX_MOS, MIN_MOS, ModelWeights
+from .model import MAX_MOS, MIN_MOS, ModelWeights, _finite
 
 
 def _as_pair(predictions, truths, min_length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +117,25 @@ class EvaluationReport:
         return asdict(self, dict_factory=_set_fields)
 
 
+def _score(predictions: np.ndarray, truths: np.ndarray, rows, reference) -> dict:
+    """PCC and RMSE of the ``rows``, after the compensation line fitted on the ``reference`` rows.
+
+    With ``reference=None`` the rows are scored as they are, and the slope
+    and intercept are None.
+    """
+    scored, t = predictions[rows], truths[rows]
+    slope = intercept = None
+    if reference is not None:
+        slope, intercept, _ = linear_compensate(predictions[reference], truths[reference])
+        scored = slope * scored + intercept
+    return {"pcc": pcc(scored, t), "rmse": rmse(scored, t), "slope": slope, "intercept": intercept}
+
+
 def evaluate_predictions(predictions, truths, *, compensate: bool = False) -> EvaluationReport:
     """Score predictions against truths, optionally after linear compensation."""
     p, t = _as_pair(predictions, truths, 2)
-    slope = intercept = None
-    if compensate:
-        slope, intercept, p = linear_compensate(p, t)
-    return EvaluationReport(pcc=pcc(p, t), rmse=rmse(p, t), slope=slope, intercept=intercept)
+    every = slice(None)
+    return EvaluationReport(**_score(p, t, every, every if compensate else None))
 
 
 @dataclass(frozen=True)
@@ -211,13 +223,6 @@ class LinearModel:
     def fit_predict(self, matrix, labels, train=None) -> np.ndarray:
         """:meth:`predict` of every row, weighted as :meth:`fit` solves on the ``train`` rows."""
         return self.predict(matrix, self.fit(matrix, labels, train)[0])
-
-
-def _finite(predictions: np.ndarray) -> np.ndarray:
-    """``predictions``, unless overflowing weights made any of them non-finite."""
-    if np.isfinite(predictions).all():
-        return predictions
-    raise DegenerateMetricError("predictions overflow the float range; the weights are too large")
 
 
 def refit_runner(*, nonnegative: bool = False) -> LinearModel:
@@ -329,31 +334,11 @@ def run_split_protocol(
     matrix = model.matrix(dataset.batch)
     labels = dataset.labels()
 
-    per_split: list[SplitMetrics] = []
+    per_split = []
     for k, test in enumerate(masks):
         predictions = model.fit_predict(matrix, labels, ~test)
-        scored, truths = predictions[test], labels[test]
-
-        slope = intercept = None
-        if compensate:
-            reference = ~test if compensation_on == "train" else test
-            slope, intercept, _ = linear_compensate(predictions[reference], labels[reference])
-            scored = slope * scored + intercept
-
-        per_split.append(
-            SplitMetrics(
-                split=k,
-                pcc=pcc(scored, truths),
-                rmse=rmse(scored, truths),
-                slope=slope,
-                intercept=intercept,
-            )
-        )
-
-    return EvaluationReport(
-        pcc=float(np.mean([m.pcc for m in per_split])),
-        rmse=float(np.mean([m.rmse for m in per_split])),
-        slope=float(np.mean([m.slope for m in per_split])) if compensate else None,
-        intercept=float(np.mean([m.intercept for m in per_split])) if compensate else None,
-        per_split=tuple(per_split),
-    )
+        reference = (~test if compensation_on == "train" else test) if compensate else None
+        per_split.append(SplitMetrics(k, **_score(predictions, labels, test, reference)))
+    names = ("pcc", "rmse", "slope", "intercept") if compensate else ("pcc", "rmse")
+    means = {name: float(np.mean([getattr(m, name) for m in per_split])) for name in names}
+    return EvaluationReport(**means, per_split=tuple(per_split))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import chain
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import DegenerateMetricError, UsageError, ValidationError
 
 MIN_MOS = 1.0
 MAX_MOS = 5.0
@@ -100,8 +101,8 @@ _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
 def _json_number(value, label: str) -> float:
-    """A number field of a JSON record as a float; booleans, strings and null are not numbers."""
-    if type(value) not in _JSON_NUMBER_TYPES:
+    """A number field as a float: a JSON or numpy number, not a boolean, string or null."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UsageError(f"{label} must be a number, got {value!r}")
     try:
         return float(value)
@@ -120,7 +121,9 @@ def _json_record(cls, data, label: str) -> dict:
 
 
 def _json_integer(value, label: str) -> int:
-    """A whole-number field of a JSON record (``3`` or ``3.0``, not ``2.7``) as an int."""
+    """A whole-number field (``3`` or ``3.0``, not ``2.7``) as an int; integers are exact."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     number = _json_number(value, label)
     if not number.is_integer():
         raise UsageError(f"{label} must be a whole number, got {number!r}")
@@ -391,7 +394,17 @@ def _raw_scores(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
     return quality - _ordered_sum(w[INTERRUPTION_SLOTS], features[:, INTERRUPTION_SLOTS])
 
 
+def _finite(scores: np.ndarray) -> np.ndarray:
+    """``scores``, unless overflowing weights made any of them non-finite."""
+    if np.isfinite(scores).all():
+        return scores
+    raise DegenerateMetricError("predictions overflow the float range; the weights are too large")
+
+
 def predict_matrix(features: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """``traces.predict`` for every row of a :func:`feature_matrix`, bit for bit."""
-    return np.maximum(_raw_scores(features, weights), MIN_MOS)
+    """``traces.predict`` for every row of a :func:`feature_matrix`, bit for bit.
+
+    A score that overflows the float range raises before the floor could hide it.
+    """
+    return np.maximum(_finite(_raw_scores(features, weights)), MIN_MOS)
 

@@ -59,22 +59,23 @@ _STALL_PARAMS: dict[str, dict] = {
 }
 
 
-def _check_distribution(probs, label: str) -> tuple[float, ...]:
-    probs = tuple(float(p) for p in probs)
-    if not all(p >= 0.0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails
-        raise UsageError(f"{label} {probs!r} must be non-negative and sum to 1")
-    return probs
-
-
-def _json_numbers(values, label: str) -> list[float]:
+def _json_numbers(values, label: str) -> tuple[float, ...]:
+    """A list, tuple or one-dimensional numpy array of numbers as a tuple of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     if not isinstance(values, (list, tuple)):
         raise UsageError(f"{label} must be an array of numbers, got {values!r}")
-    return [_json_number(v, label) for v in values]
+    return tuple(_json_number(v, label) for v in values)
+
+
+def _check_distribution(probs: tuple[float, ...], label: str) -> None:
+    if not all(p >= 0.0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-9:  # NaN fails
+        raise UsageError(f"{label} {probs!r} must be non-negative and sum to 1")
 
 
 @dataclass(frozen=True)
 class QualityWalk:
-    """Random-walk parameters for the per-segment quality series."""
+    """Random-walk parameters for the per-segment quality series, held as floats."""
 
     initial_probs: tuple[float, ...] = (0.2, 0.2, 0.2, 0.2, 0.2)
     p_down: float = 0.30
@@ -84,8 +85,11 @@ class QualityWalk:
     jitter: float = 0.2
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            read = _json_numbers if f.name.endswith("_probs") else _json_number
+            object.__setattr__(self, f.name, read(getattr(self, f.name), repr(f.name)))
         for name in ("initial_probs", "step_probs"):
-            object.__setattr__(self, name, _check_distribution(getattr(self, name), name))
+            _check_distribution(getattr(self, name), name)
         _check_distribution((self.p_down, self.p_stay, self.p_up), "move probabilities")
         if len(self.initial_probs) != 5:
             raise UsageError("initial_probs must have 5 entries")
@@ -97,10 +101,7 @@ class QualityWalk:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityWalk":
-        return cls(**{
-            key: (_json_numbers if key.endswith("_probs") else _json_number)(value, f"{key!r}")
-            for key, value in _json_record(cls, data, "quality_walk").items()
-        })
+        return cls(**_json_record(cls, data, "quality_walk"))
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class StallDurations:
     * ``constant``    — always ``value``.
 
     ``params`` may set any of the parameters named above; once the
-    distribution is made it holds all of them, defaults filled in.
+    distribution is made it holds all of them as floats, defaults filled in.
     """
 
     name: str = "bin_mixture"
@@ -126,13 +127,17 @@ class StallDurations:
         known = _STALL_PARAMS[self.name]
         if not isinstance(self.params, dict) or not set(self.params) <= set(known):
             raise UsageError(f"{self.name} params must be an object with keys from {sorted(known)}")
-        p = {**known, **self.params}
+        p = {
+            key: (_json_numbers if key == "bin_probs" else _json_number)(value, repr(key))
+            for key, value in {**known, **self.params}.items()
+        }
         if self.name == "constant" and not 0.0 < p["value"] < math.inf:
             raise UsageError(f"stall duration {p['value']} must be positive")
         if self.name == "uniform" and not 0.0 < p["low"] <= p["high"] < math.inf:
             raise UsageError(f"bad uniform stall range ({p['low']}, {p['high']}]")
         if self.name == "bin_mixture":
-            if len(_check_distribution(p["bin_probs"], "bin_probs")) != len(DEFAULT_BIN_PROBS):
+            _check_distribution(p["bin_probs"], "bin_probs")
+            if len(p["bin_probs"]) != len(DEFAULT_BIN_PROBS):
                 raise UsageError(f"bin_probs must have {len(DEFAULT_BIN_PROBS)} entries")
             last_edge = DEFAULT_INTERRUPTION_EDGES[-1]
             if not last_edge < p["tail_max"] < math.inf:
@@ -149,23 +154,18 @@ class StallDurations:
         """
         p = self.params
         if self.name == "constant":
-            return np.full(len(u), float(p["value"]))
+            return np.full(len(u), p["value"])
         if self.name == "uniform":
-            low, high = float(p["low"]), float(p["high"])
+            low, high = p["low"], p["high"]
         else:
-            edges = np.array((0.0, *DEFAULT_INTERRUPTION_EDGES, float(p["tail_max"])))
+            edges = np.array((0.0, *DEFAULT_INTERRUPTION_EDGES, p["tail_max"]))
             chosen = _pick(p["bin_probs"], u_bin)
             low, high = edges[chosen], edges[chosen + 1]
         return np.maximum(high - (high - low) * u, np.nextafter(low, high))
 
     @classmethod
     def from_dict(cls, data: dict) -> "StallDurations":
-        kwargs = _json_record(cls, data, "stall_durations")
-        params = kwargs.get("params")
-        if isinstance(params, dict):
-            for key, value in params.items():
-                (_json_numbers if key == "bin_probs" else _json_number)(value, f"{key!r}")
-        return cls(**kwargs)
+        return cls(**_json_record(cls, data, "stall_durations"))
 
 
 #: The bound on ``high - low`` of an ``n_segments`` range: the edge of the
@@ -176,12 +176,6 @@ _MAX_SPAN = 2**32 - 1
 _MAX_SEGMENTS = 2**40
 
 
-def _json_segment_count(value) -> int | tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(_json_integer(v, "'n_segments'") for v in value)
-    return _json_integer(value, "'n_segments'")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Full recipe for synthetic session generation.
@@ -189,7 +183,8 @@ class GeneratorConfig:
     ``n_segments`` is a fixed count or an inclusive (low, high) range, at most 2**40.
     The default range starts at 1: single-segment, stall-free sessions
     have no events at all, and their presence is what makes the
-    22-column design matrix of a generated dataset full rank.
+    22-column design matrix of a generated dataset full rank.  Counts and
+    ``rng_seed`` are whole numbers, read exactly at any size.
     """
 
     n_segments: int | tuple[int, int] = (1, 40)
@@ -201,9 +196,10 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         n = self.n_segments
         if isinstance(n, (list, tuple)):
+            n = tuple(_json_integer(v, "'n_segments'") for v in n)
             if len(n) != 2:
                 raise UsageError(f"n_segments range {n!r} must be (low, high)")
-            low, high = int(n[0]), int(n[1])
+            low, high = n
             if low < 1 or high < low:
                 raise UsageError(f"bad n_segments range ({low}, {high})")
             if high - low >= _MAX_SPAN:
@@ -211,14 +207,15 @@ class GeneratorConfig:
                     f"n_segments range ({low}, {high}) is too wide: "
                     f"high - low must be below {_MAX_SPAN}"
                 )
-            object.__setattr__(self, "n_segments", (low, high))
         else:
-            if int(n) < 1:
+            n = high = _json_integer(n, "'n_segments'")
+            if n < 1:
                 raise UsageError(f"n_segments {n} must be >= 1")
-            object.__setattr__(self, "n_segments", int(n))
-        high = self.n_segments[1] if isinstance(self.n_segments, tuple) else self.n_segments
         if high > _MAX_SEGMENTS:
-            raise UsageError(f"n_segments {self.n_segments} must not exceed 2**40 segments")
+            raise UsageError(f"n_segments {n} must not exceed 2**40 segments")
+        object.__setattr__(self, "n_segments", n)
+        for name, read in (("stall_prob_per_boundary", _json_number), ("rng_seed", _json_integer)):
+            object.__setattr__(self, name, read(getattr(self, name), repr(name)))
         if not 0.0 <= self.stall_prob_per_boundary <= 1.0:
             raise UsageError(
                 f"stall_prob_per_boundary {self.stall_prob_per_boundary} must be in [0, 1]"
@@ -232,15 +229,11 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorConfig":
-        readers = {
-            "n_segments": _json_segment_count,
-            "quality_walk": QualityWalk.from_dict,
-            "stall_prob_per_boundary": lambda v: _json_number(v, "'stall_prob_per_boundary'"),
-            "stall_durations": StallDurations.from_dict,
-            "rng_seed": lambda v: _json_integer(v, "'rng_seed'"),
-        }
         kwargs = _json_record(cls, data, "generator config")
-        return cls(**{key: readers[key](value) for key, value in kwargs.items()})
+        for name, record in (("quality_walk", QualityWalk), ("stall_durations", StallDurations)):
+            if name in kwargs:
+                kwargs[name] = record.from_dict(kwargs[name])
+        return cls(**kwargs)
 
 
 #: The columns of a session's uniform block, which has one row per segment.
@@ -409,8 +402,10 @@ def generate_labeled_dataset(
         # weights is kept, and its label then fails the check below.
         keep = ~(raw < MIN_MOS) if skip_clamped else np.ones(size, dtype=bool)
         keep &= np.cumsum(keep) <= needed
-        if np.isnan(labels[keep]).any():
-            raise ValidationError(f"ground-truth MOS nan outside [{MIN_MOS}, {MAX_MOS}]")
+        # NaN labels first, then a kept score that overflowed, which the clip would hide.
+        for bad in (labels[keep & np.isnan(labels)], raw[keep & np.isinf(raw)]):
+            if bad.size:
+                raise ValidationError(f"ground-truth MOS {bad[0]} outside [{MIN_MOS}, {MAX_MOS}]")
         kept.append(batch._replace(labels=labels).select(keep))
         n_kept += len(kept[-1].lengths)
     return LabeledDataset(_concatenate(kept))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -116,38 +117,76 @@ def test_gen_rejects_bad_count() -> None:
     assert run_cli("gen", "--count", "0", "--output", "unused.json") == 1
 
 
+UNKNOWN_DISTRIBUTION = "known: bin_mixture, uniform, constant"
+
+
 @pytest.mark.parametrize(
-    "config",
+    ("config", "message"),
     [
-        {"quality_walk": 5},
-        {"n_segments": "abc"},
-        {"stall_durations": {"params": 5}},
-        {"stall_prob_per_boundary": True},
-        {"n_segments": [2, 5.5]},
-        {"n_segments": None},
-        {"rng_seed": -1},
-        {"rng_seed": "7"},
-        {"quality_walk": {"jitter": None}},
-        {"quality_walk": {"step_probs": 1.0}},
-        {"quality_walk": {"p_down": True, "p_stay": False, "p_up": False}},
-        {"quality_walk": {"step_probs": [0.5, 0.5, 0.0, float("nan")]}},
-        {"stall_durations": 5},
-        {"stall_durations": {"name": ["constant"]}},
-        {"stall_durations": {"name": "uniform", "params": {"low": "0.5"}}},
-        {"stall_durations": {"name": "constant", "params": {"valeu": 2.0}}},
-        {"stall_durations": {"name": "constant", "params": {"value": float("inf")}}},
-        {"stall_durations": {"params": {"bin_probs": [0.5, 0.5, 0, 0, 0, float("nan")]}}},
-        {"stall_durations": {"params": {"tail_max": float("nan")}}},
-        {"stall_durations": {"params": {"tail_max": float("inf")}}},
-        {"stall_durations": {"name": "uniform", "params": {"high": float("inf")}}},
+        ({"quality_walk": 5}, "quality_walk must be an object"),
+        ({"n_segments": "abc"}, "'n_segments' must be a number, got 'abc'"),
+        ({"stall_durations": {"params": 5}},
+         "bin_mixture params must be an object with keys from ['bin_probs', 'tail_max']"),
+        ({"stall_prob_per_boundary": True}, "'stall_prob_per_boundary' must be a number, got True"),
+        ({"n_segments": [2, 5.5]}, "'n_segments' must be a whole number, got 5.5"),
+        ({"n_segments": None}, "'n_segments' must be a number, got None"),
+        ({"rng_seed": -1}, "rng_seed -1 must be >= 0"),
+        ({"rng_seed": "7"}, "'rng_seed' must be a number, got '7'"),
+        ({"quality_walk": {"jitter": None}}, "'jitter' must be a number, got None"),
+        ({"quality_walk": {"step_probs": 1.0}}, "'step_probs' must be an array of numbers, got 1.0"),
+        ({"quality_walk": {"p_down": True, "p_stay": False, "p_up": False}},
+         "'p_down' must be a number, got True"),
+        ({"quality_walk": {"step_probs": [0.5, 0.5, 0.0, float("nan")]}},
+         "step_probs (0.5, 0.5, 0.0, nan) must be non-negative and sum to 1"),
+        ({"stall_durations": 5}, "stall_durations must be an object"),
+        ({"stall_durations": {"name": ["constant"]}},
+         f"unknown stall duration distribution ['constant']; {UNKNOWN_DISTRIBUTION}"),
+        ({"stall_durations": {"name": "uniform", "params": {"low": "0.5"}}},
+         "'low' must be a number, got '0.5'"),
+        ({"stall_durations": {"name": "constant", "params": {"valeu": 2.0}}},
+         "constant params must be an object with keys from ['value']"),
+        ({"stall_durations": {"name": "constant", "params": {"value": float("inf")}}},
+         "stall duration inf must be positive"),
+        ({"stall_durations": {"params": {"bin_probs": [0.5, 0.5, 0, 0, 0, float("nan")]}}},
+         "bin_probs (0.5, 0.5, 0.0, 0.0, 0.0, nan) must be non-negative and sum to 1"),
+        ({"stall_durations": {"params": {"tail_max": float("nan")}}}, "tail_max nan must exceed 3.0"),
+        ({"stall_durations": {"params": {"tail_max": float("inf")}}}, "tail_max inf must exceed 3.0"),
+        ({"stall_durations": {"name": "uniform", "params": {"high": float("inf")}}},
+         "bad uniform stall range (0.1, inf]"),
+        ({"quality_walk": {"p_stay": "x"}}, "'p_stay' must be a number, got 'x'"),
+        ({"quality_walk": {"p_up": 0.5}},
+         "move probabilities (0.3, 0.4, 0.5) must be non-negative and sum to 1"),
+        ({"stall_durations": {"params": {"bin_probs": [1, 0, 0, 0, 0, True]}}},
+         "'bin_probs' must be a number, got True"),
+        ({"n_segments": [1]}, "n_segments range (1,) must be (low, high)"),
+        ({"rng_seed": 1.5}, "'rng_seed' must be a whole number, got 1.5"),
     ],
 )
-def test_gen_rejects_malformed_config(tmp_path, capsys, config) -> None:
+def test_gen_rejects_malformed_config(tmp_path, capsys, config, message) -> None:
     path, out = tmp_path / "config.json", tmp_path / "out.json"
     path.write_text(json.dumps(config))
     assert run_cli("gen", "--count", "3", "--output", str(out), "--config", str(path)) == 1
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gen_reads_recipe_seeds_and_counts_exactly(tmp_path, capsys) -> None:
+    # 2**53 + 1 and 2**53 are one float apart; as integers they are two seeds.
+    outputs = []
+    for seed in ("9007199254740993", "9007199254740992"):
+        path, out = tmp_path / f"{seed}.json", tmp_path / f"{seed}-out.json"
+        path.write_text(f'{{"rng_seed": {seed}}}')
+        assert run_cli("gen", "--count", "3", "--output", str(out), "--config", str(path)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1]
+    path = tmp_path / "range.json"
+    path.write_text('{"n_segments": [1e20, 100000000000000000001]}')
+    assert run_cli("gen", "--count", "2", "--output", str(tmp_path / "o.json"),
+                   "--config", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: n_segments (100000000000000000000, 100000000000000000001) "
+        "must not exceed 2**40 segments\n"
+    )
 
 
 def test_gen_rejects_a_segment_count_range_of_more_than_32_bits(tmp_path, capsys) -> None:
@@ -216,6 +255,47 @@ def test_gen_nan_label_is_validation_error(tmp_path, capsys) -> None:
     assert run_cli("gen", "--weights", str(path), "--noise-std", "1e308", "--count", "50",
                    "--seed", "3", "--output", str(out)) == 2
     assert capsys.readouterr().err == "error: ground-truth MOS nan outside [1.0, 5.0]\n"
+    assert not out.exists()
+
+
+def overflowing_weights(path: Path, sign: float) -> str:
+    """Paper weights with every alpha at ``sign * -1.7e308`` and beta_um and gamma at the opposite.
+
+    With ``sign=1`` every raw score overflows to -inf, with ``sign=-1`` to +inf.
+    """
+    weights = paper_weights().to_dict()
+    weights["alpha"] = [-sign * 1.7e308] * 5
+    weights["beta_um"] = sign * 1.7e308
+    weights["gamma"] = [sign * 1.7e308] * 6
+    path.write_text(json.dumps(weights))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_scores_that_overflow_below_the_floor_are_one_numerical_error(
+    tmp_path, capsys, command
+) -> None:
+    # The floor would make every -inf score 1.0; the overflow is reported instead.
+    data = tmp_path / "data.json"
+    assert run_cli("gen", "--count", "50", "--weights", "paper", "--seed", "3",
+                   "--output", str(data)) == 0
+    weights = overflowing_weights(tmp_path / "weights.json", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would add stderr lines
+        assert run_cli(command, "--input", str(data), "--weights", weights) == 3
+    assert capsys.readouterr() == (
+        "", "error: predictions overflow the float range; the weights are too large\n"
+    )
+
+
+def test_gen_inf_label_is_validation_error(tmp_path, capsys) -> None:
+    # Every score overflows to +inf, which the clip would turn into a label of 5.0.
+    out = tmp_path / "out.json"
+    weights = overflowing_weights(tmp_path / "weights.json", -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("gen", "--count", "5", "--weights", weights, "--output", str(out)) == 2
+    assert capsys.readouterr().err == "error: ground-truth MOS inf outside [1.0, 5.0]\n"
     assert not out.exists()
 
 

@@ -12,11 +12,13 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hasqoe import (
     DEFAULT_INTERRUPTION_EDGES,
+    DegenerateMetricError,
     DOWN_SWITCH_BINS,
     InterruptionEvent,
     ModelWeights,
@@ -128,6 +130,16 @@ def test_feature_matrix_equals_the_scalar_loop(dataset, weights) -> None:
     assert extract_features(dataset[0]).as_vector() == scalar_features(dataset[0])
     scores = predict_matrix(matrix, weights).tolist()
     assert scores == [predict(s, weights) for s in dataset]
+
+
+def test_a_score_that_overflows_below_the_floor_raises() -> None:
+    # predict floors a -inf score to 1.0; the batch scorer reports it instead.
+    weights = ModelWeights.from_vector([-1.7e308] * 5 + [0.0] * 11 + [1.7e308] * 6)
+    dataset = [SessionTrace((3.0, 3.0), (InterruptionEvent(1, 1.0),))]
+    with np.errstate(over="ignore"):
+        assert predict(dataset[0], weights) == 1.0
+        with pytest.raises(DegenerateMetricError, match="overflow the float range"):
+            predict_matrix(feature_matrix(dataset), weights)
 
 
 def test_single_segment_and_no_event_sessions() -> None:

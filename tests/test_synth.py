@@ -1,3 +1,5 @@
+import json
+import re
 from collections import Counter
 from unittest import mock
 
@@ -305,6 +307,71 @@ def test_generator_usage_errors() -> None:
         QualityWalk(jitter=0.6)
     with pytest.raises(UsageError):
         StallDurations("weibull")
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"n_segments": 2.7}, "'n_segments' must be a whole number, got 2.7"),
+        ({"n_segments": (1.5, 3.9)}, "'n_segments' must be a whole number, got 1.5"),
+        ({"n_segments": True}, "'n_segments' must be a number, got True"),
+        ({"n_segments": (1, np.bool_(True))}, "'n_segments' must be a number, got "),
+        ({"n_segments": "7"}, "'n_segments' must be a number, got '7'"),
+        ({"rng_seed": 1.5}, "'rng_seed' must be a whole number, got 1.5"),
+        ({"rng_seed": None}, "'rng_seed' must be a number, got None"),
+        ({"rng_seed": False}, "'rng_seed' must be a number, got False"),
+        ({"stall_prob_per_boundary": "0.1"}, "'stall_prob_per_boundary' must be a number"),
+    ],
+)
+def test_python_callers_get_the_recipe_checks(kwargs, message) -> None:
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}"):
+        GeneratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda: QualityWalk(p_down=True, p_stay=0.7, p_up=0.0), "'p_down' must be a number"),
+        (lambda: QualityWalk(jitter=None), "'jitter' must be a number, got None"),
+        (lambda: QualityWalk(step_probs="0.4"), "'step_probs' must be an array of numbers"),
+        (lambda: QualityWalk(initial_probs=np.array(0.2)), "'initial_probs' must be an array"),
+        (lambda: QualityWalk(initial_probs=np.full((1, 5), 0.2)), "'initial_probs' must be a number"),
+        (lambda: StallDurations("constant", {"value": "2"}), "'value' must be a number, got '2'"),
+        (lambda: StallDurations("bin_mixture", {"bin_probs": [1, 0, 0, 0, 0, None]}),
+         "'bin_probs' must be a number, got None"),
+    ],
+)
+def test_python_callers_get_the_record_checks(make, message) -> None:
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}"):
+        make()
+
+
+def test_python_callers_keep_numpy_numbers() -> None:
+    config = GeneratorConfig(
+        n_segments=(np.int64(2), np.float64(9.0)),
+        quality_walk=QualityWalk(initial_probs=np.full(5, 0.2), p_down=np.float32(0.25),
+                                 p_stay=np.float64(0.5), p_up=0.25, jitter=np.float64(0.1)),
+        stall_prob_per_boundary=np.float64(0.3),
+        stall_durations=StallDurations("bin_mixture", {"bin_probs": np.array(synth.DEFAULT_BIN_PROBS),
+                                                        "tail_max": np.int64(5)}),
+        rng_seed=np.uint64(2**64 - 1),
+    )
+    plain = GeneratorConfig(
+        n_segments=(2, 9),
+        quality_walk=QualityWalk(p_down=0.25, p_stay=0.5, p_up=0.25, jitter=0.1),
+        stall_prob_per_boundary=0.3,
+        stall_durations=StallDurations("bin_mixture", {"tail_max": 5.0}),
+        rng_seed=2**64 - 1,
+    )
+    assert config == plain
+    assert type(config.n_segments[1]) is int and type(config.rng_seed) is int
+    assert type(config.quality_walk.p_stay) is float
+    assert config.quality_walk.initial_probs == (0.2,) * 5
+    assert GeneratorConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    assert generate_sessions(config, 4) == generate_sessions(plain, 4)
+    # Integers are held exactly, at any size.
+    assert GeneratorConfig(rng_seed=2**53 + 1).rng_seed == 2**53 + 1
+    assert GeneratorConfig(n_segments=np.float64(3.0)).n_segments == 3
 
 
 def test_impossible_skip_clamped_config_fails_cleanly() -> None:
