@@ -22,7 +22,6 @@ must be a non-negative integer.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -32,7 +31,7 @@ from . import _pcg64
 from .baselines import MODEL_STATISTICS, BaselineCoefficients, baseline_matrix
 from .errors import DegenerateMetricError, UsageError
 from .fitting import LabeledDataset, design_matrix, solve
-from .model import MAX_MOS, MIN_MOS, ModelWeights, _finite
+from .model import MAX_MOS, MIN_MOS, ModelWeights, _finite, _json_integer
 
 
 def _as_pair(predictions, truths, min_length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +144,9 @@ class SplitProtocol:
     ``test_pool`` selects which sessions may enter test sets: ``"all"``
     or a tag value that session traces carry.  Training sets are always
     the full complement of the drawn test set.  ``n_repetitions`` is at
-    most 2**32, and ``rng_seed`` a non-negative integer.
+    most 2**32, and ``rng_seed`` a non-negative integer.  The three integer
+    fields are read as ``GeneratorConfig`` reads its own: ``3`` or ``3.0``,
+    not ``2.5`` or ``True``.
     """
 
     n_repetitions: int = 50
@@ -154,16 +155,16 @@ class SplitProtocol:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_repetitions", "test_size", "rng_seed"):
+            object.__setattr__(self, name, _json_integer(getattr(self, name), repr(name)))
         if self.n_repetitions < 1:
             raise UsageError(f"n_repetitions {self.n_repetitions} must be >= 1")
         if self.n_repetitions > 2**32:  # a split's substream index is one 32-bit word
             raise UsageError(f"n_repetitions {self.n_repetitions} must be at most 2**32")
         if self.test_size < 2:
             raise UsageError(f"test_size {self.test_size} must be >= 2 for PCC")
-        seed = operator.index(self.rng_seed)
-        if seed < 0:
-            raise UsageError(f"rng_seed {seed} must be >= 0")
-        object.__setattr__(self, "rng_seed", seed)
+        if self.rng_seed < 0:
+            raise UsageError(f"rng_seed {self.rng_seed} must be >= 0")
 
 
 @dataclass(frozen=True)

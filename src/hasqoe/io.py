@@ -4,7 +4,7 @@ Every input is UTF-8 text; a leading byte-order mark is skipped, and CRLF
 and CR line ends read as LF.  Sessions travel as JSON objects with
 ``segments``, ``interruptions`` and optional ``mos``/``tag`` fields;
 datasets as JSON arrays of those objects or as newline-delimited JSON,
-and are written as compact JSON, a run of sessions at a time.  Weights,
+and are written as compact JSON, a session at a time.  Weights,
 baseline coefficients, fit and evaluation reports and JSON predictions
 are written as :func:`json_text` spells them: strict JSON, indented.  CSV
 outputs round to 6 decimal places; JSON keeps full precision.  All file
@@ -25,7 +25,9 @@ reported, whatever the shape or run size.  :func:`read_sessions` gives
 the batch's sessions as traces.
 
 Session files have one writer, :func:`write_dataset`, which encodes a
-batch; given traces, it converts them to a batch first.
+batch; given traces, it converts them to a batch first.  It spells each
+session's text from the Python values of one run's columns, as
+``json.dumps`` would spell the session's record, and builds no record.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import stat
 import tempfile
 from importlib import resources
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -312,40 +314,50 @@ def read_dataset(spec: str) -> _SessionBatch:
 
 
 def write_dataset(sessions, path: str) -> None:
-    """Write sessions as one compact JSON array, encoded a run at a time by the C encoder.
+    """Write sessions as one compact JSON array, encoded a session at a time.
 
     ``sessions`` is a sequence of ``SessionTrace`` objects, or a batch with
     its labels (NaN for none) and tags, as :func:`read_dataset` returns it.
+    A non-finite quality, duration or label raises ``ValueError``, as
+    ``json.dumps(..., allow_nan=False)`` does, and leaves no file.
     """
     _atomic_write(path, _dataset_pieces(model._batch(sessions)))
 
 
+#: One interruption of a session file, from its ``(after_segment, duration_s)``.
+_STALL = '{"after_segment":%d,"duration_s":%r}'
+
+
 def _dataset_pieces(batch: _SessionBatch):
-    """The text of :func:`write_dataset`, piece by piece, one run of ``batch.runs()`` at a time."""
+    """The text of :func:`write_dataset`, one session at a time.
+
+    Each session is spelled as ``json.dumps(..., separators=(",", ":"))``
+    spells ``SessionTrace.to_dict``: floats by their ``repr``, tags escaped
+    to ASCII, no ``mos`` for a NaN label and no ``tag`` for None.  The
+    columns go to Python values one run of ``batch.runs()`` at a time,
+    after the run's floats are checked to be finite.
+    """
     yield "["
-    for rows, run in batch.runs():
-        yield "," if rows.start else ""
-        # The array without its brackets; slicing here frees the whole text before the yield.
-        yield json.dumps(_json_records(run), separators=(",", ":"), allow_nan=False)[1:-1]
+    comma = ""
+    for _, run in batch.runs():
+        if not (np.isfinite(run.quality).all() and np.isfinite(run.durations).all()
+                and not np.isinf(run.labels).any()):
+            raise ValueError("Out of range float values are not JSON compliant")
+        quality, after, durations = run.quality.tolist(), run.after.tolist(), run.durations.tolist()
+        segment = stall = 0
+        for length, n_stalls, label, tag in zip(run.lengths.tolist(), run.n_stalls.tolist(),
+                                                run.labels.tolist(), run.tags.tolist()):
+            text = (comma + '{"segments":[' + ",".join(map(repr, quality[segment:segment + length]))
+                    + '],"interruptions":['
+                    + ",".join(map(_STALL.__mod__, zip(after[stall:stall + n_stalls],
+                                                       durations[stall:stall + n_stalls]))) + "]")
+            if not math.isnan(label):
+                text += ',"mos":' + repr(label)
+            if tag is not None:
+                text += ',"tag":' + json.encoder.encode_basestring_ascii(tag)
+            yield text + "}"
+            comma, segment, stall = ",", segment + length, stall + n_stalls
     yield "]\n"
-
-
-def _json_records(batch: _SessionBatch) -> list[dict]:
-    """Each session's record, with the keys and values ``SessionTrace.to_dict`` gives it."""
-    values = iter(batch.quality.tolist())
-    events = iter([{"after_segment": a, "duration_s": d}
-                   for a, d in zip(batch.after.tolist(), batch.durations.tolist())])
-    records = []
-    for length, n_stalls, label, tag in zip(batch.lengths.tolist(), batch.n_stalls.tolist(),
-                                            batch.labels.tolist(), batch.tags.tolist()):
-        record = {"segments": list(islice(values, length)),
-                  "interruptions": list(islice(events, n_stalls))}
-        if not math.isnan(label):
-            record["mos"] = label
-        if tag is not None:
-            record["tag"] = tag
-        records.append(record)
-    return records
 
 
 def read_weights(spec: str) -> ModelWeights:
@@ -403,13 +415,12 @@ def predictions_json_text(predictions, features=None) -> str:
 
 
 def _csv_text(header, rows) -> str:
-    """CSV of a header and rows, each row a label and then numbers written with 6 decimals."""
-    buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for label, *numbers in rows:
-        writer.writerow([label, *(f"{v:.6f}" for v in numbers)])
-    return buffer.getvalue()
+    """CSV of a header and tuple rows, each an integer label and then numbers with 6 decimals.
+
+    No header name needs CSV quoting: each is a feature or field name.
+    """
+    row_format = "%d" + ",%.6f" * (len(header) - 1) + "\n"
+    return ",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))
 
 
 def predictions_csv_text(predictions, features=None) -> str:
@@ -425,4 +436,4 @@ def per_split_csv_text(report) -> str:
     if report.per_split is None:
         raise UsageError("report has no per-split metrics; run with --splits")
     records = [m.to_dict() for m in report.per_split]
-    return _csv_text(records[0], (record.values() for record in records))
+    return _csv_text(records[0], (tuple(record.values()) for record in records))

@@ -39,6 +39,7 @@ from .model import (
     MIN_MOS,
     ModelWeights,
     _check_mos,
+    _finite,
     _json_integer,
     _json_number,
     _SessionBatch,
@@ -300,9 +301,11 @@ def interruption_degradation(features: FeatureVector, weights: ModelWeights) -> 
 
 
 def predict(trace: SessionTrace, weights: ModelWeights) -> float:
-    """Predicted session MOS: quality score minus stall penalty, floored at 1.0."""
+    """Predicted session MOS: quality score minus stall penalty, floored at 1.0.
+
+    A score that overflows the float range raises ``DegenerateMetricError`` before the floor
+    could hide it, as in ``model.predict_matrix``.
+    """
     features = extract_features(trace)
-    return max(
-        perceptual_quality(features, weights) - interruption_degradation(features, weights),
-        MIN_MOS,
-    )
+    score = perceptual_quality(features, weights) - interruption_degradation(features, weights)
+    return max(_finite(score), MIN_MOS)

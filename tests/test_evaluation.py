@@ -220,6 +220,27 @@ def test_protocol_validation() -> None:
         SplitProtocol(test_size=1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_repetitions", 2.5, "'n_repetitions' must be a whole number, got 2.5"),
+    ("test_size", 20.5, "'test_size' must be a whole number, got 20.5"),
+    ("rng_seed", 1.5, "'rng_seed' must be a whole number, got 1.5"),
+    ("n_repetitions", True, "'n_repetitions' must be a number, got True"),
+    ("test_size", False, "'test_size' must be a number, got False"),
+    ("rng_seed", True, "'rng_seed' must be a number, got True"),
+])
+def test_protocol_integers_are_whole_numbers(field, value, message) -> None:
+    with pytest.raises(UsageError) as raised:
+        SplitProtocol(**{field: value})
+    assert str(raised.value) == message
+
+
+def test_protocol_integers_read_whole_floats_as_ints() -> None:
+    protocol = SplitProtocol(n_repetitions=3.0, test_size=20.0, rng_seed=2.0)
+    assert protocol == SplitProtocol(n_repetitions=3, test_size=20, rng_seed=2)
+    assert all(type(getattr(protocol, name)) is int
+               for name in ("n_repetitions", "test_size", "rng_seed"))
+
+
 def test_per_split_metrics_shape(dataset) -> None:
     protocol = SplitProtocol(n_repetitions=6, test_size=25, test_pool="all", rng_seed=2)
     report = run_split_protocol(dataset, protocol, refit_runner())

@@ -133,11 +133,12 @@ def test_feature_matrix_equals_the_scalar_loop(dataset, weights) -> None:
 
 
 def test_a_score_that_overflows_below_the_floor_raises() -> None:
-    # predict floors a -inf score to 1.0; the batch scorer reports it instead.
+    # A -inf score is reported, not floored to 1.0, by the scalar and the batch scorer alike.
     weights = ModelWeights.from_vector([-1.7e308] * 5 + [0.0] * 11 + [1.7e308] * 6)
     dataset = [SessionTrace((3.0, 3.0), (InterruptionEvent(1, 1.0),))]
     with np.errstate(over="ignore"):
-        assert predict(dataset[0], weights) == 1.0
+        with pytest.raises(DegenerateMetricError, match="overflow the float range"):
+            predict(dataset[0], weights)
         with pytest.raises(DegenerateMetricError, match="overflow the float range"):
             predict_matrix(feature_matrix(dataset), weights)
 

@@ -95,7 +95,7 @@ def test_split_and_child_indices_fit_one_32_bit_word() -> None:
 def test_a_seed_is_a_non_negative_integer() -> None:
     with pytest.raises(UsageError, match=r"^rng_seed -1 must be >= 0$"):
         SplitProtocol(rng_seed=-1)
-    with pytest.raises(TypeError):
+    with pytest.raises(UsageError, match=r"^'rng_seed' must be a whole number, got 1\.5$"):
         SplitProtocol(rng_seed=1.5)
     seed = SplitProtocol(rng_seed=np.int64(7)).rng_seed
     assert seed == 7 and type(seed) is int

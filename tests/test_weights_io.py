@@ -4,12 +4,14 @@ import os
 import stat
 import threading
 import tracemalloc
+from itertools import islice
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hasqoe import (
     DOWN_SWITCH_BINS,
@@ -233,6 +235,83 @@ def test_columnar_encoder_writes_what_to_dict_gives(sessions, chunk) -> None:
     expected = json.dumps([s.to_dict() for s in sessions], separators=(",", ":")) + "\n"
     with mock.patch.object(model, "_CHUNK_SEGMENTS", chunk):
         assert "".join(io._dataset_pieces(batch_of(sessions))) == expected
+
+
+def record_oracle(batch) -> list[dict]:
+    """Each session's record as the writer built it before it spelled sessions itself."""
+    values = iter(batch.quality.tolist())
+    events = iter([{"after_segment": a, "duration_s": d}
+                   for a, d in zip(batch.after.tolist(), batch.durations.tolist())])
+    records = []
+    for length, n_stalls, label, tag in zip(batch.lengths.tolist(), batch.n_stalls.tolist(),
+                                            batch.labels.tolist(), batch.tags.tolist()):
+        record = {"segments": list(islice(values, length)),
+                  "interruptions": list(islice(events, n_stalls))}
+        if not math.isnan(label):
+            record["mos"] = label
+        if tag is not None:
+            record["tag"] = tag
+        records.append(record)
+    return records
+
+
+def oracle_text(batch) -> str:
+    return json.dumps(record_oracle(batch), separators=(",", ":"), allow_nan=False) + "\n"
+
+
+#: Tags with quotes, backslashes, control and non-ASCII characters, a lone surrogate and an
+#: astral one, each of which JSON spells escaped.
+ODD_TAGS = ['"', 'say "hi"', "back\\slash", "\x00\n\t", "\xe9t\xe9", "水", "\ud800",
+            "\U0001f600", "multi-factor", ""]
+
+
+@st.composite
+def encoded_batches(draw):
+    """A batch of up to 24 sessions of 1 to 400 segments, each with up to 3 stalls,
+    a NaN or real label and a None, plain or odd tag."""
+    n = draw(st.integers(1, 24))
+    lengths = draw(hnp.arrays(np.intp, n, elements=st.integers(1, 400)))
+    n_stalls = draw(hnp.arrays(np.intp, n, elements=st.integers(0, 3)))
+    quality = draw(hnp.arrays(float, int(lengths.sum()), elements=st.floats(1.0, 5.0)))
+    after = draw(hnp.arrays(np.intp, int(n_stalls.sum()), elements=st.integers(1, 400)))
+    durations = draw(hnp.arrays(float, len(after), elements=st.floats(
+        0.0, exclude_min=True, allow_infinity=False)))
+    labels = draw(hnp.arrays(float, n, elements=st.just(math.nan) | st.floats(1.0, 5.0)))
+    tags = draw(st.lists(st.none() | st.text(max_size=4) | st.sampled_from(ODD_TAGS),
+                         min_size=n, max_size=n))
+    return model._SessionBatch(lengths, quality, n_stalls,
+                               np.minimum(after, np.repeat(lengths, n_stalls)), durations,
+                               labels, np.array(tags, dtype=object))
+
+
+#: Run sizes of the writer: a session or a few per run, and the default.
+RUN_SIZES = [1, 7, 400, 1000, model._CHUNK_SEGMENTS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(encoded_batches(), st.sampled_from(RUN_SIZES))
+def test_session_encoder_writes_what_the_record_encoder_wrote(batch, chunk) -> None:
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", chunk):
+        assert "".join(io._dataset_pieces(batch)) == oracle_text(batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoded_batches(), st.sampled_from(RUN_SIZES),
+       st.sampled_from(["quality", "durations", "labels"]),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_a_non_finite_value_raises_and_leaves_no_file(tmp_path_factory, batch, chunk, column,
+                                                       value, data) -> None:
+    values = getattr(batch, column).copy()
+    assume(len(values) and not (column == "labels" and math.isnan(value)))  # NaN: no label
+    values[data.draw(st.integers(0, len(values) - 1))] = value
+    batch = batch._replace(**{column: values})
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        oracle_text(batch)
+    directory = tmp_path_factory.mktemp("out")
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", chunk):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            io.write_dataset(batch, str(directory / "ds.json"))
+    assert list(directory.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
