@@ -57,30 +57,24 @@ class BaselineCoefficients:
     coefficients: dict[str, float]
     intercept: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.model, str):
+            raise UsageError(f"'model' must be a string, got {self.model!r}")
+        if not isinstance(self.coefficients, dict):
+            raise UsageError(f"'coefficients' must be an object, got {self.coefficients!r}")
+        coefficients = {name: _json_number(value, f"coefficient {name!r}")
+                        for name, value in self.coefficients.items()}
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "intercept", _json_number(self.intercept, "'intercept'"))
+        if not all(map(math.isfinite, (*coefficients.values(), self.intercept))):
+            raise UsageError("bad coefficients record: every value must be a finite number")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineCoefficients":
-        _json_record(cls, data, "coefficients record")
-        try:
-            model = data["model"]
-            if not isinstance(model, str):
-                raise UsageError(f"'model' must be a string, got {model!r}")
-            coefficients = cls(
-                model=model,
-                coefficients={
-                    str(k): _json_number(v, f"coefficient {k!r}")
-                    for k, v in data["coefficients"].items()
-                },
-                intercept=_json_number(data.get("intercept", 0.0), "'intercept'"),
-            )
-        except (KeyError, AttributeError) as exc:
-            raise UsageError(f"bad coefficients record: {exc!r}") from None
-        values = (*coefficients.coefficients.values(), coefficients.intercept)
-        if not all(map(math.isfinite, values)):
-            raise UsageError("bad coefficients record: every value must be a finite number")
-        return coefficients
+        return cls(**_json_record(cls, data, "coefficients record"))
 
 
 class _RunStatistics:

@@ -99,6 +99,8 @@ def cmd_evaluate(args) -> None:
         raise UsageError("--coefficients only makes sense with --baseline")
     if args.nonnegative and not args.refit:
         raise UsageError("--nonnegative only makes sense with --refit")
+    if args.no_compensation and args.compensate_on is not None:
+        raise UsageError("--compensate-on cannot be combined with --no-compensation")
     given = {name: getattr(args, name) for name in _PROTOCOL_DEFAULTS
              if getattr(args, name) is not None}
     options = {**_PROTOCOL_DEFAULTS, **given}
@@ -113,6 +115,8 @@ def cmd_evaluate(args) -> None:
         )
     elif args.refit:
         raise UsageError("--refit only makes sense with --splits")
+    elif args.format == "csv":
+        raise UsageError("--format csv only makes sense with --splits")
     elif given:
         flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
         raise UsageError(f"{flags} only make sense with --splits")

@@ -261,11 +261,8 @@ def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCo
     """Fit one comparison model's coefficients by OLS on a labeled dataset."""
     runner = baseline_runner(model)
     solution, _ = runner.fit(runner.matrix(dataset.batch), dataset.labels())
-    return BaselineCoefficients(
-        model=model,
-        coefficients=dict(zip(runner.statistics, (float(v) for v in solution[:-1]))),
-        intercept=float(solution[-1]),
-    )
+    *coefficients, intercept = solution.tolist()
+    return BaselineCoefficients(model, dict(zip(runner.statistics, coefficients)), intercept)
 
 
 def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:

@@ -50,7 +50,6 @@ from . import model
 from .baselines import BaselineCoefficients
 from .errors import UsageError
 from .model import (
-    _JSON_NUMBER_TYPES,
     FEATURE_NAMES,
     MAX_MOS,
     MIN_MOS,
@@ -83,16 +82,18 @@ def _atomic_write(path: str, pieces) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
         return
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    target = os.path.realpath(path)
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
+    except OSError as exc:  # reported for the file asked for, not for the temp file's random name
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         umask = os.umask(0o077)  # the umask can only be read by setting it
         os.umask(umask)
         os.chmod(tmp_path, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, target)
     except BaseException:
         try:
             os.unlink(tmp_path)
@@ -202,6 +203,9 @@ def read_sessions(path: str) -> list:
     return traces_of(read_dataset(path))
 
 
+#: The Python types a JSON number decodes to.  ``bool`` is a subclass of
+#: ``int``, so values are checked with ``type``, not ``isinstance``.
+_JSON_NUMBER_TYPES = frozenset((int, float))
 _DICTS, _LISTS = frozenset((dict,)), frozenset((list,))
 _LABEL_TYPES = _JSON_NUMBER_TYPES | {type(None)}
 _TAG_TYPES = frozenset((str, type(None)))
@@ -214,8 +218,8 @@ def _all_of(types: frozenset, values) -> bool:
 def _columns(records: list):
     """The batch of decoded session records, or None where they need the per-record reader.
 
-    Every value is checked as ``SessionTrace.from_dict`` checks it, the
-    ranges in numpy, so None covers every file that reader rejects.
+    Every value is checked as ``SessionTrace`` checks it, the ranges in
+    numpy, so None covers every file that the per-record reader rejects.
     """
     if not _all_of(_DICTS, records):
         return None

@@ -40,9 +40,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -95,13 +95,10 @@ def _check_mos(value: float, label: str) -> float:
     return value
 
 
-#: The Python types a JSON number decodes to.  ``bool`` is a subclass of
-#: ``int``, so fields are checked with ``type``, not ``isinstance``.
-_JSON_NUMBER_TYPES = frozenset((int, float))
-
-
 def _json_number(value, label: str) -> float:
     """A number field as a float: a JSON or numpy number, not a boolean, string or null."""
+    if type(value) is float:  # the common case, without the abstract-class checks
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise UsageError(f"{label} must be a number, got {value!r}")
     try:
@@ -110,18 +107,38 @@ def _json_number(value, label: str) -> float:
         raise UsageError(f"{label} {value} is too large") from None
 
 
+_FLOAT = frozenset((float,))
+
+
+def _json_numbers(values, label: str) -> tuple[float, ...]:
+    """A list, tuple or one-dimensional numpy array of numbers as a tuple of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise UsageError(f"{label} must be an array of numbers, got {values!r}")
+    if _FLOAT.issuperset(map(type, values)):  # the common case, without a call per value
+        return tuple(values)
+    return tuple(map(_json_number, values, repeat(label)))
+
+
 def _json_record(cls, data, label: str) -> dict:
-    """A JSON object holding only field names of the dataclass ``cls``, as a dict."""
+    """A JSON object naming only fields of the dataclass ``cls``, and each one without a default."""
     if not isinstance(data, dict):
         raise UsageError(f"{label} must be an object")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise UsageError(f"unknown {label} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise UsageError(f"missing {label} keys: {missing}")
     return dict(data)
 
 
 def _json_integer(value, label: str) -> int:
     """A whole-number field (``3`` or ``3.0``, not ``2.7``) as an int; integers are exact."""
+    if type(value) is int:
+        return value
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     number = _json_number(value, label)
@@ -140,18 +157,24 @@ class _SlotGroups:
 
     def __post_init__(self) -> None:
         levels, down, grouped, stalls = self.__dataclass_fields__
-        for name, slots in ((levels, QUALITY_SLOTS), (stalls, INTERRUPTION_SLOTS)):
-            values = tuple(map(float, getattr(self, name)))
-            if len(values) != slots.stop - slots.start:
-                raise ValidationError(f"{name} must have {slots.stop - slots.start} entries")
-            object.__setattr__(self, name, values)
-        object.__setattr__(self, grouped, float(getattr(self, grouped)))
         bins = getattr(self, down)
-        if bins.keys() != _DOWN_SWITCH_SET:
+        if not isinstance(bins, dict):
+            raise UsageError(f"{down!r} must be a dict keyed by down-switch bin, got {bins!r}")
+        # Every value's type, in field order, before any count: a weights file's order.
+        values = {levels: _json_numbers(getattr(self, levels), repr(levels)),
+                  down: {b: _json_number(w, "'w'") for b, w in bins.items()},  # a file's name
+                  grouped: _json_number(getattr(self, grouped), repr(grouped)),
+                  stalls: _json_numbers(getattr(self, stalls), repr(stalls))}
+        for name, slots in ((levels, QUALITY_SLOTS), (stalls, INTERRUPTION_SLOTS)):
+            if len(values[name]) != slots.stop - slots.start:
+                raise ValidationError(f"{name} must have {slots.stop - slots.start} entries")
+        if values[down].keys() != _DOWN_SWITCH_SET:
             raise ValidationError(
                 f"{down} must cover exactly the valid down-switch bins {sorted(DOWN_SWITCH_BINS)}"
             )
-        object.__setattr__(self, down, {b: float(bins[b]) for b in DOWN_SWITCH_BINS})
+        values[down] = {b: values[down][b] for b in DOWN_SWITCH_BINS}
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     def as_vector(self) -> tuple[float, ...]:
         """The 22 values in ``FEATURE_NAMES`` order."""
@@ -328,6 +351,11 @@ class ModelWeights(_SlotGroups):
 
     _NOUN = "weights"
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not all(map(math.isfinite, self.as_vector())):
+            raise UsageError("bad weights record: every weight must be a finite number")
+
     def to_dict(self) -> dict:
         return {
             "alpha": list(self.alpha),
@@ -341,27 +369,20 @@ class ModelWeights(_SlotGroups):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelWeights":
-        _json_record(cls, data, "weights record")
-        try:
-            entries = data["beta_down"]
-            for entry in entries:
-                unknown = entry.keys() - _BETA_DOWN_KEYS if isinstance(entry, dict) else ()
-                if unknown:
-                    raise UsageError(f"unknown 'beta_down' entry keys: {sorted(unknown)}")
-            bins = [(_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")) for e in entries]
-            if len(set(bins)) != len(bins):
-                raise UsageError("bad weights record: 'beta_down' names an (i, j) bin twice")
-            weights = cls(
-                alpha=[_json_number(v, "'alpha'") for v in data["alpha"]],
-                beta_down=dict(zip(bins, (_json_number(e["w"], "'w'") for e in entries))),
-                beta_um=_json_number(data["beta_um"], "'beta_um'"),
-                gamma=[_json_number(v, "'gamma'") for v in data["gamma"]],
-            )
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"bad weights record: {exc!r}") from None
-        if not all(map(math.isfinite, weights.as_vector())):
-            raise UsageError("bad weights record: every weight must be a finite number")
-        return weights
+        kwargs = _json_record(cls, data, "weights record")
+        entries = kwargs["beta_down"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise UsageError("'beta_down' must be an array of objects")
+        for entry in entries:
+            unknown, missing = entry.keys() - _BETA_DOWN_KEYS, _BETA_DOWN_KEYS - entry.keys()
+            if unknown or missing:
+                raise UsageError(f"unknown 'beta_down' entry keys: {sorted(unknown)}" if unknown
+                                 else f"missing 'beta_down' entry keys: {sorted(missing)}")
+        bins = [(_json_integer(e["i"], "'i'"), _json_integer(e["j"], "'j'")) for e in entries]
+        if len(set(bins)) != len(bins):
+            raise UsageError("bad weights record: 'beta_down' names an (i, j) bin twice")
+        kwargs["beta_down"] = {b: e["w"] for b, e in zip(bins, entries)}
+        return cls(**kwargs)
 
 
 def paper_weights() -> ModelWeights:

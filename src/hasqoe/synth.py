@@ -40,6 +40,7 @@ from .model import (
     _concatenate,
     _json_integer,
     _json_number,
+    _json_numbers,
     _json_record,
     _raw_scores,
     _SessionBatch,
@@ -57,15 +58,6 @@ _STALL_PARAMS: dict[str, dict] = {
     "uniform": {"low": 0.1, "high": 4.0},
     "constant": {"value": 1.0},
 }
-
-
-def _json_numbers(values, label: str) -> tuple[float, ...]:
-    """A list, tuple or one-dimensional numpy array of numbers as a tuple of floats."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    if not isinstance(values, (list, tuple)):
-        raise UsageError(f"{label} must be an array of numbers, got {values!r}")
-    return tuple(_json_number(v, label) for v in values)
 
 
 def _check_distribution(probs: tuple[float, ...], label: str) -> None:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .model import (
-    _JSON_NUMBER_TYPES,
     DEFAULT_INTERRUPTION_EDGES,
     DOWN_SWITCH_BINS,
     MAX_MOS,
@@ -42,6 +41,7 @@ from .model import (
     _finite,
     _json_integer,
     _json_number,
+    _json_numbers,
     _SessionBatch,
     _SlotGroups,
     feature_matrix,
@@ -56,13 +56,9 @@ class InterruptionEvent:
     duration_s: float
 
     def __post_init__(self) -> None:
-        after_segment = int(self.after_segment)
-        if after_segment != self.after_segment:
-            raise ValidationError(
-                f"after_segment {self.after_segment!r} must be a whole number"
-            )
-        object.__setattr__(self, "after_segment", after_segment)
-        object.__setattr__(self, "duration_s", float(self.duration_s))
+        object.__setattr__(self, "after_segment",
+                           _json_integer(self.after_segment, "'after_segment'"))
+        object.__setattr__(self, "duration_s", _json_number(self.duration_s, "'duration_s'"))
         if self.after_segment < 1:
             # A stall before any playback is initial delay, which this
             # model does not cover.
@@ -82,8 +78,7 @@ class InterruptionEvent:
         if not isinstance(data, dict):
             raise UsageError(f"interruption record must be an object, got {data!r}")
         try:
-            after_segment = _json_integer(data["after_segment"], "'after_segment'")
-            duration_s = _json_number(data["duration_s"], "'duration_s'")
+            after_segment, duration_s = data["after_segment"], data["duration_s"]
         except KeyError as exc:
             raise UsageError(f"interruption record missing key {exc}") from None
         return cls(after_segment, duration_s)
@@ -104,9 +99,18 @@ class SessionTrace:
     tag: str | None = None
 
     def __post_init__(self) -> None:
-        segments = tuple(map(float, self.segments))
+        # The types of every field, then their ranges: a session file's order.
+        try:
+            segments = _json_numbers(self.segments, "'segments'")
+        except UsageError:  # a file's one message for any segments that are not numbers
+            raise UsageError("'segments' must be an array of numbers") from None
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "interruptions", tuple(self.interruptions))
+        mos, tag = self.ground_truth_mos, self.tag
+        if mos is not None:
+            object.__setattr__(self, "ground_truth_mos", _json_number(mos, "'mos'"))
+        if tag is not None and not isinstance(tag, str):
+            raise UsageError(f"'tag' must be a string, got {tag!r}")
         if not segments:
             raise ValidationError("session must contain at least one segment")
         for k, q in enumerate(segments):
@@ -122,12 +126,8 @@ class SessionTrace:
                     f"after_segment {event.after_segment} exceeds "
                     f"segment count {len(segments)}"
                 )
-        if self.ground_truth_mos is not None:
-            object.__setattr__(
-                self,
-                "ground_truth_mos",
-                _check_mos(self.ground_truth_mos, "ground-truth MOS"),
-            )
+        if mos is not None:
+            _check_mos(self.ground_truth_mos, "ground-truth MOS")
 
     def to_dict(self) -> dict:
         data: dict = {
@@ -146,25 +146,11 @@ class SessionTrace:
             raise UsageError(f"session record must be an object, got {type(data).__name__}")
         if "segments" not in data:
             raise UsageError("session record missing 'segments'")
-        segments = data["segments"]
-        if not isinstance(segments, (list, tuple)) or not _JSON_NUMBER_TYPES.issuperset(
-            map(type, segments)
-        ):
-            raise UsageError("'segments' must be an array of numbers")
         raw_events = data.get("interruptions", [])
         if not isinstance(raw_events, (list, tuple)):
             raise UsageError("'interruptions' must be an array of objects")
         events = tuple(InterruptionEvent.from_dict(e) for e in raw_events)
-        mos = data.get("mos")
-        if mos is not None:
-            mos = _json_number(mos, "'mos'")
-        tag = data.get("tag")
-        if tag is not None and not isinstance(tag, str):
-            raise UsageError(f"'tag' must be a string, got {tag!r}")
-        try:
-            return cls(segments, events, mos, tag)
-        except OverflowError:  # an integer beyond the float range
-            raise UsageError("'segments' must be an array of numbers") from None
+        return cls(data["segments"], events, data.get("mos"), data.get("tag"))
 
 
 def sessions_from_records(records, start: int = 0) -> list[SessionTrace]:
@@ -200,10 +186,9 @@ def batch_of(traces) -> _SessionBatch:
 def traces_of(batch: _SessionBatch) -> list[SessionTrace]:
     """The inverse of :func:`batch_of`: a trace of each session, with its label and tag."""
     (ends, stall_ends), values = batch._ends(), batch.quality.tolist()
-    stalls = list(zip(batch.after.tolist(), batch.durations.tolist()))
+    events = list(starmap(InterruptionEvent, zip(batch.after.tolist(), batch.durations.tolist())))
     return [
-        SessionTrace(values[ends[k]:ends[k + 1]],
-                     list(starmap(InterruptionEvent, stalls[stall_ends[k]:stall_ends[k + 1]])),
+        SessionTrace(values[ends[k]:ends[k + 1]], events[stall_ends[k]:stall_ends[k + 1]],
                      None if math.isnan(label) else label, tag)
         for k, (label, tag) in enumerate(zip(batch.labels.tolist(), batch.tags.tolist()))
     ]

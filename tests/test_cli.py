@@ -316,6 +316,27 @@ def test_output_files_follow_the_umask(tmp_path, monkeypatch, umask) -> None:
         assert Path(name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen", "--count", "3", "--output", "{target}"),
+        ("predict", "--input", "example", "--weights", "paper", "--output", "{target}"),
+        ("fit", "--input", "{labeled}", "--output", "{target}"),
+        ("fit", "--input", "{labeled}", "--output", "{weights}", "--report", "{target}"),
+        ("evaluate", "--input", "{labeled}", "--weights", "paper", "--output", "{target}"),
+    ],
+)
+def test_a_write_into_a_missing_directory_names_the_output(tmp_path, capsys, labeled_path,
+                                                           args) -> None:
+    target = str(tmp_path / "missing" / "out.json")
+    weights = str(tmp_path / "weights.json")
+    assert run_cli(*(a.format(target=target, labeled=labeled_path, weights=weights)
+                     for a in args)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {target!r}\n"
+    assert ".tmp-" not in captured.err
+
+
 #: The modules the benchmark's tracer wraps; it looks each up after ``import hasqoe.cli``.
 TRACED = [f"hasqoe.{name}" for name in
           ("baselines", "cli", "evaluation", "fitting", "io", "model", "synth")]
@@ -1000,6 +1021,8 @@ _MODE_ERRORS = {
     ("evaluate",): "one of the arguments --weights --refit --baseline --external-predictions",
     ("evaluate", "--external-predictions", "p.csv", "--splits", "2"):
         "--external-predictions cannot be combined with --splits",
+    ("evaluate", "--refit", "--splits", "2", "--no-compensation", "--compensate-on", "test"):
+        "--compensate-on cannot be combined with --no-compensation",
 }
 
 
@@ -1022,6 +1045,9 @@ _MODE_ERRORS = {
         ("evaluate", "--refit"),
         ("evaluate", "--external-predictions", "p.csv", "--splits", "2"),
         ("evaluate",),
+        ("evaluate", "--refit", "--splits", "2", "--no-compensation", "--compensate-on", "test"),
+        ("evaluate", "--weights", "paper", "--format", "csv"),
+        ("evaluate", "--external-predictions", "p.csv", "--format", "csv"),
     ],
 )
 def test_flags_of_another_mode_are_rejected(tmp_path, capsys, labeled_path, args) -> None:

@@ -36,10 +36,13 @@ def test_interruption_rejects_nonpositive_duration() -> None:
 def test_interruption_after_segment_must_be_whole() -> None:
     assert InterruptionEvent(3.0, 1.0).after_segment == 3
     assert type(InterruptionEvent(3.0, 1.0).after_segment) is int
-    with pytest.raises(ValidationError, match="whole number"):
+    message = "'after_segment' must be a whole number, got 2.7"
+    with pytest.raises(UsageError) as raised:
         InterruptionEvent(2.7, 1.0)
-    with pytest.raises(UsageError, match="whole number"):
+    assert str(raised.value) == message
+    with pytest.raises(UsageError) as raised:
         InterruptionEvent.from_dict({"after_segment": 2.7, "duration_s": 1.0})
+    assert str(raised.value) == message
     assert InterruptionEvent.from_dict({"after_segment": 2.0, "duration_s": 1}) == InterruptionEvent(2, 1.0)
 
 
