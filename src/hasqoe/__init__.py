@@ -29,13 +29,13 @@ _MODULES = {
         "run_split_protocol",
     ),
     "fitting": ("FitReport", "LabeledDataset", "design_matrix", "fit"),
+    "io": ("paper_weights",),
     "model": (
         "DEFAULT_INTERRUPTION_EDGES",
         "DOWN_SWITCH_BINS",
         "N_PARAMETERS",
         "ModelWeights",
         "feature_matrix",
-        "paper_weights",
         "predict_matrix",
     ),
     "traces": (

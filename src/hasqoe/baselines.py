@@ -62,6 +62,9 @@ class BaselineCoefficients:
             raise UsageError(f"'model' must be a string, got {self.model!r}")
         if not isinstance(self.coefficients, dict):
             raise UsageError(f"'coefficients' must be an object, got {self.coefficients!r}")
+        for name in self.coefficients:
+            if not isinstance(name, str):
+                raise UsageError(f"coefficient names must be strings, got {name!r}")
         coefficients = {name: _json_number(value, f"coefficient {name!r}")
                         for name, value in self.coefficients.items()}
         object.__setattr__(self, "coefficients", coefficients)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
 import numpy as np
 
 from . import io
+from .baselines import MODEL_STATISTICS, BaselineCoefficients
 from .errors import DegenerateMetricError, UsageError, ValidationError
 from .evaluation import (
     LinearModel,
@@ -43,10 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None, files=()) -> None:
+    """Write ``text`` to ``output`` (stdout if None) and each text of ``files``: every file or none."""
+    files = dict(files)
     if output:
-        io.atomic_write_text(output, text)
-    else:
+        files[output] = text
+    io.write_texts(files)
+    if not output:
         sys.stdout.write(text)
 
 
@@ -61,8 +64,8 @@ def cmd_predict(args) -> None:
 def cmd_fit(args) -> None:
     dataset = LabeledDataset(io.read_dataset(args.input))
     report = fit(dataset, nonnegative=args.nonnegative)
-    io.write_weights(report.weights, args.output)
-    _emit(io.json_text(report.to_dict()), args.report)
+    _emit(io.json_text(report.to_dict()), args.report,
+          {args.output: io.json_text(report.weights.to_dict())})
 
 
 def _linear_model(args) -> LinearModel:
@@ -71,7 +74,8 @@ def _linear_model(args) -> LinearModel:
     if args.refit:
         return refit_runner(nonnegative=args.nonnegative)
     if args.coefficients:
-        return baseline_runner(args.baseline, io.read_baseline_coefficients(args.coefficients))
+        return baseline_runner(args.baseline,
+                               BaselineCoefficients.from_dict(io.read_json(args.coefficients)))
     return baseline_runner(args.baseline)
 
 
@@ -101,6 +105,8 @@ def cmd_evaluate(args) -> None:
         raise UsageError("--nonnegative only makes sense with --refit")
     if args.no_compensation and args.compensate_on is not None:
         raise UsageError("--compensate-on cannot be combined with --no-compensation")
+    if args.format == "csv" and args.external_predictions is not None:
+        raise UsageError("--format csv cannot be combined with --external-predictions")
     given = {name: getattr(args, name) for name in _PROTOCOL_DEFAULTS
              if getattr(args, name) is not None}
     options = {**_PROTOCOL_DEFAULTS, **given}
@@ -150,9 +156,8 @@ def cmd_evaluate(args) -> None:
 def cmd_gen(args) -> None:
     if not args.weights and (args.noise_std != 0.0 or args.skip_clamped):
         raise UsageError("--noise-std and --skip-clamped only make sense with --weights")
-    config = (
-        io.read_generator_config(args.config) if args.config else GeneratorConfig()
-    )
+    config = (GeneratorConfig.from_dict(io.read_json(args.config)) if args.config
+              else GeneratorConfig())
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=args.seed)
     if args.weights:
@@ -201,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--weights", help="weights JSON file or 'paper'")
     mode.add_argument("--refit", action="store_true",
                       help="refit the model on each training split (requires --splits)")
-    mode.add_argument("--baseline", choices=("guo", "vriendt", "liu"),
+    mode.add_argument("--baseline", choices=tuple(MODEL_STATISTICS),
                       help="evaluate a comparison model instead")
     mode.add_argument("--external-predictions",
                       help="CSV of precomputed 'session-id,predicted-mos' rows")
@@ -247,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: The exit code of each failure that ``main`` reports as one ``error:`` line.
-_EXIT_CODES = {UsageError: EXIT_USAGE, OSError: EXIT_USAGE, json.JSONDecodeError: EXIT_USAGE,
-               MemoryError: EXIT_USAGE, ValidationError: EXIT_VALIDATION,
+_EXIT_CODES = {UsageError: EXIT_USAGE, OSError: EXIT_USAGE, MemoryError: EXIT_USAGE,
+               ValidationError: EXIT_VALIDATION,
                DegenerateMetricError: EXIT_NUMERICAL, np.linalg.LinAlgError: EXIT_NUMERICAL}
 
 

@@ -4,13 +4,17 @@ Every input is UTF-8 text; a leading byte-order mark is skipped, and CRLF
 and CR line ends read as LF.  Sessions travel as JSON objects with
 ``segments``, ``interruptions`` and optional ``mos``/``tag`` fields;
 datasets as JSON arrays of those objects or as newline-delimited JSON,
-and are written as compact JSON, a session at a time.  Weights,
-baseline coefficients, fit and evaluation reports and JSON predictions
-are written as :func:`json_text` spells them: strict JSON, indented.  CSV
-outputs round to 6 decimal places; JSON keeps full precision.  All file
-writes go through a temp-file-and-rename so readers never observe
-partial output; through a symlink the rename lands on the link's target,
-and an existing target that is not a regular file is written in place.
+and are written as compact JSON, a session at a time.  Any other JSON
+file, such as a weights, baseline coefficients or generator recipe
+record, is decoded by :func:`read_json` (the bundled weights by
+:func:`paper_weights`) and checked by its record's ``from_dict``.
+Weights, fit and evaluation reports and JSON predictions are written as
+:func:`json_text` spells them: strict JSON, indented.  CSV outputs round
+to 6 decimal places; JSON keeps full precision.  All file writes go
+through a temp-file-and-rename so readers never observe partial output,
+and :func:`write_texts` renames none of its files until all are written;
+through a symlink the rename lands on the link's target, and an
+existing target that is not a regular file is written in place.
 
 Session files have one reader.  :func:`read_dataset` decodes a file, or
 the bundled demo session for ``"example"``, into a batch with its labels
@@ -47,58 +51,57 @@ from operator import itemgetter
 import numpy as np
 
 from . import model
-from .baselines import BaselineCoefficients
 from .errors import UsageError
-from .model import (
-    FEATURE_NAMES,
-    MAX_MOS,
-    MIN_MOS,
-    ModelWeights,
-    _concatenate,
-    _SessionBatch,
-    paper_weights,
-)
-from .synth import GeneratorConfig
+from .model import FEATURE_NAMES, MAX_MOS, MIN_MOS, ModelWeights, _concatenate, _SessionBatch
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
-    _atomic_write(path, (text,))
+def write_texts(outputs: dict) -> None:
+    """Write each text of ``outputs`` to its path: every file, or none if one cannot be written."""
+    _atomic_write({path: (text,) for path, text in outputs.items()})
 
 
-def _atomic_write(path: str, pieces) -> None:
-    """Write the strings ``pieces`` yields to ``path`` via a temp file in the same directory.
+def _atomic_write(outputs: dict) -> None:
+    """Write the strings each ``outputs[path]`` yields to ``path``, via a temp file beside it.
 
-    The file gets the mode ``open`` would give a new file, ``0o666`` less the umask, rather
-    than the temp file's owner-only one.  A symlink's target is written, and the link kept;
-    an existing file that is not a regular one (a FIFO, a device) is written in place, as the
-    rename would replace it.
+    No file is replaced until every temp file is written, so an output that cannot be written
+    leaves every path as it was.  A file gets the mode ``open`` would give a new file, ``0o666``
+    less the umask, rather than the temp file's owner-only one.  A symlink's target is written,
+    and the link kept; an existing file that is not a regular one (a FIFO, a device) is written
+    in place, as the rename would replace it, once the temp files are written.
     """
+    umask = os.umask(0o077)  # the umask can only be read by setting it
+    os.umask(umask)
+    temps, in_place = [], []
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:  # no file yet, or an error that creating the temp file reports, as before
-        regular = True
-    if not regular:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
-        return
-    target = os.path.realpath(path)
-    try:
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-", suffix="~")
-    except OSError as exc:  # reported for the file asked for, not for the temp file's random name
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        umask = os.umask(0o077)  # the umask can only be read by setting it
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
-        os.replace(tmp_path, target)
+        for path, pieces in outputs.items():
+            try:
+                regular = stat.S_ISREG(os.stat(path).st_mode)
+            except OSError:  # no file yet, or an error that creating the temp file reports
+                regular = True
+            if not regular:
+                in_place.append((path, pieces))
+                continue
+            target = os.path.realpath(path)
+            try:
+                fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-",
+                                                suffix="~")
+            except OSError as exc:  # reported for the file asked for, not the temp file's name
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            temps.append((tmp_path, target))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.chmod(tmp_path, 0o666 & ~umask)
+                handle.writelines(pieces)
+        for path, pieces in in_place:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        for tmp_path, target in temps:
+            os.replace(tmp_path, target)
     except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+        for tmp_path, _ in temps:
+            try:
+                os.unlink(tmp_path)
+            except OSError:  # renamed already
+                pass
         raise
 
 
@@ -108,7 +111,7 @@ def json_text(data) -> str:
 
 
 def write_json(data, path: str) -> None:
-    atomic_write_text(path, json_text(data))
+    write_texts({path: json_text(data)})
 
 
 _BYTE_ORDER_MARK = "\ufeff".encode("utf-8")
@@ -325,7 +328,7 @@ def write_dataset(sessions, path: str) -> None:
     A non-finite quality, duration or label raises ``ValueError``, as
     ``json.dumps(..., allow_nan=False)`` does, and leaves no file.
     """
-    _atomic_write(path, _dataset_pieces(model._batch(sessions)))
+    _atomic_write({path: _dataset_pieces(model._batch(sessions))})
 
 
 #: One interruption of a session file, from its ``(after_segment, duration_s)``.
@@ -364,27 +367,24 @@ def _dataset_pieces(batch: _SessionBatch):
     yield "]\n"
 
 
+def read_json(path: str):
+    """The JSON value of a file, such as a record for ``ModelWeights.from_dict`` and its kin."""
+    return _parse_json(_read_text(path), path)
+
+
+def paper_weights() -> ModelWeights:
+    """The published reference weight set bundled with the package."""
+    text = resources.files("hasqoe").joinpath("data/paper_weights.json").read_text("utf-8")
+    return ModelWeights.from_dict(_parse_json(text, "paper_weights.json"))
+
+
 def read_weights(spec: str) -> ModelWeights:
     """Load weights from a JSON file, or the bundled set for ``"paper"``."""
-    if spec == "paper":
-        return paper_weights()
-    return ModelWeights.from_dict(_parse_json(_read_text(spec), spec))
+    return paper_weights() if spec == "paper" else ModelWeights.from_dict(read_json(spec))
 
 
 def write_weights(weights: ModelWeights, path: str) -> None:
     write_json(weights.to_dict(), path)
-
-
-def read_baseline_coefficients(path: str) -> BaselineCoefficients:
-    return BaselineCoefficients.from_dict(_parse_json(_read_text(path), path))
-
-
-def write_baseline_coefficients(coefficients: BaselineCoefficients, path: str) -> None:
-    write_json(coefficients.to_dict(), path)
-
-
-def read_generator_config(path: str) -> GeneratorConfig:
-    return GeneratorConfig.from_dict(_parse_json(_read_text(path), path))
 
 
 def read_external_predictions(path: str) -> dict[int, float]:

@@ -11,8 +11,8 @@ frequencies:
 * 6 interruption-duration bins.
 
 Predicted QoE is a weighted linear combination of those frequencies,
-floored at 1.0 MOS.  ``paper_weights`` returns the published reference
-weight set bundled with the package.
+floored at 1.0 MOS.  ``ModelWeights`` holds the 22 weights; the published
+reference set bundled with the package is read by ``io.paper_weights``.
 
 Features come from one batch pass over a private columnar form of the
 sessions (``_SessionBatch``), in runs of a few thousand segments:
@@ -31,17 +31,15 @@ model (``bin_quality``, ``classify_switch``, ``extract_features``,
 The 22-slot layout is defined once, by ``FEATURE_NAMES`` and the group
 slices next to it, and the bins are fixed: the interruption edges are
 ``DEFAULT_INTERRUPTION_EDGES``, so a weights file always means the same
-bins.  The JSON readers take ``true``, strings and ``null`` for no
-number (exit 1); an overflowing prediction exits 3.
+bins.  A record's ``from_dict`` takes ``true``, strings and ``null`` for
+no number (exit 1); an overflowing prediction exits 3.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -383,12 +381,6 @@ class ModelWeights(_SlotGroups):
             raise UsageError("bad weights record: 'beta_down' names an (i, j) bin twice")
         kwargs["beta_down"] = {b: e["w"] for b, e in zip(bins, entries)}
         return cls(**kwargs)
-
-
-def paper_weights() -> ModelWeights:
-    """The published reference weight set bundled with the package."""
-    text = resources.files("hasqoe").joinpath("data/paper_weights.json").read_text("utf-8")
-    return ModelWeights.from_dict(json.loads(text))
 
 
 def _ordered_sum(weights, columns: np.ndarray) -> np.ndarray:

@@ -830,6 +830,25 @@ def test_fit_writes_report_file(tmp_path, labeled_path) -> None:
     assert set(report) == {"training_rmse", "training_pcc", "condition_warning"}
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("missing", ["--output", "--report"])
+def test_fit_writes_neither_file_unless_both_can_be_written(tmp_path, capsys, labeled_path,
+                                                           missing, existing) -> None:
+    paths = {"--output": tmp_path / "w.json", "--report": tmp_path / "r.json"}
+    paths[missing] = tmp_path / "missing" / paths[missing].name
+    (other,) = (path for flag, path in paths.items() if flag != missing)
+    if existing:
+        other.write_bytes(b"old bytes\n")
+    args = chain.from_iterable((flag, str(path)) for flag, path in paths.items())
+    assert run_cli("fit", "--input", labeled_path, *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(paths[missing])!r}\n"
+    assert list(tmp_path.iterdir()) == ([other] if existing else [])  # and no temp file
+    if existing:
+        assert other.read_bytes() == b"old bytes\n"
+
+
 def test_fit_is_deterministic(tmp_path, labeled_path) -> None:
     w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -968,7 +987,7 @@ def test_evaluate_baseline_fitted_and_from_file(tmp_path, capsys, labeled_path) 
     dataset = LabeledDataset(tuple(io.read_sessions(labeled_path)))
     coefficients = fit_baseline_coefficients(dataset, "vriendt")
     path = tmp_path / "coefficients.json"
-    io.write_baseline_coefficients(coefficients, str(path))
+    io.write_json(coefficients.to_dict(), str(path))
     assert (
         run_cli("evaluate", "--input", labeled_path, "--baseline", "vriendt",
                 "--coefficients", str(path))
@@ -985,7 +1004,7 @@ def test_evaluate_baseline_rejects_coefficients_of_another_model(
 
     dataset = LabeledDataset(tuple(io.read_sessions(labeled_path)))
     path = tmp_path / "guo.json"
-    io.write_baseline_coefficients(fit_baseline_coefficients(dataset, "guo"), str(path))
+    io.write_json(fit_baseline_coefficients(dataset, "guo").to_dict(), str(path))
     for splits in ((), ("--splits", "2", "--test-size", "20", "--test-pool", "all")):
         assert (
             run_cli("evaluate", "--input", labeled_path, "--baseline", "liu",
@@ -1023,6 +1042,8 @@ _MODE_ERRORS = {
         "--external-predictions cannot be combined with --splits",
     ("evaluate", "--refit", "--splits", "2", "--no-compensation", "--compensate-on", "test"):
         "--compensate-on cannot be combined with --no-compensation",
+    ("evaluate", "--external-predictions", "p.csv", "--format", "csv"):
+        "error: --format csv cannot be combined with --external-predictions\n",
 }
 
 
@@ -1330,8 +1351,10 @@ def test_evaluate_constant_predictions_is_numerical_error(tmp_path, labeled_path
         (("--weights", "paper", "--splits", "2", "--test-size", "80", "--test-pool", "all"),
          "test_size leaves no sessions to train on"),
         (("--external-predictions", "header-only.csv"), "header-only.csv: no predictions found"),
+        (("--external-predictions", "missing.csv", "--format", "csv"),
+         "--format csv cannot be combined with --external-predictions"),
     ],
-    ids=["no-training-sessions", "header-only-predictions"],
+    ids=["no-training-sessions", "header-only-predictions", "external-predictions-as-csv"],
 )
 def test_evaluate_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, labeled_path, args,
                                             message) -> None:

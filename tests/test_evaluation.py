@@ -20,6 +20,7 @@ from hasqoe import (
     rmse,
     run_split_protocol,
     generate_labeled_dataset,
+    io,
 )
 from hasqoe.evaluation import split_masks
 
@@ -57,6 +58,9 @@ def test_metric_input_validation() -> None:
         pcc((1.0,), (1.0,))
     with pytest.raises(UsageError, match="mismatch"):
         rmse((1.0, 2.0), (1.0,))
+    with pytest.raises(UsageError) as raised:
+        pcc([[1.0, 2.0, 3.0]], (1.0, 2.0, 3.0))
+    assert str(raised.value) == "predictions and truths must be one-dimensional sequences"
 
 
 def test_rmse_examples() -> None:
@@ -252,3 +256,10 @@ def test_per_split_metrics_shape(dataset) -> None:
         sum(m.rmse for m in report.per_split) / 6, abs=1e-12
     )
     assert [m.split for m in report.per_split] == list(range(6))
+
+
+def test_per_split_csv_needs_per_split_metrics() -> None:
+    report = evaluate_predictions((1.0, 2.0, 3.0), (1.0, 2.5, 2.0))
+    with pytest.raises(UsageError) as raised:
+        io.per_split_csv_text(report)
+    assert str(raised.value) == "report has no per-split metrics; run with --splits"

@@ -88,6 +88,21 @@ def test_coefficients_reject_what_coefficient_files_reject(fields, message) -> N
 
 
 @pytest.mark.parametrize(
+    ("coefficients", "message"),
+    [
+        ({1: 0.5}, "coefficient names must be strings, got 1"),
+        ({"median_quality": 0.5, None: 0.25}, "coefficient names must be strings, got None"),
+        # Types are checked before ranges, and names before values.
+        ({1: math.inf}, "coefficient names must be strings, got 1"),
+        ({1: "0.5"}, "coefficient names must be strings, got 1"),
+    ],
+)
+def test_coefficient_names_are_strings(coefficients, message) -> None:
+    # A JSON object's keys are strings, so only a Python caller can give another name.
+    assert raised(lambda: BaselineCoefficients("guo", coefficients)) == (UsageError, message)
+
+
+@pytest.mark.parametrize(
     ("after_segment", "duration_s", "error", "message"),
     [
         (True, 1.0, UsageError, "'after_segment' must be a number, got True"),

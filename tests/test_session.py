@@ -26,6 +26,12 @@ def test_trace_names_the_first_bad_segment(bad) -> None:
         SessionTrace((3.0, 4.0, bad, 9.0))
 
 
+def test_trace_rejects_an_interruption_that_is_not_an_event() -> None:
+    with pytest.raises(ValidationError) as raised:
+        SessionTrace((3.0, 4.0), [(1, 0.5)])
+    assert str(raised.value) == "interruption (1, 0.5) is not an InterruptionEvent"
+
+
 def test_interruption_rejects_nonpositive_duration() -> None:
     with pytest.raises(ValidationError):
         InterruptionEvent(1, 0.0)

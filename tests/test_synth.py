@@ -339,6 +339,11 @@ def test_python_callers_get_the_recipe_checks(kwargs, message) -> None:
         (lambda: StallDurations("constant", {"value": "2"}), "'value' must be a number, got '2'"),
         (lambda: StallDurations("bin_mixture", {"bin_probs": [1, 0, 0, 0, 0, None]}),
          "'bin_probs' must be a number, got None"),
+        (lambda: QualityWalk(initial_probs=(0.25,) * 4), "initial_probs must have 5 entries"),
+        (lambda: QualityWalk(step_probs=(0.5, 0.5)),
+         "step_probs must have 4 entries (step sizes 1..4)"),
+        (lambda: StallDurations("bin_mixture", {"bin_probs": [0.5, 0.5]}),
+         "bin_probs must have 6 entries"),
     ],
 )
 def test_python_callers_get_the_record_checks(make, message) -> None:

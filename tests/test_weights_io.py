@@ -87,6 +87,10 @@ def test_weights_validation() -> None:
         ModelWeights(w.alpha, extra, 0.0, w.gamma)
     with pytest.raises(ValidationError):
         ModelWeights.from_vector((1.0,) * 21)
+    with pytest.raises(UsageError) as raised:
+        ModelWeights(w.alpha, [1.0] * 10, 0.0, w.gamma)
+    assert str(raised.value) == (
+        "'beta_down' must be a dict keyed by down-switch bin, got " + repr([1.0] * 10))
 
 
 def test_weights_from_dict_rejects_malformed() -> None:
