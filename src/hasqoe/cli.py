@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .fitting import LabeledDataset, fit
 from .model import feature_matrix, predict_matrix
-from .synth import GeneratorConfig, generate_columns, generate_labeled_dataset
+from .synth import GeneratorConfig, generate_columns
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,13 +43,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _path(value: str) -> str:
+    """A path flag's value: any but the empty string, which would read as the flag not given."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return value
+
+
 def _emit(text: str, output: str | None, files=()) -> None:
-    """Write ``text`` to ``output`` (stdout if None) and each text of ``files``: every file or none."""
+    """Write ``text`` to ``output`` (stdout if None) and each text of ``files`` by ``io.write_texts``."""
     files = dict(files)
-    if output:
+    if output is not None:
         files[output] = text
     io.write_texts(files)
-    if not output:
+    if output is None:
         sys.stdout.write(text)
 
 
@@ -73,7 +80,7 @@ def _linear_model(args) -> LinearModel:
         return fixed_weights_runner(io.read_weights(args.weights))
     if args.refit:
         return refit_runner(nonnegative=args.nonnegative)
-    if args.coefficients:
+    if args.coefficients is not None:
         return baseline_runner(args.baseline,
                                BaselineCoefficients.from_dict(io.read_json(args.coefficients)))
     return baseline_runner(args.baseline)
@@ -111,7 +118,7 @@ def cmd_evaluate(args) -> None:
              if getattr(args, name) is not None}
     options = {**_PROTOCOL_DEFAULTS, **given}
     if args.splits is not None:
-        if args.external_predictions:
+        if args.external_predictions is not None:
             raise UsageError("--external-predictions cannot be combined with --splits")
         protocol = SplitProtocol(
             n_repetitions=args.splits,
@@ -154,24 +161,15 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_gen(args) -> None:
-    if not args.weights and (args.noise_std != 0.0 or args.skip_clamped):
+    if args.weights is None and (args.noise_std != 0.0 or args.skip_clamped):
         raise UsageError("--noise-std and --skip-clamped only make sense with --weights")
-    config = (GeneratorConfig.from_dict(io.read_json(args.config)) if args.config
+    config = (GeneratorConfig.from_dict(io.read_json(args.config)) if args.config is not None
               else GeneratorConfig())
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=args.seed)
-    if args.weights:
-        weights = io.read_weights(args.weights)
-        batch = generate_labeled_dataset(
-            config,
-            args.count,
-            weights,
-            noise_std=args.noise_std,
-            skip_clamped=args.skip_clamped,
-        ).batch
-    else:
-        batch = generate_columns(config, args.count)
-    io.write_dataset(batch, args.output)
+    weights = io.read_weights(args.weights) if args.weights is not None else None
+    io.write_dataset(generate_columns(config, args.count, weights, noise_std=args.noise_std,
+                                      skip_clamped=args.skip_clamped), args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,35 +180,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="predict session MOS with a weight file")
-    p.add_argument("--input", required=True,
+    p.add_argument("--input", type=_path, required=True,
                    help="session or dataset JSON ('example' for the bundled demo trace)")
-    p.add_argument("--weights", required=True,
+    p.add_argument("--weights", type=_path, required=True,
                    help="weights JSON file, or 'paper' for the bundled reference set")
-    p.add_argument("--output", help="output file (default: stdout)")
+    p.add_argument("--output", type=_path, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--features", action="store_true",
                    help="include the 22 histogram features per session")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("fit", help="fit the 22 weights to a labeled dataset")
-    p.add_argument("--input", required=True, help="labeled dataset JSON")
-    p.add_argument("--output", required=True, help="where to write the weights JSON")
-    p.add_argument("--report", help="where to write the fit report JSON (default: stdout)")
+    p.add_argument("--input", type=_path, required=True, help="labeled dataset JSON")
+    p.add_argument("--output", type=_path, required=True, help="where to write the weights JSON")
+    p.add_argument("--report", type=_path,
+                   help="where to write the fit report JSON (default: stdout)")
     p.add_argument("--nonnegative", action="store_true",
                    help="constrain all weights to be non-negative")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    p.add_argument("--input", required=True, help="labeled dataset JSON")
+    p.add_argument("--input", type=_path, required=True, help="labeled dataset JSON")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--weights", help="weights JSON file or 'paper'")
+    mode.add_argument("--weights", type=_path, help="weights JSON file or 'paper'")
     mode.add_argument("--refit", action="store_true",
                       help="refit the model on each training split (requires --splits)")
     mode.add_argument("--baseline", choices=tuple(MODEL_STATISTICS),
                       help="evaluate a comparison model instead")
-    mode.add_argument("--external-predictions",
+    mode.add_argument("--external-predictions", type=_path,
                       help="CSV of precomputed 'session-id,predicted-mos' rows")
-    p.add_argument("--coefficients",
+    p.add_argument("--coefficients", type=_path,
                    help="baseline coefficients JSON (fitted from data when omitted)")
     p.add_argument("--splits", type=int,
                    help="run the repeated random train/test protocol with this many repetitions")
@@ -230,17 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: {defaults['compensate_on']}; only with --splits)")
     p.add_argument("--nonnegative", action="store_true",
                    help="with --refit, constrain fitted weights to be non-negative")
-    p.add_argument("--output", help="report file (default: stdout)")
+    p.add_argument("--output", type=_path, help="report file (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv writes the per-split metric table")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--count", type=int, required=True, help="number of sessions")
-    p.add_argument("--output", required=True, help="dataset file to write")
-    p.add_argument("--config", help="generator config JSON")
+    p.add_argument("--output", type=_path, required=True, help="dataset file to write")
+    p.add_argument("--config", type=_path, help="generator config JSON")
     p.add_argument("--seed", type=int, help="override the config RNG seed")
-    p.add_argument("--weights",
+    p.add_argument("--weights", type=_path,
                    help="label sessions with this weight file ('paper' for the bundled set)")
     p.add_argument("--noise-std", type=float, default=0.0,
                    help="Gaussian label noise (only with --weights)")

@@ -12,9 +12,11 @@ Weights, fit and evaluation reports and JSON predictions are written as
 :func:`json_text` spells them: strict JSON, indented.  CSV outputs round
 to 6 decimal places; JSON keeps full precision.  All file writes go
 through a temp-file-and-rename so readers never observe partial output,
-and :func:`write_texts` renames none of its files until all are written;
-through a symlink the rename lands on the link's target, and an
-existing target that is not a regular file is written in place.
+and :func:`write_texts` replaces none of its files until every temp file
+is written and leaves no temp file behind (a rename refused after that
+leaves the files renamed before it replaced); through a symlink the
+rename lands on the link's target, and an existing target that is not a
+regular file is written in place.
 
 Session files have one reader.  :func:`read_dataset` decodes a file, or
 the bundled demo session for ``"example"``, into a batch with its labels
@@ -56,7 +58,7 @@ from .model import FEATURE_NAMES, MAX_MOS, MIN_MOS, ModelWeights, _concatenate, 
 
 
 def write_texts(outputs: dict) -> None:
-    """Write each text of ``outputs`` to its path: every file, or none if one cannot be written."""
+    """Write each text of ``outputs`` to its path, as :func:`_atomic_write` writes it."""
     _atomic_write({path: (text,) for path, text in outputs.items()})
 
 
@@ -64,10 +66,12 @@ def _atomic_write(outputs: dict) -> None:
     """Write the strings each ``outputs[path]`` yields to ``path``, via a temp file beside it.
 
     No file is replaced until every temp file is written, so an output that cannot be written
-    leaves every path as it was.  A file gets the mode ``open`` would give a new file, ``0o666``
-    less the umask, rather than the temp file's owner-only one.  A symlink's target is written,
-    and the link kept; an existing file that is not a regular one (a FIFO, a device) is written
-    in place, as the rename would replace it, once the temp files are written.
+    leaves every path as it was, and no temp file is left behind.  A rename can still be refused
+    after that (another user's file in a sticky directory): the files renamed before it stay
+    replaced.  A file gets the mode ``open`` would give a new file, ``0o666`` less the umask,
+    rather than the temp file's owner-only one.  A symlink's target is written, and the link
+    kept; an existing file that is not a regular one (a FIFO, a device) is written in place, as
+    the rename would replace it, once the temp files are written.
     """
     umask = os.umask(0o077)  # the umask can only be read by setting it
     os.umask(umask)

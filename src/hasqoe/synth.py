@@ -10,14 +10,15 @@ a long tail), so large datasets exercise every bin.
 All randomness flows from ``rng_seed``; session ``k`` of a dataset uses
 the substream ``SeedSequence(rng_seed).spawn(...)[k]`` of numpy's PCG64,
 so generation is reproducible and sessions are independent.  Each
-substream draws the segment count (when ``n_segments`` is a range), then
-its rows of one block of uniforms, and the label noise only when
+substream draws the segment count (none for a fixed ``n_segments``),
+then its rows of one block of uniforms, and the label noise only when
 ``noise_std > 0``.  The count and the block are computed without
 ``numpy.random``, for every session of a round at once (``_pcg64``); the
-noise, when drawn, comes from numpy's own generator.  The block becomes
-the sessions' batch with its labels and tags (``model._SessionBatch``)
-at once, a round of at most ``_ROUND_SESSIONS`` sessions at a time.  A
-labeled dataset and :func:`generate_columns` stay a batch; only
+noise, when drawn, comes from numpy's own generator.  One round loop,
+:func:`generate_columns`, draws every dataset, at most ``_ROUND_SESSIONS``
+sessions a round: the block becomes the round's batch with its tags
+(``model._SessionBatch``) at once, labeled and kept or skipped only when
+weights are given.  A labeled dataset stays a batch; only
 :func:`generate_session` and :func:`generate_sessions` build traces.
 """
 
@@ -143,11 +144,13 @@ class StallDurations:
         duration on (low, high], so it never sits on the lower, excluded
         edge of its bin.  Within 2**-53 of 1, ``(high - low) * u`` can
         round up to ``high - low``, so the duration is kept above ``low``.
+        A ``constant`` is the one-point range ``low = high = value``, which
+        the formula gives back exactly.
         """
         p = self.params
         if self.name == "constant":
-            return np.full(len(u), p["value"])
-        if self.name == "uniform":
+            low = high = p["value"]
+        elif self.name == "uniform":
             low, high = p["low"], p["high"]
         else:
             edges = np.array((0.0, *DEFAULT_INTERRUPTION_EDGES, p["tail_max"]))
@@ -271,11 +274,8 @@ def _sessions(config: GeneratorConfig, lanes: _pcg64.Lanes, draw_noise: bool):
 
     Unless ``draw_noise``, the noise is not drawn and reads 0.0.
     """
-    n = config.n_segments
-    if isinstance(n, tuple):
-        lengths, lanes = _pcg64.integers(lanes, *n)
-    else:
-        lengths = np.full(lanes.size, n, np.intp)
+    # A fixed count is the one-value range (n, n), which draws nothing.
+    lengths, lanes = _pcg64.integers(lanes, *np.broadcast_to(config.n_segments, 2).tolist())
     u = _pcg64.random(lanes, _N_UNIFORMS * lengths).reshape(-1, _N_UNIFORMS)
     noise = _pcg64.standard_normal(lanes, _N_UNIFORMS * lengths) if draw_noise else 0.0
     ends = np.cumsum(lengths)
@@ -311,27 +311,11 @@ def _sessions(config: GeneratorConfig, lanes: _pcg64.Lanes, draw_noise: bool):
 _ROUND_SESSIONS = 8192
 
 
-def _draw(config: GeneratorConfig, first: int, size: int, draw_noise: bool):
-    """:func:`_sessions` of the substreams ``first`` to ``first + size - 1``."""
-    lanes = _pcg64.seed(config.rng_seed, np.arange(first, first + size))
-    return _sessions(config, lanes, draw_noise)
-
-
 def generate_session(config: GeneratorConfig):
     """Generate one ``SessionTrace`` from the config's unspawned seed."""
     from .traces import traces_of
 
     return traces_of(_sessions(config, _pcg64.seed(config.rng_seed), False)[0])[0]
-
-
-def generate_columns(config: GeneratorConfig, n_sessions: int) -> _SessionBatch:
-    """:func:`generate_sessions` as a batch, as ``io.read_dataset`` gives one: NaN labels, tags."""
-    if n_sessions < 1:
-        raise UsageError(f"n_sessions {n_sessions} must be >= 1")
-    return _concatenate(
-        _draw(config, start, min(_ROUND_SESSIONS, n_sessions - start), False)[0]
-        for start in range(0, n_sessions, _ROUND_SESSIONS)
-    )
 
 
 def generate_sessions(config: GeneratorConfig, n_sessions: int) -> tuple:
@@ -352,29 +336,31 @@ def _round_size(needed: int, attempts: int, kept: int) -> int:
     return -(-needed * attempts // kept) if 8 * kept >= attempts else 8 * needed
 
 
-def generate_labeled_dataset(
+def generate_columns(
     config: GeneratorConfig,
     n_sessions: int,
-    weights: ModelWeights,
+    weights: ModelWeights | None = None,
     *,
     noise_std: float = 0.0,
     skip_clamped: bool = False,
-) -> LabeledDataset:
-    """Generate sessions labeled by the histogram model's predictions.
+) -> _SessionBatch:
+    """Generate a batch of sessions with their tags, labeled only if given ``weights``.
 
-    Labels are the model output plus optional Gaussian noise, clipped to
-    [1, 5].  With ``skip_clamped=True`` sessions whose raw linear score
-    falls below the 1.0 floor are discarded, which keeps the labels an
+    Without ``weights`` every session is kept with a NaN label.  With
+    them, labels are the model output plus optional Gaussian noise,
+    clipped to [1, 5], and ``skip_clamped=True`` discards sessions whose
+    raw linear score falls below the 1.0 floor, which keeps the labels an
     exactly linear function of the features — the setting a
     planted-weights recovery needs.  Candidates come in rounds from
     consecutive substreams, and the first ``n_sessions`` kept are the
-    dataset, so session k is the same whatever ``n_sessions``.  The
-    dataset holds columns and builds its traces on request.
+    dataset, so session k is the same whatever ``n_sessions``.
     """
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     if not 0.0 <= noise_std < math.inf:  # NaN fails
         raise UsageError(f"noise_std {noise_std} must be a finite number >= 0")
+    if weights is None and (noise_std or skip_clamped):
+        raise UsageError("noise_std and skip_clamped only make sense with weights")
     kept = []  # the kept sessions of each round, as a batch
     n_kept = attempts = 0
     max_attempts = 20 * n_sessions + 100
@@ -386,18 +372,34 @@ def generate_labeled_dataset(
             )
         needed = n_sessions - n_kept
         size = min(_round_size(needed, attempts, n_kept), max_attempts - attempts, _ROUND_SESSIONS)
-        batch, noise = _draw(config, attempts, size, noise_std > 0.0)
+        lanes = _pcg64.seed(config.rng_seed, np.arange(attempts, attempts + size))
+        batch, noise = _sessions(config, lanes, noise_std > 0.0)
         attempts += size
-        raw = _raw_scores(feature_matrix(batch), weights)
-        labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
-        # "not below 1", as the floor reads it: a NaN score from overflowing
-        # weights is kept, and its label then fails the check below.
-        keep = ~(raw < MIN_MOS) if skip_clamped else np.ones(size, dtype=bool)
-        keep &= np.cumsum(keep) <= needed
-        # NaN labels first, then a kept score that overflowed, which the clip would hide.
-        for bad in (labels[keep & np.isnan(labels)], raw[keep & np.isinf(raw)]):
+        if weights is not None:
+            raw = _raw_scores(feature_matrix(batch), weights)
+            labels = np.clip(np.maximum(raw, MIN_MOS) + noise_std * noise, MIN_MOS, MAX_MOS)
+            # "not below 1", as the floor reads it: a NaN score from overflowing
+            # weights is kept, and its label then fails the check below.
+            keep = ~(raw < MIN_MOS) if skip_clamped else np.ones(size, dtype=bool)
+            keep &= np.cumsum(keep) <= needed
+            # NaN labels first, then a kept score that overflowed, which the clip would hide.
+            bad = np.concatenate((labels[keep & np.isnan(labels)], raw[keep & np.isinf(raw)]))
             if bad.size:
                 raise ValidationError(f"ground-truth MOS {bad[0]} outside [{MIN_MOS}, {MAX_MOS}]")
-        kept.append(batch._replace(labels=labels).select(keep))
-        n_kept += len(kept[-1].lengths)
-    return LabeledDataset(_concatenate(kept))
+            batch = batch._replace(labels=labels).select(keep)
+        kept.append(batch)
+        n_kept += len(batch.lengths)
+    return _concatenate(kept)
+
+
+def generate_labeled_dataset(
+    config: GeneratorConfig,
+    n_sessions: int,
+    weights: ModelWeights,
+    *,
+    noise_std: float = 0.0,
+    skip_clamped: bool = False,
+) -> LabeledDataset:
+    """:func:`generate_columns` as a labeled dataset, which builds its traces on request."""
+    return LabeledDataset(generate_columns(config, n_sessions, weights, noise_std=noise_std,
+                                           skip_clamped=skip_clamped))

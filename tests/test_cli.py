@@ -337,6 +337,33 @@ def test_a_write_into_a_missing_directory_names_the_output(tmp_path, capsys, lab
     assert ".tmp-" not in captured.err
 
 
+#: Every path flag of every subcommand, in groups that make a command with the flags after them.
+PATH_FLAGS = [
+    (("--input", "--weights", "--output"), ("predict",)),
+    (("--input", "--output", "--report"), ("fit",)),
+    (("--input", "--weights", "--output"), ("evaluate",)),
+    (("--external-predictions",), ("evaluate", "--input", "missing.json")),
+    (("--coefficients",), ("evaluate", "--input", "missing.json", "--baseline", "guo")),
+    (("--output", "--config", "--weights"), ("gen", "--count", "2")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, empty",
+    [pytest.param(command, flags, empty, id=f"{command[0]}{empty}")
+     for flags, command in PATH_FLAGS for empty in flags],
+)
+def test_an_empty_path_is_one_error_line_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                                 command, flags, empty) -> None:
+    # Every other path names a missing file, so reading any would report it instead.
+    monkeypatch.chdir(tmp_path)
+    args = chain.from_iterable((flag, "" if flag == empty else f"{flag[2:]}.json") for flag in flags)
+    assert run_cli(*command, *args) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: argument {empty}: expected a path, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 #: The modules the benchmark's tracer wraps; it looks each up after ``import hasqoe.cli``.
 TRACED = [f"hasqoe.{name}" for name in
           ("baselines", "cli", "evaluation", "fitting", "io", "model", "synth")]
@@ -351,6 +378,10 @@ def test_importing_the_cli_loads_neither_traces_nor_scipy() -> None:
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout == "[] []\n"
+
+
+def test_the_package_lists_every_public_name() -> None:
+    assert set(hasqoe.__all__) <= set(dir(hasqoe))
 
 
 def test_protocol_runs_leave_numpy_random_unloaded(labeled_path) -> None:

@@ -61,6 +61,13 @@ def test_comparing_generated_datasets_builds_no_traces(monkeypatch) -> None:
     assert first.sessions == second.sessions and len(built) == 100
 
 
+def test_a_dataset_equals_no_other_type_and_its_repr_names_its_sessions() -> None:
+    sessions = (SessionTrace((5.0, 4.0), ground_truth_mos=4.2),)
+    dataset = LabeledDataset(sessions)
+    assert not dataset == object() and dataset != object()
+    assert repr(dataset) == f"LabeledDataset(sessions={sessions!r})"
+
+
 def test_session_taking_functions_take_traces_or_their_batch(tmp_path) -> None:
     dataset = make_dataset(40)
     traces, batch = dataset.sessions, dataset.batch

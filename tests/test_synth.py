@@ -288,6 +288,9 @@ def test_generator_usage_errors() -> None:
     for noise_std in (-1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(UsageError, match="noise_std"):
             generate_labeled_dataset(GeneratorConfig(), 10, paper_weights(), noise_std=noise_std)
+    for options in ({"noise_std": 0.1}, {"skip_clamped": True}):
+        with pytest.raises(UsageError, match="only make sense with weights$"):
+            synth.generate_columns(GeneratorConfig(), 10, **options)
     with pytest.raises(UsageError):
         GeneratorConfig(n_segments=0)
     with pytest.raises(UsageError):

@@ -233,7 +233,7 @@ def written_sessions(draw):
     )
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(written_sessions(), max_size=10), st.sampled_from(CHUNK_SIZES))
 def test_columnar_encoder_writes_what_to_dict_gives(sessions, chunk) -> None:
     expected = json.dumps([s.to_dict() for s in sessions], separators=(",", ":")) + "\n"
@@ -353,6 +353,26 @@ def test_a_failed_write_leaves_no_file(tmp_path) -> None:
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         io.write_dataset(batch, str(tmp_path / "ds.json"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_rename_leaves_the_later_targets_and_no_temp_file(tmp_path) -> None:
+    # The first target is replaced before the second rename is refused: only the temp files are
+    # all written before any target is replaced.
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    for path in (first, second):
+        path.write_text("old\n")
+    replace = os.replace
+
+    def refuse_second(source, target):
+        if os.path.basename(target) == second.name:
+            raise PermissionError(1, "Operation not permitted", target)
+        replace(source, target)
+
+    with mock.patch.object(os, "replace", refuse_second):
+        with pytest.raises(PermissionError):
+            io.write_texts({str(first): "new\n", str(second): "new\n"})
+    assert (first.read_text(), second.read_text()) == ("new\n", "old\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "second.txt"]
 
 
 def test_a_fifo_output_is_written_in_place(tmp_path) -> None:
