@@ -15,20 +15,25 @@ _MODULES = {
     "errors": ("DegenerateMetricError", "HasQoEError", "UsageError", "ValidationError"),
     "evaluation": (
         "EvaluationReport",
-        "LinearModel",
         "SplitMetrics",
         "SplitProtocol",
-        "baseline_runner",
         "evaluate_predictions",
-        "fit_baseline_coefficients",
-        "fixed_weights_runner",
         "linear_compensate",
         "pcc",
-        "refit_runner",
         "rmse",
         "run_split_protocol",
     ),
-    "fitting": ("FitReport", "LabeledDataset", "design_matrix", "fit"),
+    "fitting": (
+        "FitReport",
+        "LabeledDataset",
+        "LinearModel",
+        "baseline_runner",
+        "design_matrix",
+        "fit",
+        "fit_baseline_coefficients",
+        "fixed_weights_runner",
+        "refit_runner",
+    ),
     "io": ("paper_weights",),
     "model": (
         "DEFAULT_INTERRUPTION_EDGES",

@@ -21,8 +21,8 @@ rows, the steps between segments, the mean) at most once per run.
 
 The coefficients that turn statistics into a MOS prediction are not
 reproduced here; they are supplied by the caller or fitted by least
-squares (``evaluation.fit_baseline_coefficients``), in either case as a
-linear model over :func:`baseline_matrix` (``evaluation.baseline_runner``).
+squares (``fitting.fit_baseline_coefficients``), in either case as a
+linear model over :func:`baseline_matrix` (``fitting.baseline_runner``).
 """
 
 from __future__ import annotations
@@ -158,16 +158,21 @@ class _RunStatistics:
         return np.bincount(stall_rows, self.durations, minlength=self.n)
 
 
+def _check_statistics(names) -> None:
+    """Raise unless each of ``names`` is a statistic that :func:`baseline_matrix` computes."""
+    for name in names:
+        if not isinstance(name, str) or name not in _KNOWN_STATISTICS:
+            raise UsageError(
+                f"unknown statistic {name!r}; known statistics: {sorted(_KNOWN_STATISTICS)}"
+            )
+
+
 def baseline_matrix(sessions, names) -> np.ndarray:
     """The named statistics plus an intercept column of ones, one session per row.
 
     ``sessions`` is a sequence of traces or a ``model._SessionBatch``.
     """
-    for name in names:
-        if name not in _KNOWN_STATISTICS:
-            raise UsageError(
-                f"unknown statistic {name!r}; known statistics: {sorted(_KNOWN_STATISTICS)}"
-            )
+    _check_statistics(names)
     batch = _batch(sessions)
     matrix = np.ones((len(batch.lengths), len(names) + 1))
     for rows, run in batch.runs():

@@ -19,16 +19,15 @@ import numpy as np
 from . import io
 from .baselines import MODEL_STATISTICS, BaselineCoefficients
 from .errors import DegenerateMetricError, UsageError, ValidationError
-from .evaluation import (
+from .evaluation import SplitProtocol, evaluate_predictions, run_split_protocol
+from .fitting import (
+    LabeledDataset,
     LinearModel,
-    SplitProtocol,
     baseline_runner,
-    evaluate_predictions,
+    fit,
     fixed_weights_runner,
     refit_runner,
-    run_split_protocol,
 )
-from .fitting import LabeledDataset, fit
 from .model import feature_matrix, predict_matrix
 from .synth import GeneratorConfig, generate_columns
 

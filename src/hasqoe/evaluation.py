@@ -1,13 +1,12 @@
 """Prediction-quality metrics and the repeated random train/test protocol.
 
-Every model fitted or scored here is a :class:`LinearModel`, least
-squares over a per-session statistic matrix: the histogram model refit
-(``refit_runner``, also behind ``fitting.fit``) or frozen
-(``fixed_weights_runner``), or a comparison model (``baseline_runner``,
-also behind :func:`fit_baseline_coefficients`).  The protocol builds the
-matrix once per dataset, from the dataset's columnar batch, and selects
-each split's rows with a mask drawn over the dataset's tags; neither
-needs a ``SessionTrace``.
+The metrics raise :class:`~hasqoe.errors.DegenerateMetricError` where
+they are undefined: on a constant sequence, or when a sum that they
+divide by or return is not finite.  The protocol scores any model that
+has ``matrix`` and ``fit_predict``, such as ``fitting.LinearModel``.  It
+builds the matrix once per dataset, from the dataset's columnar batch,
+and selects each split's rows with a mask drawn over the dataset's tags;
+neither needs a ``SessionTrace``.
 
 Split ``k`` of a protocol run draws its test set as numpy's
 ``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
@@ -22,16 +21,13 @@ must be a non-negative integer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _pcg64
-from .baselines import MODEL_STATISTICS, BaselineCoefficients, baseline_matrix
 from .errors import DegenerateMetricError, UsageError
-from .fitting import LabeledDataset, design_matrix, solve
-from .model import MAX_MOS, MIN_MOS, ModelWeights, _finite, _json_integer
+from .model import _json_integer
 
 
 def _as_pair(predictions, truths, min_length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -46,11 +42,18 @@ def _as_pair(predictions, truths, min_length: int) -> tuple[np.ndarray, np.ndarr
     return p, t
 
 
+def _finite_sum(value: float, message: str) -> float:
+    """``value``, a sum that a metric divides by or returns, unless it is not finite."""
+    if math.isfinite(value):
+        return value
+    raise DegenerateMetricError(message)
+
+
 def pcc(predictions, truths) -> float:
     """Pearson correlation coefficient between predictions and truths.
 
     Raises :class:`DegenerateMetricError` when either sequence is
-    constant — a silent 0 there would mask pipeline bugs.
+    constant or the sums overflow — a silent 0 would mask pipeline bugs.
     """
     p, t = _as_pair(predictions, truths, 2)
     for name, values in (("predictions", p), ("truths", t)):
@@ -58,13 +61,16 @@ def pcc(predictions, truths) -> float:
             raise DegenerateMetricError(f"{name} are constant; correlation is undefined")
     pc = p - p.mean()
     tc = t - t.mean()
-    return float(pc @ tc) / math.sqrt(float(pc @ pc) * float(tc @ tc))
+    spread = _finite_sum(float(pc @ pc) * float(tc @ tc),
+                         "sums of squares overflow the float range; correlation is undefined")
+    return float(pc @ tc) / math.sqrt(spread)
 
 
 def rmse(predictions, truths) -> float:
     """Root-mean-square error between predictions and truths."""
     p, t = _as_pair(predictions, truths, 1)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    return _finite_sum(float(np.sqrt(np.mean((p - t) ** 2))),
+                       "squared errors overflow the float range; RMSE is undefined")
 
 
 def linear_compensate(predictions, truths) -> tuple[float, float, np.ndarray]:
@@ -78,7 +84,8 @@ def linear_compensate(predictions, truths) -> tuple[float, float, np.ndarray]:
     if np.all(p == p[0]):
         raise DegenerateMetricError("predictions are constant; compensation is degenerate")
     pc = p - p.mean()
-    slope = float(pc @ (t - t.mean())) / float(pc @ pc)
+    slope = float(pc @ (t - t.mean())) / _finite_sum(
+        float(pc @ pc), "predictions overflow the float range; compensation is degenerate")
     intercept = float(t.mean()) - slope * float(p.mean())
     return slope, intercept, slope * p + intercept
 
@@ -167,104 +174,6 @@ class SplitProtocol:
             raise UsageError(f"rng_seed {self.rng_seed} must be >= 0")
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """Least squares over a per-session statistic matrix, clamped to the MOS scale.
-
-    ``statistics`` is ``"histogram"`` (22 signed columns, floored at
-    1.0) or baseline statistic names (plus an intercept column, clamped
-    to [1, 5]).  ``weights`` fixes one weight per column; ``None``
-    refits them on each training set (w >= 0 if ``nonnegative``).
-    """
-
-    statistics: str | tuple[str, ...]
-    weights: tuple[float, ...] | None = None
-    nonnegative: bool = False
-
-    def matrix(self, sessions) -> np.ndarray:
-        """The statistic matrix of traces or a ``model._SessionBatch``, one session per row."""
-        if self.statistics == "histogram":
-            return design_matrix(sessions)
-        return baseline_matrix(sessions, self.statistics)
-
-    def fit(self, matrix, labels, train=None) -> tuple[np.ndarray, bool]:
-        """Weights solved on the ``train`` rows (default: all) and whether those are rank-deficient.
-
-        Fixed weights come back as they are.  A histogram refit warns, at
-        its caller's caller, of fewer rows than columns or rank deficiency.
-        """
-        if self.weights is not None:
-            return np.asarray(self.weights, dtype=float), False
-        if train is not None:
-            matrix, labels = matrix[train], labels[train]
-        histogram = self.statistics == "histogram"
-        n_rows, n_columns = matrix.shape
-        if histogram and n_rows < n_columns:
-            warnings.warn(
-                f"fitting {n_columns} weights from only {n_rows} sessions; "
-                "the solution will be underdetermined",
-                stacklevel=3,
-            )
-        weights, rank = solve(matrix, labels, nonnegative=self.nonnegative)
-        if histogram and rank < n_columns:
-            warnings.warn(
-                f"design matrix is rank-deficient (rank {rank} of {n_columns}); "
-                "returning the minimum-norm solution",
-                stacklevel=3,
-            )
-        return weights, rank < n_columns
-
-    def predict(self, matrix, weights) -> np.ndarray:
-        """``matrix @ weights``, floored at 1.0 (histogram) or clipped to [1, 5] (baseline)."""
-        raw = _finite(matrix @ np.asarray(weights, dtype=float))
-        if self.statistics == "histogram":
-            return np.maximum(raw, MIN_MOS)
-        return np.clip(raw, MIN_MOS, MAX_MOS)
-
-    def fit_predict(self, matrix, labels, train=None) -> np.ndarray:
-        """:meth:`predict` of every row, weighted as :meth:`fit` solves on the ``train`` rows."""
-        return self.predict(matrix, self.fit(matrix, labels, train)[0])
-
-
-def refit_runner(*, nonnegative: bool = False) -> LinearModel:
-    """The histogram model, refit on each training set."""
-    return LinearModel("histogram", nonnegative=nonnegative)
-
-
-def fixed_weights_runner(weights: ModelWeights) -> LinearModel:
-    """The histogram model with one frozen weight set (training data ignored)."""
-    return LinearModel("histogram", weights.as_vector())
-
-
-def baseline_runner(model: str, coefficients: BaselineCoefficients | None = None) -> LinearModel:
-    """A comparison model, with fixed ``coefficients`` or refit on each training set."""
-    if model not in MODEL_STATISTICS:
-        raise UsageError(
-            f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
-        )
-    if coefficients is None:
-        return LinearModel(MODEL_STATISTICS[model])
-    if coefficients.model != model:
-        raise UsageError(f"coefficients are for baseline {coefficients.model!r}, not {model!r}")
-    names = MODEL_STATISTICS[model]
-    if coefficients.coefficients.keys() != set(names):
-        raise UsageError(
-            f"coefficients for baseline {model!r} must name exactly its statistics "
-            f"{list(names)}, got {list(coefficients.coefficients)}"
-        )
-    return LinearModel(
-        names, (*(coefficients.coefficients[name] for name in names), coefficients.intercept)
-    )
-
-
-def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:
-    """Fit one comparison model's coefficients by OLS on a labeled dataset."""
-    runner = baseline_runner(model)
-    solution, _ = runner.fit(runner.matrix(dataset.batch), dataset.labels())
-    *coefficients, intercept = solution.tolist()
-    return BaselineCoefficients(model, dict(zip(runner.statistics, coefficients)), intercept)
-
-
 def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     """One boolean test-set mask over the sessions of ``tags`` per repetition of ``protocol``.
 
@@ -311,16 +220,18 @@ def _drawn(draws, pool_size: int, size: int) -> list[int]:
 
 
 def run_split_protocol(
-    dataset: LabeledDataset,
+    dataset,
     protocol: SplitProtocol,
-    model: LinearModel,
+    model,
     *,
     compensate: bool = False,
     compensation_on: str = "train",
 ) -> EvaluationReport:
     """Run the repeated random train/test protocol.
 
-    The statistic matrix is built once; each repetition of
+    ``dataset`` is a ``fitting.LabeledDataset`` and ``model`` a
+    ``fitting.LinearModel``, or any model with ``matrix`` and
+    ``fit_predict``.  The statistic matrix is built once; each repetition of
     :func:`split_masks` fits on its training rows and scores its test
     rows.  With ``compensate=True`` a linear correction is fitted on the
     portion named by ``compensation_on`` ("train" or "test") and applied

@@ -1,16 +1,20 @@
-"""Least-squares estimation of the 22 model weights.
+"""The linear model: least squares over a per-session statistic matrix.
 
+Every model the package fits or scores is a :class:`LinearModel`: the
+histogram model over :func:`design_matrix`, refit or frozen, or a
+comparison model over ``baselines.baseline_matrix`` (see the runners).
 The design matrix absorbs the sign convention of the prediction
 equations: quality frequencies enter positively, down-switch, grouped
-and interruption frequencies negatively.  Labels are then approximated
-as ``X @ w`` and the solved ``w`` plugs straight into
-:class:`~hasqoe.model.ModelWeights`.
+and interruption frequencies negatively, so the solved ``w`` plugs
+straight into :class:`~hasqoe.model.ModelWeights`.
 
-:func:`fit` solves and scores through ``evaluation.LinearModel``, whose
-one solve, :func:`solve`, uses an SVD rather than normal equations; with
-rarely populated bins the design can be rank-deficient, in which case the
-minimum-norm solution is returned and ``condition_warning`` is set.  The
-clamp at 1.0 MOS is applied to the training metrics, not while solving.
+:meth:`LinearModel.fit` is the one solve: an SVD (:func:`lstsq_min_norm`)
+rather than normal equations, or ``nnls`` for non-negative weights.  A
+rank-deficient histogram fit warns, and :func:`fit` sets
+``condition_warning``.  :meth:`LinearModel.predict` is the one clamp; it
+applies to the training metrics, not while solving.  :func:`fit` and
+:func:`fit_baseline_coefficients` fit on a whole dataset, and
+``evaluation.run_split_protocol`` on each training set.
 
 A :class:`LabeledDataset` holds a batch with its labels and tags, made
 from traces or given as read from a file or made by the generator;
@@ -21,13 +25,17 @@ from traces or given as read from a file or made by the generator;
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .baselines import MODEL_STATISTICS, BaselineCoefficients, _check_statistics, baseline_matrix
 from .errors import DegenerateMetricError, UsageError
-from .model import EVENT_SLOTS, ModelWeights, _batch, _SessionBatch, feature_matrix
+from .evaluation import pcc, rmse
+from .model import (EVENT_SLOTS, MAX_MOS, MIN_MOS, N_PARAMETERS, ModelWeights, _batch, _finite,
+                    _json_numbers, _SessionBatch, feature_matrix)
 
 
 class LabeledDataset:
@@ -118,6 +126,117 @@ def lstsq_min_norm(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
     return solution, int(rank)
 
 
+@dataclass(frozen=True)
+class LinearModel:
+    """Least squares over a per-session statistic matrix, clamped to the MOS scale.
+
+    ``statistics`` is ``"histogram"`` (22 signed columns, floored at
+    1.0) or a tuple of baseline statistic names (plus an intercept
+    column, clamped to [1, 5]).  ``weights`` fixes one finite weight per
+    column; ``None`` refits them on each training set (w >= 0 if
+    ``nonnegative``).
+    """
+
+    statistics: str | tuple[str, ...]
+    weights: tuple[float, ...] | None = None
+    nonnegative: bool = False
+
+    def __post_init__(self) -> None:
+        if isinstance(self.statistics, tuple):
+            _check_statistics(self.statistics)
+        elif not isinstance(self.statistics, str) or self.statistics != "histogram":
+            raise UsageError("'statistics' must be 'histogram' or a tuple of statistic names, "
+                             f"got {self.statistics!r}")
+        if self.weights is not None:
+            weights = _json_numbers(self.weights, "'weights'")
+            columns = N_PARAMETERS if self.statistics == "histogram" else len(self.statistics) + 1
+            if len(weights) != columns or not all(map(math.isfinite, weights)):
+                raise UsageError(f"'weights' must be {columns} finite numbers, one per column, "
+                                 f"got {weights}")
+            object.__setattr__(self, "weights", weights)
+
+    def matrix(self, sessions) -> np.ndarray:
+        """The statistic matrix of traces or a ``model._SessionBatch``, one session per row."""
+        if self.statistics == "histogram":
+            return design_matrix(sessions)
+        return baseline_matrix(sessions, self.statistics)
+
+    def fit(self, matrix, labels, train=None) -> tuple[np.ndarray, bool]:
+        """Weights solved on the ``train`` rows (default: all) and whether those are rank-deficient.
+
+        Fixed weights come back as they are.  A histogram refit warns, at
+        its caller's caller, of fewer rows than columns or rank deficiency.
+        """
+        if self.weights is not None:
+            return np.asarray(self.weights, dtype=float), False
+        if train is not None:
+            matrix, labels = matrix[train], labels[train]
+        histogram = self.statistics == "histogram"
+        n_rows, n_columns = matrix.shape
+        if histogram and n_rows < n_columns:
+            warnings.warn(
+                f"fitting {n_columns} weights from only {n_rows} sessions; "
+                "the solution will be underdetermined",
+                stacklevel=3,
+            )
+        if self.nonnegative:
+            from scipy.optimize import nnls
+
+            weights, rank = nnls(matrix, labels)[0], int(np.linalg.matrix_rank(matrix))
+        else:
+            weights, rank = lstsq_min_norm(matrix, labels)
+        if histogram and rank < n_columns:
+            warnings.warn(
+                f"design matrix is rank-deficient (rank {rank} of {n_columns}); returning "
+                + ("a non-negative solution, which need not have the minimum norm"
+                   if self.nonnegative else "the minimum-norm solution"),
+                stacklevel=3,
+            )
+        return weights, rank < n_columns
+
+    def predict(self, matrix, weights) -> np.ndarray:
+        """``matrix @ weights``, floored at 1.0 (histogram) or clipped to [1, 5] (baseline)."""
+        raw = _finite(matrix @ np.asarray(weights, dtype=float))
+        if self.statistics == "histogram":
+            return np.maximum(raw, MIN_MOS)
+        return np.clip(raw, MIN_MOS, MAX_MOS)
+
+    def fit_predict(self, matrix, labels, train=None) -> np.ndarray:
+        """:meth:`predict` of every row, weighted as :meth:`fit` solves on the ``train`` rows."""
+        return self.predict(matrix, self.fit(matrix, labels, train)[0])
+
+
+def refit_runner(*, nonnegative: bool = False) -> LinearModel:
+    """The histogram model, refit on each training set."""
+    return LinearModel("histogram", nonnegative=nonnegative)
+
+
+def fixed_weights_runner(weights: ModelWeights) -> LinearModel:
+    """The histogram model with one frozen weight set (training data ignored)."""
+    return LinearModel("histogram", weights.as_vector())
+
+
+def baseline_runner(model: str, coefficients: BaselineCoefficients | None = None) -> LinearModel:
+    """A comparison model, with fixed ``coefficients`` or refit on each training set."""
+    if model not in MODEL_STATISTICS:
+        raise UsageError(
+            f"unknown baseline model {model!r}; known models: {sorted(MODEL_STATISTICS)}"
+        )
+    if coefficients is None:
+        return LinearModel(MODEL_STATISTICS[model])
+    if coefficients.model != model:
+        raise UsageError(f"coefficients are for baseline {coefficients.model!r}, not {model!r}")
+    names = MODEL_STATISTICS[model]
+    if coefficients.coefficients.keys() != set(names):
+        raise UsageError(
+            f"coefficients for baseline {model!r} must name exactly its statistics "
+            f"{list(names)}, got {list(coefficients.coefficients)}"
+        )
+    return LinearModel(
+        names, (*(coefficients.coefficients[name] for name in names), coefficients.intercept)
+    )
+
+
 def fit(dataset: LabeledDataset, *, nonnegative: bool = False) -> FitReport:
     """Fit the 22 weights to a labeled dataset by least squares.
 
@@ -125,8 +244,6 @@ def fit(dataset: LabeledDataset, *, nonnegative: bool = False) -> FitReport:
     an active-set method; by default the solve is unconstrained.  An
     undefined training PCC (constant predictions or labels) is NaN.
     """
-    from .evaluation import pcc, refit_runner, rmse  # evaluation imports this module
-
     model = refit_runner(nonnegative=nonnegative)
     matrix, labels = model.matrix(dataset.batch), dataset.labels()
     solution, deficient = model.fit(matrix, labels)
@@ -143,11 +260,9 @@ def fit(dataset: LabeledDataset, *, nonnegative: bool = False) -> FitReport:
     )
 
 
-def solve(matrix, labels, *, nonnegative: bool = False) -> tuple[np.ndarray, int]:
-    """Least-squares solution of ``matrix @ w ~ labels`` (see :func:`fit`) and the matrix's rank."""
-    if nonnegative:
-        from scipy.optimize import nnls
-
-        solution, _ = nnls(matrix, labels)
-        return solution, int(np.linalg.matrix_rank(matrix))
-    return lstsq_min_norm(matrix, labels)
+def fit_baseline_coefficients(dataset: LabeledDataset, model: str) -> BaselineCoefficients:
+    """Fit one comparison model's coefficients by OLS on a labeled dataset."""
+    runner = baseline_runner(model)
+    solution, _ = runner.fit(runner.matrix(dataset.batch), dataset.labels())
+    *coefficients, intercept = solution.tolist()
+    return BaselineCoefficients(model, dict(zip(runner.statistics, coefficients)), intercept)

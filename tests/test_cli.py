@@ -288,6 +288,34 @@ def test_scores_that_overflow_below_the_floor_are_one_numerical_error(
     )
 
 
+CORRELATION_OVERFLOWS = "sums of squares overflow the float range; correlation is undefined"
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["--no-compensation"], CORRELATION_OVERFLOWS),
+        (["--splits", "2", "--test-pool", "all", "--no-compensation", "--format", "csv"],
+         CORRELATION_OVERFLOWS),
+        ([], "predictions overflow the float range; compensation is degenerate"),
+    ],
+)
+def test_metrics_that_overflow_are_one_numerical_error(tmp_path, capsys, args, message) -> None:
+    # Every prediction is finite, near 1e160, but a metric's sum of squares is not: it must not
+    # come out as 0.0, inf or a traceback.
+    data = tmp_path / "data.json"
+    assert run_cli("gen", "--count", "300", "--weights", "paper", "--noise-std", "0.1",
+                   "--seed", "1", "--output", str(data)) == 0
+    weights = paper_weights().to_dict()
+    weights["alpha"] = [1e160, 2e160, 3e160, 4e160, 5e160]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(weights))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("evaluate", "--input", str(data), "--weights", str(path), *args) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_gen_inf_label_is_validation_error(tmp_path, capsys) -> None:
     # Every score overflows to +inf, which the clip would turn into a label of 5.0.
     out = tmp_path / "out.json"

@@ -63,6 +63,25 @@ def test_metric_input_validation() -> None:
     assert str(raised.value) == "predictions and truths must be one-dimensional sequences"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    ("metric", "message"),
+    [
+        (pcc, "sums of squares overflow the float range; correlation is undefined"),
+        (rmse, "squared errors overflow the float range; RMSE is undefined"),
+        (linear_compensate, "predictions overflow the float range; compensation is degenerate"),
+    ],
+)
+def test_metrics_whose_sums_overflow_raise(metric, message) -> None:
+    # Each prediction is finite, but the sums of squares are not; they would give PCC 0.0, RMSE
+    # inf and slope 0.0.  Just below the overflow the metrics are exact.
+    with pytest.raises(DegenerateMetricError) as info:
+        metric([1e160, 2e160, 3e160], [1.0, 2.0, 3.0])
+    assert str(info.value) == message
+    assert pcc([1e150, 2e150, 3e150], [1.0, 2.0, 3.0]) == pytest.approx(1.0, abs=1e-12)
+    assert linear_compensate([1e150, 2e150, 3e150], [1.0, 2.0, 3.0])[0] == pytest.approx(1e-150)
+
+
 def test_rmse_examples() -> None:
     assert rmse((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 3.0)) == pytest.approx(
         math.sqrt(3.0), abs=1e-12

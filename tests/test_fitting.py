@@ -208,6 +208,8 @@ def test_fit_warnings_point_at_the_caller(nonnegative) -> None:
     assert len(messages) == 2
     assert "only 5 sessions" in messages[0] and "rank-deficient" in messages[1]
     assert {w.filename for w in caught} == {__file__}
+    # nnls returns no minimum-norm solution, so the warning must not claim one.
+    assert ("minimum-norm solution" in messages[1]) is not nonnegative
 
 
 def test_nonnegative_flag_keeps_weights_nonnegative() -> None:

@@ -13,6 +13,7 @@ import pytest
 from hasqoe import (
     BaselineCoefficients,
     InterruptionEvent,
+    LinearModel,
     ModelWeights,
     SessionTrace,
     UsageError,
@@ -100,6 +101,37 @@ def test_coefficients_reject_what_coefficient_files_reject(fields, message) -> N
 def test_coefficient_names_are_strings(coefficients, message) -> None:
     # A JSON object's keys are strings, so only a Python caller can give another name.
     assert raised(lambda: BaselineCoefficients("guo", coefficients)) == (UsageError, message)
+
+
+UNKNOWN_STATISTIC = ("unknown statistic {!r}; known statistics: ['mean_quality', "
+                     "'mean_sq_down_amplitude', 'median_quality', 'min_quality', 'stall_count', "
+                     "'stall_duration_sum', 'std_quality', 'switch_count', 'weighted_quality_sum']")
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        (("guo",), "'statistics' must be 'histogram' or a tuple of statistic names, got 'guo'"),
+        ((["min_quality"],),
+         "'statistics' must be 'histogram' or a tuple of statistic names, got ['min_quality']"),
+        ((("sharpness",),), UNKNOWN_STATISTIC.format("sharpness")),
+        ((("min_quality", 1),), UNKNOWN_STATISTIC.format(1)),
+        ((("min_quality", ["min_quality"]),), UNKNOWN_STATISTIC.format(["min_quality"])),
+        (("histogram", (1.0,) * 21),
+         f"'weights' must be 22 finite numbers, one per column, got {(1.0,) * 21}"),
+        (("histogram", (1.0,) * 21 + (math.nan,)),
+         f"'weights' must be 22 finite numbers, one per column, got {(1.0,) * 21 + (math.nan,)}"),
+        ((("median_quality", "min_quality"), (0.5, 0.25)),
+         "'weights' must be 3 finite numbers, one per column, got (0.5, 0.25)"),
+        ((("min_quality",), (0.5, math.inf)),
+         "'weights' must be 2 finite numbers, one per column, got (0.5, inf)"),
+        (("histogram", ("1.0",) * 22), "'weights' must be a number, got '1.0'"),
+        (("histogram", 1.0), "'weights' must be an array of numbers, got 1.0"),
+    ],
+)
+def test_linear_models_check_their_fields(fields, message) -> None:
+    # The runners give valid fields; a Python caller must not get numpy's error at predict time.
+    assert raised(lambda: LinearModel(*fields)) == (UsageError, message)
 
 
 @pytest.mark.parametrize(
