@@ -8,16 +8,19 @@ uint64)`` of that pool seeds PCG64's 128-bit state and increment.  Each
 PCG64 step sets ``state = state * MULTIPLIER + inc`` modulo 2**128 and
 outputs the XSL-RR hash of the new state, 64 bits.
 
-Many streams are held at once as :class:`Lanes`, one lane per stream,
-and every draw below is computed for all lanes in numpy.  A 128-bit
-number is a pair of ``uint64`` arrays, its high and its low half;
-numpy's fixed-width products wrap modulo 2**64, and the high half of a
-64-bit product is put together from 32-bit halves.  Tests hold every draw
-equal to numpy's own.
+The generator holds many streams at once as :class:`Lanes`, one lane
+per stream, and every draw of theirs is computed for all lanes in numpy.
+A 128-bit number is a pair of ``uint64`` arrays, its high and its low
+half; numpy's fixed-width products wrap modulo 2**64, and the high half
+of a 64-bit product is put together from 32-bit halves.  The split
+protocol takes a stream at a time from :func:`streams`, which seeds it
+in Python integers from the seed hashed once, and draws from it with
+:func:`draws32`.  Tests hold every draw equal to numpy's own.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -93,26 +96,49 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-def _hasher(hash_const: int, multiplier: int):
-    """``SeedSequence``'s hashmix: each call hashes one word and steps the shared constant.
+def _hash_constants(hash_const: int, multiplier: int):
+    """The constants of ``SeedSequence``'s hashmix calls, a pair per call, call after call.
 
-    A word is a Python integer or a ``uint64`` array of 32-bit values; the
-    constant is the same for every lane.
+    A call xors its word with the first and multiplies it by the second, which the next call
+    xors with.  The constants are the same for every lane.
     """
+    while True:
+        following = hash_const * multiplier & _MASK32
+        yield hash_const, following
+        hash_const = following
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * multiplier & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
 
-    return hashmix
+def _hashmix(value, constants: tuple[int, int]):
+    """One hashmix call: a word, a Python integer or a ``uint64`` array of 32-bit values, hashed."""
+    value = (value ^ constants[0]) * constants[1] & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
     value = (x * 0xCA01F9DD & _MASK32) - (y * 0x4973F715 & _MASK32) & _MASK32
     return value ^ value >> 16
+
+
+def _pool(words: list):
+    """``SeedSequence``'s 4-word pool after hashing ``words``, and the hashmix constants after it.
+
+    A word of ``words`` past the fourth is mixed into every pool word, with a call each.
+    """
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875)
+    pool = [_hashmix(word, next(constants)) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(constants)))
+    for word in words[4:]:
+        pool = [_mix(value, _hashmix(word, next(constants))) for value in pool]
+    return pool, constants
+
+
+def _generate_state(pool: list) -> list:
+    """``generate_state(4, uint64)`` of a pool: 8 32-bit words, little-endian pairs of them."""
+    constants = _hash_constants(0x8B51F9DD, 0x58F38DED)
+    return [_hashmix(pool[i % 4], next(constants)) for i in range(8)]
 
 
 def seed(entropy: int, children=None) -> Lanes:
@@ -130,19 +156,27 @@ def seed(entropy: int, children=None) -> Lanes:
             raise UsageError(f"child index {children.max()} must be below 2**32")
         words += [0] * (4 - len(words))
         words.append(children)
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        pool = [_mix(value, hashmix(word)) for value in pool]
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)  # generate_state(4, uint64), little-endian pairs
-    state = [np.array(hashmix(pool[i % 4]), np.uint64, ndmin=1) for i in range(8)]
+    state = [np.array(word, np.uint64, ndmin=1) for word in _generate_state(_pool(words)[0])]
     seed_high, seed_low, inc_high, inc_low = (state[i] | state[i + 1] << 32 for i in (0, 2, 4, 6))
     inc = (inc_high << 1 | inc_low >> 63, inc_low << 1 | 1)
     return Lanes(_step(_add((seed_high, seed_low), inc), inc), inc)
+
+
+def streams(entropy: int, n: int):
+    """Each lane of ``seed(entropy, range(n))`` as its ``(state, inc)``, in Python integers.
+
+    The seed's words are hashed once; each child's word and its state are
+    hashed in Python, a child at a time as the streams are taken.
+    """
+    words = _words32(entropy)
+    pool, constants = _pool(words + [0] * (4 - len(words)))
+    child_constants = list(islice(constants, 4))
+    for k in range(n):
+        w = _generate_state([_mix(value, _hashmix(k, constants))
+                             for value, constants in zip(pool, child_constants)])
+        start = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        inc = ((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 & _MASK128 | 1
+        yield ((start + inc) * _MULTIPLIER + inc) & _MASK128, inc
 
 
 def integers(lanes: Lanes, low: int, high: int) -> tuple[np.ndarray, Lanes]:
@@ -256,9 +290,11 @@ def standard_normal(lanes: Lanes, skip: np.ndarray) -> np.ndarray:
     return values
 
 
-def draws32(lanes: Lanes, k: int):
-    """Lane ``k``'s buffered 32-bit draws, in Python: the low, then the high half of each output."""
-    state, inc = lanes.numbers(k)
+def draws32(state: int, inc: int):
+    """A stream's buffered 32-bit draws, in Python: the low, then the high half of each output.
+
+    ``state`` and ``inc`` are the stream's, as :func:`streams` or :meth:`Lanes.numbers` gives them.
+    """
     while True:
         state = (state * _MULTIPLIER + inc) & _MASK128
         rotation, word = state >> 122, (state >> 64 ^ state) & _MASK64

@@ -12,9 +12,10 @@ Split ``k`` of a protocol run draws its test set as numpy's
 ``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
 test_size, replace=False)`` would (PCG64 under the seed sequence), so
 results are bit-reproducible and independent of the order splits are
-executed in.  The draws are computed without loading ``numpy.random``
-(``_pcg64`` seeds every split's stream at once, and each split's choice
-is drawn in Python), and a test holds them equal to numpy's.  ``rng_seed``
+executed in.  The draws are computed in Python without loading
+``numpy.random``: ``_pcg64.streams`` hashes the seed once and seeds each
+split's stream from it as the split is drawn, and each split's choice is
+drawn from that stream.  A test holds them equal to numpy's.  ``rng_seed``
 must be a non-negative integer.
 """
 
@@ -192,11 +193,10 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     if protocol.test_size >= len(tags):
         raise UsageError("test_size leaves no sessions to train on")
 
-    lanes = _pcg64.seed(protocol.rng_seed, np.arange(protocol.n_repetitions))
     pool = np.array(pool)
     masks = []
-    for k in range(protocol.n_repetitions):
-        drawn = _drawn(_pcg64.draws32(lanes, k), len(pool), protocol.test_size)
+    for stream in _pcg64.streams(protocol.rng_seed, protocol.n_repetitions):
+        drawn = _drawn(_pcg64.draws32(*stream), len(pool), protocol.test_size)
         mask = np.zeros(len(tags), dtype=bool)
         mask[pool[drawn]] = True
         masks.append(mask)

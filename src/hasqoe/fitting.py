@@ -154,6 +154,10 @@ class LinearModel:
                 raise UsageError(f"'weights' must be {columns} finite numbers, one per column, "
                                  f"got {weights}")
             object.__setattr__(self, "weights", weights)
+        if not isinstance(self.nonnegative, bool):
+            raise UsageError(f"'nonnegative' must be true or false, got {self.nonnegative!r}")
+        if self.nonnegative and self.weights is not None:
+            raise UsageError("'nonnegative' constrains a refit; fixed 'weights' are not solved for")
 
     def matrix(self, sessions) -> np.ndarray:
         """The statistic matrix of traces or a ``model._SessionBatch``, one session per row."""

@@ -8,9 +8,10 @@ must also be usable: weights and coefficients are finite floats, and a
 generator config generates a session.  The session reader
 (``io.dataset_from_text``) is checked against a whole-file reference
 (:func:`whole_file_sessions`) on such files, in all three file shapes,
-with runs of one session up to the default size, on arrays that only a
-whole-file decode would reject, and on files with two faults, of which
-it reports the first in file order.
+with runs of one session up to the default size and runs capped at one
+to three sessions, on arrays that only a whole-file decode would reject,
+and on files with two faults, of which it reports the first in file
+order.  ``io.read_dataset`` frees a file's text before it joins the runs.
 """
 
 import dataclasses
@@ -320,29 +321,29 @@ A, B = '{"segments": [3.0]}', '{"segments": [4.0, 2.5], "mos": 3.0}'
 BOUNDS = [1, 2, 3, model._CHUNK_SEGMENTS]
 
 
+ARRAY_FAULTS = [
+    ("[", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 2 (char 1)"),
+    ("[]", UsageError, "f.json: no sessions"),
+    ("[ ]", UsageError, "f.json: no sessions"),
+    (" \n[ ]\t", UsageError, "f.json: no sessions"),
+    (f"[{A}, {B},]", UsageError,
+     "f.json: invalid JSON: Expecting value: line 1 column 60 (char 59)"),
+    (f"[{A} {B}]", UsageError,
+     "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+    (f"[{A}, {B}] x", UsageError,
+     "f.json: invalid JSON: Extra data: line 1 column 61 (char 60)"),
+    (f"[{A}, {B}]]", UsageError,
+     "f.json: invalid JSON: Extra data: line 1 column 60 (char 59)"),
+    (f"\n [{A},\n {B}] x\n", UsageError,
+     "f.json: invalid JSON: Extra data: line 3 column 40 (char 63)"),
+    (f'[{A}, {{"segments": [3.0, NaN]}}]', ValidationError,
+     "session 1: segment 1 quality nan outside [1.0, 5.0]"),
+    (f"[{A}, [{B}]]", UsageError, "session 1: session record must be an object, got list"),
+]
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
-@pytest.mark.parametrize(
-    ("text", "error", "message"),
-    [
-        ("[", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 2 (char 1)"),
-        ("[]", UsageError, "f.json: no sessions"),
-        ("[ ]", UsageError, "f.json: no sessions"),
-        (" \n[ ]\t", UsageError, "f.json: no sessions"),
-        (f"[{A}, {B},]", UsageError,
-         "f.json: invalid JSON: Expecting value: line 1 column 60 (char 59)"),
-        (f"[{A} {B}]", UsageError,
-         "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
-        (f"[{A}, {B}] x", UsageError,
-         "f.json: invalid JSON: Extra data: line 1 column 61 (char 60)"),
-        (f"[{A}, {B}]]", UsageError,
-         "f.json: invalid JSON: Extra data: line 1 column 60 (char 59)"),
-        (f"\n [{A},\n {B}] x\n", UsageError,
-         "f.json: invalid JSON: Extra data: line 3 column 40 (char 63)"),
-        (f'[{A}, {{"segments": [3.0, NaN]}}]', ValidationError,
-         "session 1: segment 1 quality nan outside [1.0, 5.0]"),
-        (f"[{A}, [{B}]]", UsageError, "session 1: session record must be an object, got list"),
-    ],
-)
+@pytest.mark.parametrize(("text", "error", "message"), ARRAY_FAULTS)
 def test_the_column_reader_rejects_arrays_as_the_whole_file_decoder_does(
         text, error, message, bound) -> None:
     with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):
@@ -354,32 +355,32 @@ BAD = '{"segments": [3.0, 7.0]}'
 BAD_MESSAGE = "session 1: segment 1 quality 7.0 outside [1.0, 5.0]"
 
 
+FIRST_FAULTS = [
+    (f"[{A}, {BAD}, {B},]", ValidationError, BAD_MESSAGE),
+    (f"[{A}, {BAD}, {B}] x", ValidationError, BAD_MESSAGE),
+    (f"[{A} {B}, {BAD}]", UsageError,
+     "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
+    (f"[{A}, {B},, {BAD}]", UsageError,
+     "f.json: invalid JSON: Expecting value: line 1 column 60 (char 59)"),
+    (f"{A}\n{BAD}\n{{x\n", ValidationError, BAD_MESSAGE),
+    (f"{A}\n{{x\n{BAD}\n", UsageError,
+     "f.json line 1: invalid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (f"\x0b[{A}]", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (f"\xa0[{A}]", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[] x", UsageError, "f.json: invalid JSON: Extra data: line 1 column 4 (char 3)"),
+    (f"[{A}, {B}", UsageError,
+     "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 59 (char 58)"),
+    # An NDJSON file whose first record is a list reads as an array with extra data.
+    ('[3.0]\n{"segments": []}\n{"segments": [1.0]}\n', UsageError,
+     "session 0: session record must be an object, got float"),
+    ('[3.0]\n{"segments": [1.0], "interruptions": [{"after_segment": 1, "duration_s": 0.5}]}\n',
+     UsageError, "session 0: session record must be an object, got float"),
+]
+
+
 @pytest.mark.parametrize("bound", BOUNDS)
-@pytest.mark.parametrize(
-    ("text", "error", "message"),
-    [
-        (f"[{A}, {BAD}, {B},]", ValidationError, BAD_MESSAGE),
-        (f"[{A}, {BAD}, {B}] x", ValidationError, BAD_MESSAGE),
-        (f"[{A} {B}, {BAD}]", UsageError,
-         "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 22 (char 21)"),
-        (f"[{A}, {B},, {BAD}]", UsageError,
-         "f.json: invalid JSON: Expecting value: line 1 column 60 (char 59)"),
-        (f"{A}\n{BAD}\n{{x\n", ValidationError, BAD_MESSAGE),
-        (f"{A}\n{{x\n{BAD}\n", UsageError,
-         "f.json line 1: invalid JSON: Expecting property name enclosed in double quotes: "
-         "line 1 column 2 (char 1)"),
-        (f"\x0b[{A}]", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
-        (f"\xa0[{A}]", UsageError, "f.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
-        ("[] x", UsageError, "f.json: invalid JSON: Extra data: line 1 column 4 (char 3)"),
-        (f"[{A}, {B}", UsageError,
-         "f.json: invalid JSON: Expecting ',' delimiter: line 1 column 59 (char 58)"),
-        # An NDJSON file whose first record is a list reads as an array with extra data.
-        ('[3.0]\n{"segments": []}\n{"segments": [1.0]}\n', UsageError,
-         "session 0: session record must be an object, got float"),
-        ('[3.0]\n{"segments": [1.0], "interruptions": [{"after_segment": 1, "duration_s": 0.5}]}\n',
-         UsageError, "session 0: session record must be an object, got float"),
-    ],
-)
+@pytest.mark.parametrize(("text", "error", "message"), FIRST_FAULTS)
 def test_the_first_fault_in_file_order_is_reported(text, error, message, bound) -> None:
     with mock.patch.object(model, "_CHUNK_SEGMENTS", bound):
         for read in (io.dataset_from_text, whole_file_sessions):
@@ -437,6 +438,76 @@ def test_the_column_reader_scans_arrays_without_a_whole_file_decode(monkeypatch,
     monkeypatch.setattr(traces, "sessions_from_records", whole_file)
     monkeypatch.setattr(model, "_CHUNK_SEGMENTS", bound)
     columns_equal(io.dataset_from_text(text, "inline"), expected)
+
+
+#: Session caps of a reader run: a run of one, two or three records.
+CAPS = [1, 2, 3]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@settings(max_examples=200)
+@given(text=session_files())
+def test_the_column_reader_matches_across_capped_runs(cap, text) -> None:
+    with mock.patch.object(io, "_RUN_SESSIONS", cap):
+        assert_readers_agree(text)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_capped_runs_report_the_faults_of_the_whole_file_decoder(cap) -> None:
+    with mock.patch.object(io, "_RUN_SESSIONS", cap):
+        for text, error, message in ARRAY_FAULTS + FIRST_FAULTS:
+            for read in (io.dataset_from_text, whole_file_sessions):
+                assert outcome(read, text, "f.json") == ("error", error, message)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_capped_runs_scan_arrays_without_a_whole_file_decode(monkeypatch, cap) -> None:
+    monkeypatch.setattr(io, "_RUN_SESSIONS", cap)
+    test_the_column_reader_scans_arrays_without_a_whole_file_decode(monkeypatch,
+                                                                    model._CHUNK_SEGMENTS)
+
+
+def test_a_run_holds_at_most_the_cap_of_sessions(monkeypatch, tmp_path) -> None:
+    stall = {"after_segment": 1, "duration_s": 0.5}
+    records = [{"segments": [1.0 + k % 4, 5.0 - k % 3][:1 + k % 2], "mos": 1.0 + k % 5,
+                "interruptions": [stall] if k % 3 == 0 else [],
+                "tag": ["multi-factor", None][k % 2]} for k in range(2000)]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(records))
+    with mock.patch.object(io, "_RUN_SESSIONS", len(records)):
+        uncapped = io.read_dataset(str(path))
+    runs, columns = [], io._columns
+
+    def spy(run):
+        runs.append(len(run))
+        return columns(run)
+
+    monkeypatch.setattr(io, "_columns", spy)
+    batch = io.read_dataset(str(path))
+    assert max(runs) == io._RUN_SESSIONS and sum(runs) == len(records)
+    for field in batch._fields:
+        assert np.array_equal(getattr(batch, field), getattr(uncapped, field)), field
+
+
+@pytest.mark.parametrize("ndjson", [False, True])
+def test_the_text_is_freed_before_the_runs_are_joined(monkeypatch, ndjson) -> None:
+    freed, joined = [], []
+
+    class Text(str):
+        def __del__(self) -> None:
+            freed.append(True)
+
+    def join(batches):
+        joined.append(bool(freed))
+        return concatenate(batches)
+
+    sessions = [SESSIONS[k % 2] for k in range(300)]
+    text = "\n".join(map(json.dumps, sessions)) if ndjson else json.dumps(sessions)
+    concatenate = io._concatenate
+    monkeypatch.setattr(io, "_read_text", lambda path: Text(text))
+    monkeypatch.setattr(io, "_concatenate", join)
+    assert len(io.read_dataset("f.json").lengths) == len(sessions)
+    assert joined == [True]
 
 
 def _session(**fields) -> str:

@@ -127,6 +127,10 @@ UNKNOWN_STATISTIC = ("unknown statistic {!r}; known statistics: ['mean_quality',
          "'weights' must be 2 finite numbers, one per column, got (0.5, inf)"),
         (("histogram", ("1.0",) * 22), "'weights' must be a number, got '1.0'"),
         (("histogram", 1.0), "'weights' must be an array of numbers, got 1.0"),
+        (("histogram", None, "no"), "'nonnegative' must be true or false, got 'no'"),
+        (("histogram", None, 1), "'nonnegative' must be true or false, got 1"),
+        (("histogram", (1.0,) * 22, True),
+         "'nonnegative' constrains a refit; fixed 'weights' are not solved for"),
     ],
 )
 def test_linear_models_check_their_fields(fields, message) -> None:

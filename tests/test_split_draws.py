@@ -6,17 +6,22 @@ stream without loading ``numpy.random``.  These tests hold the two equal:
 over seeds of one to seven 32-bit words, pools on both sides of
 ``choice``'s switch from Floyd's algorithm to a tail shuffle (more than
 10000 sessions and a test set of more than ``pool // 50``), and test sizes
-up to the whole pool.  One draw is pinned as a literal, so the stream
+up to the whole pool.  Each split's stream is seeded in Python
+(``_pcg64.streams``), and a test holds it equal to the generator's
+vectorized seeding.  One draw is pinned as a literal, so the stream
 stays frozen even if a later numpy changes ``choice``.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hasqoe import UsageError
+from hasqoe import GeneratorConfig, UsageError, generate_labeled_dataset, io, paper_weights
 from hasqoe import _pcg64
+from hasqoe.cli import main
 from hasqoe.evaluation import SplitProtocol, split_masks
 
 seeds = st.one_of(
@@ -64,9 +69,34 @@ def test_each_test_set_is_the_one_numpy_draws(seed, repetitions, pool_and_size) 
 def test_a_bounded_draw_is_numpys(seed, split, high) -> None:
     # Highs above 2**31 reject up to half of the draws, so the rejection loop is exercised too.
     expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(split,)))
-    draws = _pcg64.draws32(_pcg64.seed(seed, [split]), 0)
+    draws = _pcg64.draws32(*_pcg64.seed(seed, [split]).numbers(0))
     actual = [_pcg64.bounded(draws, high) for _ in range(20)]
     assert actual == expected.integers(0, high, size=20, endpoint=True).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(seeds, st.just(2**128 + 7), st.integers(min_value=2**96, max_value=2**160)),
+       st.integers(min_value=0, max_value=64))
+def test_each_split_stream_is_its_seeded_lane(seed, n) -> None:
+    lanes = _pcg64.seed(seed, range(n))
+    assert list(_pcg64.streams(seed, n)) == [lanes.numbers(k) for k in range(n)]
+
+
+def test_a_protocol_run_seeds_no_lanes(tmp_path, monkeypatch, capsys) -> None:
+    path = str(tmp_path / "d.json")
+    dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=2), 300, paper_weights(),
+                                       noise_std=0.1)
+    io.write_dataset(dataset.batch, path)
+    calls, seed_lanes = [], _pcg64.seed
+
+    def spy(*args):
+        calls.append(args)
+        return seed_lanes(*args)
+
+    monkeypatch.setattr(_pcg64, "seed", spy)
+    assert main(["evaluate", "--input", path, "--refit", "--splits", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["per_split"]) == 2
+    assert calls == []
 
 
 def test_seed_0s_first_test_set_over_1700_sessions_is_pinned() -> None:
