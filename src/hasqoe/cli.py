@@ -97,10 +97,12 @@ def _external_predictions(table: dict[int, float], n_sessions: int) -> list[floa
     return predictions
 
 
-#: The split-protocol flags of ``evaluate`` with their defaults.  The
-#: parser leaves them None, so that one given without --splits is an error
-#: rather than ignored.
-_PROTOCOL_DEFAULTS = {"test_size": 90, "test_pool": "multi-factor", "seed": 0, "compensate_on": "train"}
+#: The split-protocol flags of ``evaluate`` with their defaults, those of
+#: ``SplitProtocol`` and ``run_split_protocol``.  The parser leaves them None,
+#: so that one given without --splits is an error rather than ignored.
+_PROTOCOL_DEFAULTS = {"test_size": SplitProtocol.test_size, "test_pool": SplitProtocol.test_pool,
+                      "seed": SplitProtocol.rng_seed,
+                      "compensate_on": run_split_protocol.__kwdefaults__["compensation_on"]}
 
 
 def cmd_evaluate(args) -> None:
@@ -149,6 +151,8 @@ def cmd_evaluate(args) -> None:
             compensation_on=options["compensate_on"],
         )
     else:
+        if len(dataset) < 2:
+            raise UsageError(f"evaluate needs at least 2 labeled sessions, got {len(dataset)}")
         if args.external_predictions is not None:
             predictions = _external_predictions(table, len(dataset))
         else:

@@ -235,10 +235,15 @@ def run_split_protocol(
     :func:`split_masks` fits on its training rows and scores its test
     rows.  With ``compensate=True`` a linear correction is fitted on the
     portion named by ``compensation_on`` ("train" or "test") and applied
-    to the test predictions before scoring.
+    to the test predictions before scoring; on "train", it needs at least
+    2 training sessions.
     """
     if compensation_on not in ("train", "test"):
         raise UsageError(f"compensation_on must be 'train' or 'test', got {compensation_on!r}")
+    # One training session fits no line; none at all is split_masks' error.
+    if compensate and compensation_on == "train" and len(dataset) - protocol.test_size == 1:
+        raise UsageError(f"test_size {protocol.test_size} leaves 1 training session; "
+                         "compensation on the training set needs at least 2")
     masks = split_masks(dataset.tags, protocol)
     matrix = model.matrix(dataset.batch)
     labels = dataset.labels()

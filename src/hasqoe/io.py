@@ -22,16 +22,15 @@ Session files have one reader.  :func:`read_dataset` decodes a file, or
 the bundled demo session for ``"example"``, into a batch with its labels
 and tags (``model._SessionBatch``) a run of sessions at a time, in one
 loop: a JSON array an element at a time with the stdlib scanner, NDJSON
-a line at a time, and each run of at most ``model._CHUNK_SEGMENTS``
-segments or :data:`_RUN_SESSIONS` sessions into columns checked in numpy,
-so one run's decoded values are alive at once; it builds no
-``SessionTrace``.  Only the record iterator holds the file's text, so
-the text is freed once its last record is decoded, before the last run
-goes into columns.  A run the columns reject
-goes, alone, to the per-record reader (``traces.sessions_from_records``),
-which raises its first error; so the first fault in file order is
-reported, whatever the shape or run size.  :func:`read_sessions` gives
-the batch's sessions as traces.
+a line at a time, and each run that ``model._run_rows`` cuts, as every
+batch pass cuts its runs, into columns checked in numpy, so one run's
+decoded values are alive at once; it builds no ``SessionTrace``.  Only
+the record iterator holds the file's text, so the text is freed once its
+last record is decoded, before the last run goes into columns.  A run
+the columns reject goes, alone, to the per-record reader
+(``traces.sessions_from_records``), which raises its first error; so the
+first fault in file order is reported, whatever the shape or run size.
+:func:`read_sessions` gives the batch's sessions as traces.
 
 Session files have one writer, :func:`write_dataset`, which encodes a
 batch; given traces, it converts them to a batch first.  It spells each
@@ -277,43 +276,40 @@ def _columns(records: list):
                          np.array(tags, dtype=object))
 
 
-#: The most sessions in one run of the reader.  Decoded short sessions cost
-#: about 1 kB each beyond their floats, which the segment bound does not see.
-_RUN_SESSIONS = 128
-
-
 def dataset_from_text(text: str, source: str) -> _SessionBatch:
     """The batch of a session file, with the labels (NaN for none) and tags, read a run at a time.
 
-    Records are cut into runs as ``model._run_rows`` cuts, a record without
-    a list of segments counting as one segment (:func:`_columns` rejects
-    it), and a run also closes at :data:`_RUN_SESSIONS` records.  Each run
-    goes into columns before the next is decoded, and nothing holds a run
-    once it is in columns.  The run in front of an undecodable record is
-    checked before the decode fault is reported.  :func:`read_dataset`
-    hands the text to the record iterator alone, which frees it once its
+    Records are cut into runs by ``model._run_rows`` (see :func:`_lengths`).  Each run goes
+    into columns before the next is decoded, and nothing holds a run once it is in columns.
+    The run in front of an undecodable record is checked before the decode fault is reported.
+    :func:`read_dataset` hands the text to the record iterator alone, which frees it once its
     last record is decoded.
     """
     return _dataset_of(_records(text, source))
 
 
+def _lengths(records, decoded: list):
+    """Each record's segment count (1 for no list of segments) once it is in ``decoded``."""
+    for record in records:
+        decoded.append(record)
+        segments = record.get("segments") if type(record) is dict else None
+        yield len(segments) if type(segments) is list else 1
+
+
 def _dataset_of(records) -> _SessionBatch:
     """The batch of the session records of an iterator, as :func:`dataset_from_text` reads them."""
-    batches, start, run, size = [], 0, [], 0
-    try:
-        for record in records:
-            segments = record.get("segments") if type(record) is dict else None
-            length = len(segments) if type(segments) is list else 1
-            if run and (size + length > model._CHUNK_SEGMENTS or len(run) >= _RUN_SESSIONS):
-                batches.append(_run_batch(start, run))
-                start, run, size = start + len(run), [], 0
-            run.append(record)
-            size += length
-    except UsageError:
-        _run_batch(start, run)
-        raise
-    batches.append(_run_batch(start, run))
-    return _concatenate(batches)
+    decoded, batches, rows = [], [], slice(0, 0)  # decoded: the records not yet in a run's columns
+    runs = model._run_rows(_lengths(records, decoded))
+    while True:
+        try:
+            rows = next(runs, None)
+        except UsageError:  # a record that does not decode: the records after the last run first
+            _run_batch(rows.stop, decoded)
+            raise
+        if rows is None:
+            return _concatenate(batches or [_columns([])])
+        batches.append(_run_batch(rows.start, decoded[:rows.stop - rows.start]))
+        del decoded[:rows.stop - rows.start]
 
 
 def _run_batch(start: int, run: list) -> _SessionBatch:

@@ -15,14 +15,14 @@ floored at 1.0 MOS.  ``ModelWeights`` holds the 22 weights; the published
 reference set bundled with the package is read by ``io.paper_weights``.
 
 Features come from one batch pass over a private columnar form of the
-sessions (``_SessionBatch``), in runs of a few thousand segments:
-:func:`feature_matrix`, the generator's labels and
-``baselines.baseline_matrix`` all count over such runs.  A batch also
-carries each session's label and tag, so a dataset is one value: session
-files are decoded straight into a batch (``io.read_dataset``), the
-generator makes one and the dataset writer encodes one.  Every function
-that takes sessions, :func:`feature_matrix` among them, takes either a
-batch or a sequence of traces, and converts traces through :func:`_batch`.
+sessions (``_SessionBatch``), in the runs one rule cuts (``_run_rows``):
+:func:`feature_matrix`, the generator's labels and ``baselines.baseline_matrix``
+count over such runs.  A batch also carries each session's label and tag,
+so a dataset is one value: session files are decoded straight into a
+batch in the same runs (``io.read_dataset``), the generator makes one and
+the dataset writer encodes one, a run at a time.  Every function that
+takes sessions, :func:`feature_matrix` among them, takes either a batch
+or a sequence of traces, and converts traces through :func:`_batch`.
 
 ``SessionTrace``, ``InterruptionEvent`` and the scalar, per-session
 model (``bin_quality``, ``classify_switch``, ``extract_features``,
@@ -213,13 +213,20 @@ _SWITCH_COLUMN = _switch_columns()
 #: Segments per run of sessions that a batch pass takes at once, which
 #: bounds the size of its temporaries.
 _CHUNK_SEGMENTS = 8192
+#: The most sessions in one run.  Decoded short sessions cost about 1 kB
+#: each beyond their floats, which the segment bound does not see.
+_RUN_SESSIONS = 128
 
 
 def _run_rows(lengths):
-    """Row slices of whole sessions: at most ``_CHUNK_SEGMENTS`` segments or one session each."""
+    """Row slices of whole sessions: the one rule for where a run of sessions ends.
+
+    A run closes before a session that would take it past ``_CHUNK_SEGMENTS`` segments, or once
+    it holds ``_RUN_SESSIONS`` sessions.  A slice comes as soon as the length after it is seen.
+    """
     start = size = 0
-    for k, length in enumerate(chain(lengths, [_CHUNK_SEGMENTS])):  # a sentinel ends the last run
-        if size and size + length > _CHUNK_SEGMENTS:
+    for k, length in enumerate(chain(lengths, [math.inf])):  # a sentinel ends the last run
+        if k > start and (size + length > _CHUNK_SEGMENTS or k - start >= _RUN_SESSIONS):
             yield slice(start, k)
             start, size = k, 0
         size += length
@@ -247,13 +254,9 @@ class _SessionBatch(NamedTuple):
         return tuple(np.insert(np.cumsum(n), 0, 0).tolist() for n in (self.lengths, self.n_stalls))
 
     def runs(self):
-        """``(rows, run)`` per run of :func:`_run_rows` (see :meth:`views`)."""
-        return self.views(_run_rows(self.lengths.tolist()))
-
-    def views(self, row_slices):
-        """``(rows, view)`` per slice of sessions in ``row_slices``; ``view`` views their columns."""
+        """``(rows, run)`` per slice of :func:`_run_rows`; ``run`` views the rows' columns."""
         ends, stall_ends = self._ends()
-        for rows in row_slices:
+        for rows in _run_rows(self.lengths.tolist()):
             stalls = slice(stall_ends[rows.start], stall_ends[rows.stop])
             yield rows, _SessionBatch(
                 self.lengths[rows], self.quality[ends[rows.start]:ends[rows.stop]],

@@ -16,9 +16,9 @@ then its rows of one block of uniforms, and the label noise only when
 ``numpy.random``, for every session of a round at once (``_pcg64``); the
 noise, when drawn, comes from numpy's own generator.  One round loop,
 :func:`generate_columns`, draws every dataset, at most ``_ROUND_SESSIONS``
-sessions a round: the block becomes the round's batch with its tags
-(``model._SessionBatch``) at once, labeled and kept or skipped only when
-weights are given.  A labeled dataset stays a batch; only
+sessions a round and fewer long ones: the block becomes the round's batch
+with its tags (``model._SessionBatch``) at once, labeled and kept or
+skipped only when weights are given.  A labeled dataset stays a batch; only
 :func:`generate_session` and :func:`generate_sessions` build traces.
 """
 
@@ -305,9 +305,11 @@ def _sessions(config: GeneratorConfig, lanes: _pcg64.Lanes, draw_noise: bool):
     return _SessionBatch(lengths, quality, n_stalls, after, durations, labels, tags), noise
 
 
-#: Most sessions drawn in one round.  A round holds its sessions' block
-#: of uniforms and its columns' temporaries; which sessions come out does
-#: not depend on it.
+#: Most sessions drawn in one round.  A round holds its sessions' block of
+#: uniforms and its columns' temporaries, so where a recipe's sessions run
+#: longer than the default's 40 segments, a round holds at most
+#: ``40 * _ROUND_SESSIONS`` segments, each session counted at the recipe's
+#: longest, or one session.  Which sessions come out does not depend on it.
 _ROUND_SESSIONS = 8192
 
 
@@ -363,6 +365,7 @@ def generate_columns(
         raise UsageError("noise_std and skip_clamped only make sense with weights")
     kept = []  # the kept sessions of each round, as a batch
     n_kept = attempts = 0
+    round_cap = max(1, min(_ROUND_SESSIONS, 40 * _ROUND_SESSIONS // int(np.max(config.n_segments))))
     max_attempts = 20 * n_sessions + 100
     while n_kept < n_sessions:
         if attempts >= max_attempts:
@@ -371,7 +374,7 @@ def generate_columns(
                 "produces clamp-active sessions"
             )
         needed = n_sessions - n_kept
-        size = min(_round_size(needed, attempts, n_kept), max_attempts - attempts, _ROUND_SESSIONS)
+        size = min(_round_size(needed, attempts, n_kept), max_attempts - attempts, round_cap)
         lanes = _pcg64.seed(config.rng_seed, np.arange(attempts, attempts + size))
         batch, noise = _sessions(config, lanes, noise_std > 0.0)
         attempts += size

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -15,10 +16,12 @@ from hasqoe import (
     InterruptionEvent,
     LabeledDataset,
     SessionTrace,
+    SplitProtocol,
     evaluate_predictions,
     generate_labeled_dataset,
     io,
     paper_weights,
+    run_split_protocol,
 )
 from hasqoe.cli import main
 
@@ -1257,11 +1260,13 @@ def test_evaluate_overflowing_weights_and_coefficients_is_numerical_error(
     tmp_path, capsys
 ) -> None:
     # Every session has a down-switch, so alpha and -beta_down both add 1.7e308.
+    # Test sets of 2 leave 2 sessions to fit the compensation line on.
     data = tmp_path / "sessions.json"
     data.write_text(json.dumps([
         {"segments": [5.0, 3.0], "mos": 2.0},
         {"segments": [5.0, 4.0], "mos": 3.0},
         {"segments": [4.0, 2.0], "mos": 4.0},
+        {"segments": [3.0, 1.0], "mos": 2.5},
     ]))
     weights = paper_weights().to_dict()
     weights["alpha"] = [1.7e308] * 5
@@ -1412,8 +1417,16 @@ def test_evaluate_constant_predictions_is_numerical_error(tmp_path, labeled_path
         (("--external-predictions", "header-only.csv"), "header-only.csv: no predictions found"),
         (("--external-predictions", "missing.csv", "--format", "csv"),
          "--format csv cannot be combined with --external-predictions"),
+        (("--weights", "paper", "--splits", "2", "--test-size", "79", "--test-pool", "all"),
+         "test_size 79 leaves 1 training session; "
+         "compensation on the training set needs at least 2"),
+        (("--refit", "--splits", "1", "--test-size", "79", "--test-pool", "all",
+          "--compensate-on", "train"),
+         "test_size 79 leaves 1 training session; "
+         "compensation on the training set needs at least 2"),
     ],
-    ids=["no-training-sessions", "header-only-predictions", "external-predictions-as-csv"],
+    ids=["no-training-sessions", "header-only-predictions", "external-predictions-as-csv",
+         "one-training-session", "one-training-session-refit"],
 )
 def test_evaluate_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, labeled_path, args,
                                             message) -> None:
@@ -1422,6 +1435,52 @@ def test_evaluate_usage_errors_are_one_line(tmp_path, monkeypatch, capsys, label
     assert run_cli("evaluate", "--input", labeled_path, *args) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [("--no-compensation",), ("--compensate-on", "test")])
+def test_one_training_session_is_scored_without_compensation_on_it(capsys, labeled_path,
+                                                                   args) -> None:
+    assert run_cli("evaluate", "--input", labeled_path, "--weights", "paper", "--splits", "2",
+                   "--test-size", "79", "--test-pool", "all", *args) == 0
+    assert len(json.loads(capsys.readouterr().out)["per_split"]) == 2
+
+
+@pytest.mark.parametrize("args", [(), ("--no-compensation",)])
+def test_evaluating_one_session_names_what_is_missing(tmp_path, capsys, labeled_path,
+                                                      args) -> None:
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(json.loads(Path(labeled_path).read_text())[:1]))
+    assert run_cli("evaluate", "--input", str(one), "--weights", "paper", *args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evaluate needs at least 2 labeled sessions, got 1\n"
+
+
+class Stopped(Exception):
+    """Not an error that ``main`` reports."""
+
+
+def test_the_protocol_defaults_are_the_records(monkeypatch, capsys, labeled_path) -> None:
+    calls = []
+
+    def spy(dataset, protocol, model, **options):
+        calls.append((protocol, options))
+        raise Stopped
+
+    monkeypatch.setattr(hasqoe.cli, "run_split_protocol", spy)
+    with pytest.raises(Stopped):
+        run_cli("evaluate", "--input", labeled_path, "--weights", "paper", "--splits", "2")
+    compensation_on = inspect.signature(run_split_protocol).parameters["compensation_on"]
+    assert calls == [(SplitProtocol(n_repetitions=2),
+                      {"compensate": True, "compensation_on": compensation_on.default})]
+    with pytest.raises(SystemExit):
+        run_cli("evaluate", "--help")
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in [("--test-size", SplitProtocol.test_size),
+                          ("--test-pool", SplitProtocol.test_pool),
+                          ("--seed", SplitProtocol.rng_seed),
+                          ("--compensate-on", compensation_on.default)]:
+        assert f"(default: {default}; only with --splits)" in text.split(flag, 2)[2], flag
 
 
 def test_evaluate_pool_too_small_is_usage_error(labeled_path) -> None:

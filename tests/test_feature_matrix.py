@@ -206,12 +206,13 @@ def labeled_sessions(draw):
     )
 
 
-@given(st.lists(labeled_sessions(), min_size=1, max_size=25), st.lists(st.integers(0, 24)))
+@given(st.lists(labeled_sessions(), min_size=1, max_size=25), st.lists(st.integers(0, 24)),
+       st.integers(1, 12), st.integers(1, 4))
 @example(
     [SessionTrace((5.0,), (), 1.0, "a"), SessionTrace((1.0,), (InterruptionEvent(1, 0.25),))],
-    [1, 1, 0],
+    [1, 1, 0], 1, 1,
 )
-def test_session_batch_round_trips_traces(dataset, picked) -> None:
+def test_session_batch_round_trips_traces(dataset, picked, chunk_segments, run_sessions) -> None:
     batch = traces.batch_of(dataset)
     assert traces.traces_of(batch) == dataset
     picked = [k % len(dataset) for k in picked]
@@ -219,12 +220,15 @@ def test_session_batch_round_trips_traces(dataset, picked) -> None:
     assert traces.traces_of(batch.select(keep)) == [
         session for session, kept in zip(dataset, keep) if kept
     ]
-    # Views of consecutive, possibly empty, row slices covering the batch.
-    cuts = sorted([0, len(dataset), *picked])
-    views = batch.views(slice(start, stop) for start, stop in zip(cuts, cuts[1:]))
-    pieces = [(rows, traces.traces_of(view)) for rows, view in views]
+    # Runs of a few sessions, each a view of its rows, cover the batch.
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", chunk_segments), \
+            mock.patch.object(model, "_RUN_SESSIONS", run_sessions):
+        pieces = [(rows, traces.traces_of(run)) for rows, run in batch.runs()]
     assert [session for _, piece in pieces for session in piece] == dataset
     assert all(piece == dataset[rows] for rows, piece in pieces)
+    assert all(len(piece) <= run_sessions for _, piece in pieces)
+    assert all(sum(len(s.segments) for s in piece) <= chunk_segments
+               for _, piece in pieces if len(piece) > 1)
 
 
 def test_empty_dataset_gives_an_empty_matrix() -> None:

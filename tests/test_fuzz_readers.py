@@ -11,7 +11,8 @@ generator config generates a session.  The session reader
 with runs of one session up to the default size and runs capped at one
 to three sessions, on arrays that only a whole-file decode would reject,
 and on files with two faults, of which it reports the first in file
-order.  ``io.read_dataset`` frees a file's text before it joins the runs.
+order.  ``io.read_dataset`` cuts a file into the runs that the batch
+passes cut, and frees the file's text before it joins them.
 """
 
 import dataclasses
@@ -448,13 +449,13 @@ CAPS = [1, 2, 3]
 @settings(max_examples=200)
 @given(text=session_files())
 def test_the_column_reader_matches_across_capped_runs(cap, text) -> None:
-    with mock.patch.object(io, "_RUN_SESSIONS", cap):
+    with mock.patch.object(model, "_RUN_SESSIONS", cap):
         assert_readers_agree(text)
 
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_capped_runs_report_the_faults_of_the_whole_file_decoder(cap) -> None:
-    with mock.patch.object(io, "_RUN_SESSIONS", cap):
+    with mock.patch.object(model, "_RUN_SESSIONS", cap):
         for text, error, message in ARRAY_FAULTS + FIRST_FAULTS:
             for read in (io.dataset_from_text, whole_file_sessions):
                 assert outcome(read, text, "f.json") == ("error", error, message)
@@ -462,7 +463,7 @@ def test_capped_runs_report_the_faults_of_the_whole_file_decoder(cap) -> None:
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_capped_runs_scan_arrays_without_a_whole_file_decode(monkeypatch, cap) -> None:
-    monkeypatch.setattr(io, "_RUN_SESSIONS", cap)
+    monkeypatch.setattr(model, "_RUN_SESSIONS", cap)
     test_the_column_reader_scans_arrays_without_a_whole_file_decode(monkeypatch,
                                                                     model._CHUNK_SEGMENTS)
 
@@ -474,7 +475,7 @@ def test_a_run_holds_at_most_the_cap_of_sessions(monkeypatch, tmp_path) -> None:
                 "tag": ["multi-factor", None][k % 2]} for k in range(2000)]
     path = tmp_path / "d.json"
     path.write_text(json.dumps(records))
-    with mock.patch.object(io, "_RUN_SESSIONS", len(records)):
+    with mock.patch.object(model, "_RUN_SESSIONS", len(records)):
         uncapped = io.read_dataset(str(path))
     runs, columns = [], io._columns
 
@@ -484,9 +485,75 @@ def test_a_run_holds_at_most_the_cap_of_sessions(monkeypatch, tmp_path) -> None:
 
     monkeypatch.setattr(io, "_columns", spy)
     batch = io.read_dataset(str(path))
-    assert max(runs) == io._RUN_SESSIONS and sum(runs) == len(records)
+    assert max(runs) == model._RUN_SESSIONS and sum(runs) == len(records)
     for field in batch._fields:
         assert np.array_equal(getattr(batch, field), getattr(uncapped, field)), field
+
+
+def _file(lengths, ndjson: bool) -> str:
+    records = [{"segments": [1.0 + (k + t) % 5 for t in range(n)], "mos": 3.0,
+                "interruptions": [{"after_segment": n, "duration_s": 0.5}] if k % 3 else []}
+               for k, n in enumerate(lengths)]
+    return "\n".join(map(json.dumps, records)) if ndjson else json.dumps(records)
+
+
+CUT_FILES = {"short": [1, 2, 3, 1] * 150, "long": [50, 300, 120, 400] * 10,
+             "mixed": [1, 400, 2, 3, 90, 1, 1, 250, 7] * 20}
+
+
+@pytest.mark.parametrize("ndjson", [False, True])
+@pytest.mark.parametrize("shape", sorted(CUT_FILES))
+@pytest.mark.parametrize(("segments", "sessions"),
+                         [(1, 1), (3, 2), (60, 5), (400, 3), (500, 1000),
+                          (model._CHUNK_SEGMENTS, model._RUN_SESSIONS)])
+def test_the_reader_cuts_a_file_where_the_batch_passes_cut_it(
+        monkeypatch, tmp_path, ndjson, shape, segments, sessions) -> None:
+    path = tmp_path / "d.json"
+    path.write_text(_file(CUT_FILES[shape], ndjson))
+    monkeypatch.setattr(model, "_CHUNK_SEGMENTS", segments)
+    monkeypatch.setattr(model, "_RUN_SESSIONS", sessions)
+    runs, columns = [], io._columns
+
+    def spy(run):
+        runs.append(len(run))
+        return columns(run)
+
+    monkeypatch.setattr(io, "_columns", spy)
+    batch = io.read_dataset(str(path))
+    assert batch.lengths.tolist() == CUT_FILES[shape]
+    assert runs == [len(run.lengths) for _, run in batch.runs()]
+
+
+#: Files whose runs end at a zero-segment record or next to a fault.
+RUN_EDGE_FILES = [
+    # The run in front of a session with two segments is rejected on its own.
+    '[true, {"segments": [1.0, 1.0], "interruptions": [{"after_segment": 0, "duration_s": 0.01}]}]',
+    '[{"segments": []}]',
+    '{"segments": []}',
+    '{"segments": []}\n{"segments": []}\n',
+    f'[{A}, {{"segments": []}}]',
+    f'[{A}, {B}, {{"segments": []}}]',
+    f'[{{"segments": []}}, {{"segments": []}}, {A}]',
+    f"[{A}, {BAD}, {{x]",
+    f"[{BAD}, {{x]",
+    "[true, {x]",
+    f"{BAD}\n{{x\n",
+    f"{A}\ntrue\n{{x\n",
+]
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3])
+@pytest.mark.parametrize("sessions", [1, 2, 3])
+@pytest.mark.parametrize("text", RUN_EDGE_FILES)
+def test_runs_that_end_at_a_zero_segment_record_or_a_fault_read_as_the_whole_file(
+        text, segments, sessions) -> None:
+    with mock.patch.object(model, "_CHUNK_SEGMENTS", segments), \
+            mock.patch.object(model, "_RUN_SESSIONS", sessions):
+        assert_readers_agree(text)
+
+
+def test_no_records_read_as_an_empty_batch() -> None:
+    columns_equal(io._dataset_of(iter([])), batch_of([]))
 
 
 @pytest.mark.parametrize("ndjson", [False, True])

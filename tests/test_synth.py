@@ -266,6 +266,26 @@ def test_any_round_cap_gives_the_same_sessions(round_sessions) -> None:
         assert generate() == expected
 
 
+def test_rounds_of_long_sessions_hold_no_more_segments_than_default_rounds(monkeypatch) -> None:
+    config = GeneratorConfig(n_segments=(900, 1000), rng_seed=4)
+    rounds, seed = [], synth._pcg64.seed
+
+    def spy(entropy, children=None):
+        rounds.append(len(children))
+        return seed(entropy, children)
+
+    def generate():
+        return synth.generate_columns(config, 400, paper_weights(), noise_std=0.1)
+
+    with mock.patch.object(synth._pcg64, "seed", spy):
+        batch = generate()
+    assert len(rounds) > 1 and sum(rounds) == 400
+    assert max(rounds) * 1000 <= 40 * synth._ROUND_SESSIONS
+    monkeypatch.setattr(synth, "_ROUND_SESSIONS", 1000)  # rounds of 40 sessions
+    for column, expected in zip(generate(), batch, strict=True):
+        assert column.tolist() == expected.tolist()
+
+
 def test_noise_is_seeded_and_bounded() -> None:
     weights = paper_weights()
     config = GeneratorConfig(rng_seed=37)
