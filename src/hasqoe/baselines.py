@@ -3,7 +3,7 @@
 Three published statistic sets are computed:
 
 * ``guo``     — median and minimum segment quality,
-* ``vriendt`` — switch count (boundaries whose amplitude bin is nonzero),
+* ``vriendt`` — switch count (by ``model``'s switch rule, ``_switch_counts``),
                 mean and population standard deviation of segment quality,
 * ``liu``     — presence-time-weighted quality (uniform segment durations,
                 so the arithmetic mean), mean squared down-switch
@@ -16,8 +16,8 @@ session's sorted qualities, and the sums per session, so the mean,
 standard deviation and mean squared down amplitude may differ from a
 per-session ``numpy`` call in the last bits.  It computes a statistic
 only when a requested column needs it, so guo alone sorts, and the
-per-run intermediates the statistics share (session starts, segment
-rows, the steps between segments, the mean) at most once per run.
+per-run intermediates the statistics share (session starts, the mean)
+at most once per run.
 
 The coefficients that turn statistics into a MOS prediction are not
 reproduced here; they are supplied by the caller or fitted by least
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UsageError
-from .model import _batch, _json_number, _json_record, _SessionBatch
+from .model import _batch, _json_number, _json_record, _session_steps, _SessionBatch, _switch_counts
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
     "guo": ("median_quality", "min_quality"),
@@ -83,34 +83,23 @@ class BaselineCoefficients:
 class _RunStatistics:
     """The statistics of each session of a run (see ``model._SessionBatch.runs``), as attributes.
 
-    The session starts and segment rows, which every model reads, are computed up front; each
-    statistic, and each other intermediate it needs, when first read, and at most once.
+    The session starts, which every model reads, are computed up front; each statistic, and
+    each other intermediate it needs, when first read, and at most once.
     """
 
     def __init__(self, run: _SessionBatch) -> None:
         self.lengths, self.q, self.stall_count = run.lengths, run.quality, run.n_stalls
         self.durations, self.n = run.durations, len(run.lengths)
         self.starts = np.cumsum(self.lengths) - self.lengths
-        self.segment_rows = np.repeat(np.arange(self.n), self.lengths)
-
-    @cached_property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.q)
-
-    @cached_property
-    def within(self) -> np.ndarray:
-        within = np.ones(self.deltas.size, dtype=bool)
-        within[self.starts[1:] - 1] = False  # the boundary between two sessions
-        return within
 
     @cached_property
     def quality_order(self) -> np.ndarray:
-        # The segments by session, then quality, as ``np.lexsort((q, segment_rows))`` orders
-        # them: a stable sort by quality, then by session rows in their narrowest dtype, which
-        # numpy radix-sorts.
+        # The segments by session, then quality, as ``np.lexsort((q, rows))`` orders them: a
+        # stable sort by quality, then by session rows in their narrowest dtype, which numpy
+        # radix-sorts.
         order = np.argsort(self.q, kind="stable")
-        rows = self.segment_rows.astype(np.min_scalar_type(self.n))[order]
-        return order[np.argsort(rows, kind="stable")]
+        rows = np.repeat(np.arange(self.n, dtype=np.min_scalar_type(self.n)), self.lengths)
+        return order[np.argsort(rows[order], kind="stable")]
 
     @cached_property
     def median_quality(self) -> np.ndarray:
@@ -125,10 +114,7 @@ class _RunStatistics:
 
     @cached_property
     def switch_count(self) -> np.ndarray:
-        # A "switch" is a boundary whose amplitude rounds to a nonzero bin;
-        # sub-half-step wobble does not count.
-        switches = self.within & (np.floor(self.deltas + 0.5) != 0.0)
-        return np.bincount(self.segment_rows[:-1][switches], minlength=self.n)
+        return _switch_counts(self.lengths, self.q)
 
     @cached_property
     def mean_quality(self) -> np.ndarray:
@@ -147,9 +133,11 @@ class _RunStatistics:
 
     @cached_property
     def mean_sq_down_amplitude(self) -> np.ndarray:
-        down = self.within & (self.deltas < 0.0)
-        rows = self.segment_rows[:-1][down]
-        squares = np.bincount(rows, self.deltas[down] ** 2, minlength=self.n)
+        rows, within = _session_steps(self.lengths)
+        deltas = np.diff(self.q)
+        down = within & (deltas < 0.0)
+        rows = rows[:-1][down]
+        squares = np.bincount(rows, deltas[down] ** 2, minlength=self.n)
         return squares / np.maximum(np.bincount(rows, minlength=self.n), 1)
 
     @cached_property

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -68,6 +69,8 @@ def cmd_predict(args) -> None:
 
 
 def cmd_fit(args) -> None:
+    if args.report is not None and os.path.realpath(args.report) == os.path.realpath(args.output):
+        raise UsageError(f"--report {args.report} and --output {args.output} name the same file")
     dataset = LabeledDataset(io.read_dataset(args.input))
     report = fit(dataset, nonnegative=args.nonnegative)
     _emit(io.json_text(report.to_dict()), args.report,

@@ -179,8 +179,8 @@ class LinearModel:
         n_rows, n_columns = matrix.shape
         if histogram and n_rows < n_columns:
             warnings.warn(
-                f"fitting {n_columns} weights from only {n_rows} sessions; "
-                "the solution will be underdetermined",
+                f"fitting {n_columns} weights from only {n_rows} "
+                f"session{'' if n_rows == 1 else 's'}; the solution will be underdetermined",
                 stacklevel=3,
             )
         if self.nonnegative:

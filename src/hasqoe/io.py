@@ -170,9 +170,9 @@ def _records(text: str, source: str):
         pass
     except RecursionError as exc:
         raise UsageError(f"{source}: invalid JSON: {exc}") from None
-    # The non-blank lines of str.splitlines, a piece between two "\n"s (".+") at a time.
-    pieces = map(re.Match.group, re.finditer(".+", text))
-    lines = (line for piece in pieces for line in piece.splitlines() if line.strip())
+    # The non-blank lines, each a piece between two "\n"s (".+"): a line ends at LF alone, as a
+    # string may hold U+0085, U+2028 or U+2029 raw, and CR line ends are read as LF before this.
+    lines = filter(str.strip, map(re.Match.group, re.finditer(".+", text)))
     return (_parse_json(line, f"{source} line {k}") for k, line in enumerate(lines))
 
 

@@ -23,6 +23,8 @@ batch in the same runs (``io.read_dataset``), the generator makes one and
 the dataset writer encodes one, a run at a time.  Every function that
 takes sessions, :func:`feature_matrix` among them, takes either a batch
 or a sequence of traces, and converts traces through :func:`_batch`.
+The one switch rule is here: a step inside a session (``_session_steps``)
+switches when its amplitude bin is nonzero (``_switch_bins``).
 
 ``SessionTrace``, ``InterruptionEvent`` and the scalar, per-session
 model (``bin_quality``, ``classify_switch``, ``extract_features``,
@@ -291,29 +293,40 @@ def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     These are the float operations of ``traces.bin_quality`` and
     ``traces.classify_switch``: levels lie in 1..5 and amplitude bins in
-    -4..4.  Where ``q`` concatenates sessions, the steps across their
-    boundaries are the caller's to drop.
+    -4..4; a step whose amplitude bin is nonzero switches.  Where ``q``
+    concatenates sessions, :func:`_session_steps` gives a session's own steps.
     """
     return np.floor(q + 0.5).astype(np.intp), np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
+
+
+def _session_steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's session row, and the mask of the steps that stay inside one session."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    return rows, rows[1:] == rows[:-1]
+
+
+def _switch_counts(lengths: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The switches of each session of the concatenated qualities ``q``, by the two rules above."""
+    rows, within = _session_steps(lengths)
+    return np.bincount(rows[:-1][within & (_switch_bins(q)[1] != 0)], minlength=len(lengths))
 
 
 def _count_into(out: np.ndarray, batch: _SessionBatch) -> None:
     """Write the 22 frequencies of each session of a run into its row of ``out``."""
     lengths, n_stalls = batch.lengths, batch.n_stalls
     levels, amplitudes = _switch_bins(batch.quality)
+    rows, within = _session_steps(lengths)
 
     # Each value is counted at a flat index row * 22 + column of ``out``.
-    row_starts = np.arange(0, out.size, N_PARAMETERS)
-    segment_rows = np.repeat(row_starts, lengths)
-    switches = segment_rows[:-1] + _SWITCH_COLUMN[levels[:-1], amplitudes + 4]
-    switches[np.cumsum(lengths)[:-1] - 1] = out.size  # a boundary between sessions: dropped below
+    segment_cells = rows * N_PARAMETERS
+    switches = (segment_cells[:-1] + _SWITCH_COLUMN[levels[:-1], amplitudes + 4])[within]
     stalls = (
-        np.repeat(row_starts, n_stalls)
+        np.repeat(np.arange(0, out.size, N_PARAMETERS), n_stalls)
         + INTERRUPTION_SLOTS.start
         + np.searchsorted(DEFAULT_INTERRUPTION_EDGES, batch.durations, side="left")
     )
-    cells = np.concatenate((segment_rows + (levels - 1), switches, stalls))
-    counts = np.bincount(cells, minlength=out.size + 1)[:-1].reshape(out.shape)
+    cells = np.concatenate((segment_cells + (levels - 1), switches, stalls))
+    counts = np.bincount(cells, minlength=out.size).reshape(out.shape)
     out[:, QUALITY_SLOTS] = counts[:, QUALITY_SLOTS] / lengths[:, None]
     # A session without events has no event counts, so any divisor gives its zeros.
     out[:, EVENT_SLOTS] = counts[:, EVENT_SLOTS] / np.maximum(lengths - 1 + n_stalls, 1)[:, None]

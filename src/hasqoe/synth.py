@@ -19,7 +19,8 @@ noise, when drawn, comes from numpy's own generator.  One round loop,
 sessions a round and fewer long ones: the block becomes the round's batch
 with its tags (``model._SessionBatch``) at once, labeled and kept or
 skipped only when weights are given.  A labeled dataset stays a batch; only
-:func:`generate_session` and :func:`generate_sessions` build traces.
+:func:`generate_session` and :func:`generate_sessions` build traces.  The
+``multi-factor`` tag (a stall and a switch) reads ``model``'s switch rule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .model import (
     _json_record,
     _raw_scores,
     _SessionBatch,
-    _switch_bins,
+    _switch_counts,
     feature_matrix,
 )
 
@@ -296,11 +297,7 @@ def _sessions(config: GeneratorConfig, lanes: _pcg64.Lanes, draw_noise: bool):
     n_stalls = np.bincount(stall_session, minlength=len(lengths))
     after = rows - starts[stall_session]
 
-    # Multi-factor: a step with a nonzero amplitude bin, and a stall.
-    # moved[k] counts such steps among the first k; a session's own steps
-    # are those from its start to its end - 2.
-    moved = np.concatenate(([0], np.cumsum(_switch_bins(quality)[1] != 0)))
-    multi_factor = (moved[ends - 1] > moved[starts]) & (n_stalls > 0)
+    multi_factor = (_switch_counts(lengths, quality) > 0) & (n_stalls > 0)  # a switch and a stall
     labels, tags = np.full(len(lengths), math.nan), _TAG_NAMES[multi_factor.astype(np.intp)]
     return _SessionBatch(lengths, quality, n_stalls, after, durations, labels, tags), noise
 

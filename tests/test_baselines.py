@@ -111,6 +111,20 @@ def test_sub_half_step_wobble_is_not_a_switch_but_counts_as_down_amplitude() -> 
     assert stats["mean_sq_down_amplitude"] == pytest.approx(0.3**2, abs=1e-12)
 
 
+@pytest.mark.parametrize("first, second", [(1.0, 5.0), (5.0, 1.0)])
+def test_a_step_from_one_session_into_the_next_is_no_switch(first, second) -> None:
+    # Two one-segment sessions in one run: the step between them spans four bins.
+    batch = hasqoe.model._batch([SessionTrace((first,), (InterruptionEvent(1, 0.5),)),
+                                 SessionTrace((second,))])
+    features = hasqoe.model.feature_matrix(batch)
+    switch_columns = slice(hasqoe.model.DOWN_SWITCH_SLOTS.start, hasqoe.model.GROUPED_SLOT + 1)
+    assert not features[:, switch_columns].any()
+    assert features[:, hasqoe.model.INTERRUPTION_SLOTS].sum(axis=1).tolist() == [1.0, 0.0]
+    matrix = baseline_matrix(batch, ("switch_count", "mean_sq_down_amplitude"))
+    assert matrix[:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert hasqoe.model._switch_counts(batch.lengths, batch.quality).tolist() == [0, 0]
+
+
 def test_quality_statistics_are_order_invariant() -> None:
     a, b = statistics(SessionTrace((5.0, 1.0, 3.0, 3.0)), SessionTrace((3.0, 5.0, 3.0, 1.0)))
     for name in ("median_quality", "min_quality", "mean_quality", "std_quality"):
@@ -319,7 +333,7 @@ def test_only_guo_sorts_qualities() -> None:
 def assert_sorted_as_lexsort(batch) -> None:
     for _, run in batch.runs():
         statistics = baselines._RunStatistics(run)
-        expected = np.lexsort((statistics.q, statistics.segment_rows))
+        expected = np.lexsort((statistics.q, hasqoe.model._session_steps(run.lengths)[0]))
         assert np.array_equal(statistics.quality_order, expected)
 
 

@@ -763,6 +763,24 @@ def test_array_and_ndjson_files_give_the_same_output(tmp_path, monkeypatch, caps
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+def test_ndjson_lines_end_at_lf_alone(tmp_path, monkeypatch, capsys, labeled_path,
+                                      separator) -> None:
+    # Each character is a line end to str.splitlines, but JSON allows it raw in a string.
+    records = json.loads(Path(labeled_path).read_text())[:2]
+    records[0]["tag"] = f"x{separator}y"
+    monkeypatch.chdir(tmp_path)
+    Path("array.json").write_text(json.dumps(records, ensure_ascii=False), encoding="utf-8")
+    Path("lines.ndjson").write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    outputs = []
+    for path in ("array.json", "lines.ndjson"):
+        assert run_cli("predict", "--input", path, "--weights", "paper") == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out and outputs[0].out == outputs[1].out
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -909,6 +927,19 @@ def test_fit_writes_neither_file_unless_both_can_be_written(tmp_path, capsys, la
     assert list(tmp_path.iterdir()) == ([other] if existing else [])  # and no temp file
     if existing:
         assert other.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("report", ["w.json", "./w.json", "link.json"])
+def test_fit_rejects_one_file_for_the_weights_and_the_report(tmp_path, monkeypatch, capsys,
+                                                             report) -> None:
+    # The input is missing, so reading it first would report that instead.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("w.json", "link.json")
+    assert run_cli("fit", "--input", "missing.json", "--output", "w.json", "--report", report) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: --report {report} and --output w.json name the same file\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json"]
 
 
 def test_fit_is_deterministic(tmp_path, labeled_path) -> None:

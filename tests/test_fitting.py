@@ -196,6 +196,15 @@ def test_small_dataset_warns() -> None:
         fit(dataset)
 
 
+@pytest.mark.filterwarnings("ignore:design matrix is rank-deficient")
+def test_one_session_is_named_in_the_singular() -> None:
+    dataset = LabeledDataset((SessionTrace((3.0,), ground_truth_mos=3.0),))
+    with pytest.warns(UserWarning) as caught:
+        fit(dataset)
+    assert str(caught[0].message) == (
+        "fitting 22 weights from only 1 session; the solution will be underdetermined")
+
+
 @pytest.mark.parametrize("nonnegative", [False, True])
 def test_fit_warnings_point_at_the_caller(nonnegative) -> None:
     dataset = LabeledDataset(

@@ -253,7 +253,7 @@ def whole_file_sessions(text: str, source: str) -> list:
         try:
             records = [json.loads(text)]
         except json.JSONDecodeError:
-            lines = (line for line in text.splitlines() if line.strip())
+            lines = (line for line in text.split("\n") if line.strip())
             records = (_loads(line, f"{source} line {k}") for k, line in enumerate(lines))
     return sessions_from_records(records)
 
@@ -414,8 +414,8 @@ LINE_PIECES = st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "
 
 @settings(max_examples=300)
 @given(st.lists(LINE_PIECES, max_size=12).map("".join))
-def test_ndjson_lines_are_split_as_splitlines_splits_them(text) -> None:
-    expected = [line for line in text.splitlines() if line.strip()]
+def test_ndjson_lines_are_split_at_lf_alone(text) -> None:
+    expected = [line for line in text.split("\n") if line.strip()]
     with mock.patch.object(io, "_parse_json", lambda line, source: line):
         assert outcome(lambda: list(io._records(text, "f"))) == (
             ("ok", expected) if expected else ("error", UsageError, "f: empty file"))
