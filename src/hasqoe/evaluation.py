@@ -3,20 +3,22 @@
 The metrics raise :class:`~hasqoe.errors.DegenerateMetricError` where
 they are undefined: on a constant sequence, or when a sum that they
 divide by or return is not finite.  The protocol scores any model that
-has ``matrix`` and ``fit_predict``, such as ``fitting.LinearModel``.  It
-builds the matrix once per dataset, from the dataset's columnar batch,
-and selects each split's rows with a mask drawn over the dataset's tags;
-neither needs a ``SessionTrace``.
+has ``matrix``, ``moments`` and ``fit_predict``, such as
+``fitting.LinearModel``.  It builds the matrix and its moments once per
+dataset, from the dataset's columnar batch, and selects each split's
+rows with a mask drawn over the dataset's tags; neither needs a
+``SessionTrace``.
 
 Split ``k`` of a protocol run draws its test set as numpy's
 ``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
 test_size, replace=False)`` would (PCG64 under the seed sequence), so
 results are bit-reproducible and independent of the order splits are
-executed in.  The draws are computed in Python without loading
-``numpy.random``: ``_pcg64.streams`` hashes the seed once and seeds each
-split's stream from it as the split is drawn, and each split's choice is
-drawn from that stream.  A test holds them equal to numpy's.  ``rng_seed``
-must be a non-negative integer.
+executed in.  ``_pcg64.streams`` hashes the seed once in Python and
+seeds each split's stream from it as the split is drawn.  Each split's
+choice is drawn from that stream, in Python without loading
+``numpy.random``, except where ``choice`` shuffles the tail of a large
+pool: there numpy's own generator draws it.  A test holds them equal to
+numpy's.  ``rng_seed`` must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -196,22 +198,29 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     pool = np.array(pool)
     masks = []
     for stream in _pcg64.streams(protocol.rng_seed, protocol.n_repetitions):
-        drawn = _drawn(_pcg64.draws32(*stream), len(pool), protocol.test_size)
+        drawn = _drawn(stream, len(pool), protocol.test_size)
         mask = np.zeros(len(tags), dtype=bool)
         mask[pool[drawn]] = True
         masks.append(mask)
     return masks
 
 
-def _drawn(draws, pool_size: int, size: int) -> list[int]:
-    """The positions ``Generator.choice(pool_size, size, replace=False)`` picks, in no order."""
+def _drawn(stream: tuple[int, int], pool_size: int, size: int):
+    """The positions ``Generator.choice(pool_size, size, replace=False)`` picks, in no order.
+
+    ``stream`` is the split's PCG64 ``(state, inc)``.  For a large pool and
+    test set numpy shuffles the tail of the whole range, which its own
+    generator draws faster than Python does; otherwise the draw is Floyd's.
+    """
     if pool_size > 10000 and size > pool_size // 50:
-        # Shuffle the tail: swap each position i, from the last down, with a draw from [0, i].
-        moved: dict[int, int] = {}
-        for i in range(pool_size - 1, max(pool_size - size, 1) - 1, -1):
-            j = _pcg64.bounded(draws, i)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return [moved.get(i, i) for i in range(pool_size - size, pool_size)]
+        import numpy.random
+
+        state, inc = stream
+        bit_generator = numpy.random.PCG64(0)
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        return numpy.random.Generator(bit_generator).choice(pool_size, size, replace=False)
+    draws = _pcg64.draws32(*stream)
     drawn: set[int] = set()  # Floyd's algorithm
     for j in range(pool_size - size, pool_size):
         value = _pcg64.bounded(draws, j)
@@ -230,13 +239,13 @@ def run_split_protocol(
     """Run the repeated random train/test protocol.
 
     ``dataset`` is a ``fitting.LabeledDataset`` and ``model`` a
-    ``fitting.LinearModel``, or any model with ``matrix`` and
-    ``fit_predict``.  The statistic matrix is built once; each repetition of
-    :func:`split_masks` fits on its training rows and scores its test
-    rows.  With ``compensate=True`` a linear correction is fitted on the
-    portion named by ``compensation_on`` ("train" or "test") and applied
-    to the test predictions before scoring; on "train", it needs at least
-    2 training sessions.
+    ``fitting.LinearModel``, or any model with ``matrix``, ``moments`` and
+    ``fit_predict``.  The statistic matrix and its moments are built once;
+    each repetition of :func:`split_masks` fits on its training rows and
+    scores its test rows.  With ``compensate=True`` a linear correction is
+    fitted on the portion named by ``compensation_on`` ("train" or "test")
+    and applied to the test predictions before scoring; on "train", it
+    needs at least 2 training sessions.
     """
     if compensation_on not in ("train", "test"):
         raise UsageError(f"compensation_on must be 'train' or 'test', got {compensation_on!r}")
@@ -247,10 +256,11 @@ def run_split_protocol(
     masks = split_masks(dataset.tags, protocol)
     matrix = model.matrix(dataset.batch)
     labels = dataset.labels()
+    moments = model.moments(matrix, labels)
 
     per_split = []
     for k, test in enumerate(masks):
-        predictions = model.fit_predict(matrix, labels, ~test)
+        predictions = model.fit_predict(matrix, labels, ~test, moments)
         reference = (~test if compensation_on == "train" else test) if compensate else None
         per_split.append(SplitMetrics(k, **_score(predictions, labels, test, reference)))
     names = ("pcc", "rmse", "slope", "intercept") if compensate else ("pcc", "rmse")

@@ -8,9 +8,14 @@ equations: quality frequencies enter positively, down-switch, grouped
 and interruption frequencies negatively, so the solved ``w`` plugs
 straight into :class:`~hasqoe.model.ModelWeights`.
 
-:meth:`LinearModel.fit` is the one solve: an SVD (:func:`lstsq_min_norm`)
-rather than normal equations, or ``nnls`` for non-negative weights.  A
-rank-deficient histogram fit warns, and :func:`fit` sets
+:meth:`LinearModel.fit` is the one solve.  An unconstrained fit solves
+the normal equations ``XᵀX w = Xᵀy`` of its rows by LU (LAPACK ``gesv``)
+when :func:`_gram_solve` certifies ``XᵀX`` full rank, and otherwise the
+rows themselves by SVD (:func:`lstsq_min_norm`, which also serves the
+tests as the oracle); ``nnls`` on the rows gives non-negative weights.
+The split protocol builds ``XᵀX`` and ``Xᵀy`` of all rows once
+(:meth:`LinearModel.moments`), and each split subtracts those of its
+test rows.  A rank-deficient histogram fit warns, and :func:`fit` sets
 ``condition_warning``.  :meth:`LinearModel.predict` is the one clamp; it
 applies to the training metrics, not while solving.  :func:`fit` and
 :func:`fit_baseline_coefficients` fit on a whole dataset, and
@@ -126,6 +131,49 @@ def lstsq_min_norm(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
     return solution, int(rank)
 
 
+#: The largest ``trace(G) · trace(G⁻¹)`` of a Gram matrix ``G`` that :func:`_gram_solve` accepts.
+_MAX_TRACE_PRODUCT = 1e8
+
+
+def _gram(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The moments ``(XᵀX, Xᵀy)`` of the rows ``X`` with targets ``y``."""
+    return matrix.T @ matrix, matrix.T @ targets
+
+
+def _train_moments(matrix, labels, train, moments) -> tuple[np.ndarray, np.ndarray]:
+    """The moments of the ``train`` rows (None: all), given ``moments`` of all rows or None.
+
+    Those of all rows less those of the held-out rows, unless the training
+    rows are the fewer: then theirs are built, so that no split loses
+    precision to the cancellation.
+    """
+    if train is None:
+        return _gram(matrix, labels)
+    if moments is None or 2 * np.count_nonzero(train) < len(train):
+        return _gram(matrix[train], labels[train])
+    held_out = ~train
+    gram, moment = _gram(matrix[held_out], labels[held_out])
+    return moments[0] - gram, moments[1] - moment
+
+
+def _gram_solve(gram: np.ndarray, moment: np.ndarray) -> np.ndarray | None:
+    """The solution of ``gram @ w = moment``, or None unless ``gram`` is certified full rank.
+
+    For a symmetric positive definite ``G``, ``trace(G) · trace(G⁻¹)`` lies
+    between ``cond(G)`` and ``n² · cond(G)``.  A product that is finite and
+    in ``(0, _MAX_TRACE_PRODUCT]`` therefore certifies a condition number
+    far from rank deficiency.  A numerically singular ``G`` fails to
+    invert, or inverts to a huge or a negative trace.
+    """
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    if not 0.0 < np.trace(gram) * np.trace(inverse) <= _MAX_TRACE_PRODUCT:
+        return None
+    return np.linalg.solve(gram, moment)  # more accurate than ``inverse @ moment``
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Least squares over a per-session statistic matrix, clamped to the MOS scale.
@@ -165,24 +213,39 @@ class LinearModel:
             return design_matrix(sessions)
         return baseline_matrix(sessions, self.statistics)
 
-    def fit(self, matrix, labels, train=None) -> tuple[np.ndarray, bool]:
+    def moments(self, matrix, labels) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(XᵀX, Xᵀy)`` of all rows, for :meth:`fit` on many training sets of them.
+
+        None when a fit solves nothing on them: fixed weights, or ``nnls``.
+        """
+        if self.weights is not None or self.nonnegative:
+            return None
+        return _gram(matrix, labels)
+
+    def fit(self, matrix, labels, train=None, moments=None) -> tuple[np.ndarray, bool]:
         """Weights solved on the ``train`` rows (default: all) and whether those are rank-deficient.
 
-        Fixed weights come back as they are.  A histogram refit warns, at
-        its caller's caller, of fewer rows than columns or rank deficiency.
+        ``moments`` are :meth:`moments` of all rows, or None.  Fixed weights
+        come back as they are.  A histogram refit warns, at its caller's
+        caller, of fewer rows than columns or rank deficiency.
         """
         if self.weights is not None:
             return np.asarray(self.weights, dtype=float), False
-        if train is not None:
-            matrix, labels = matrix[train], labels[train]
         histogram = self.statistics == "histogram"
-        n_rows, n_columns = matrix.shape
+        n_rows = len(labels) if train is None else int(np.count_nonzero(train))
+        n_columns = matrix.shape[1]
         if histogram and n_rows < n_columns:
             warnings.warn(
                 f"fitting {n_columns} weights from only {n_rows} "
                 f"session{'' if n_rows == 1 else 's'}; the solution will be underdetermined",
                 stacklevel=3,
             )
+        if n_rows >= n_columns and not self.nonnegative:
+            weights = _gram_solve(*_train_moments(matrix, labels, train, moments))
+            if weights is not None:  # certified full rank
+                return weights, False
+        if train is not None:
+            matrix, labels = matrix[train], labels[train]
         if self.nonnegative:
             from scipy.optimize import nnls
 
@@ -205,9 +268,9 @@ class LinearModel:
             return np.maximum(raw, MIN_MOS)
         return np.clip(raw, MIN_MOS, MAX_MOS)
 
-    def fit_predict(self, matrix, labels, train=None) -> np.ndarray:
+    def fit_predict(self, matrix, labels, train=None, moments=None) -> np.ndarray:
         """:meth:`predict` of every row, weighted as :meth:`fit` solves on the ``train`` rows."""
-        return self.predict(matrix, self.fit(matrix, labels, train)[0])
+        return self.predict(matrix, self.fit(matrix, labels, train, moments)[0])
 
 
 def refit_runner(*, nonnegative: bool = False) -> LinearModel:

@@ -24,7 +24,7 @@ the dataset writer encodes one, a run at a time.  Every function that
 takes sessions, :func:`feature_matrix` among them, takes either a batch
 or a sequence of traces, and converts traces through :func:`_batch`.
 The one switch rule is here: a step inside a session (``_session_steps``)
-switches when its amplitude bin is nonzero (``_switch_bins``).
+switches when its amplitude bin is nonzero (``_step_bins``).
 
 ``SessionTrace``, ``InterruptionEvent`` and the scalar, per-session
 model (``bin_quality``, ``classify_switch``, ``extract_features``,
@@ -288,15 +288,19 @@ def _batch(sessions) -> _SessionBatch:
     return batch_of(tuple(sessions))
 
 
-def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The level bin of every value of ``q`` and the amplitude bin of every step to the next.
+def _step_bins(q: np.ndarray) -> np.ndarray:
+    """The amplitude bin of every step of ``q`` to the next.
 
-    These are the float operations of ``traces.bin_quality`` and
-    ``traces.classify_switch``: levels lie in 1..5 and amplitude bins in
-    -4..4; a step whose amplitude bin is nonzero switches.  Where ``q``
+    These are the float operations of ``traces.classify_switch``: bins lie
+    in -4..4, and a step whose bin is nonzero switches.  Where ``q``
     concatenates sessions, :func:`_session_steps` gives a session's own steps.
     """
-    return np.floor(q + 0.5).astype(np.intp), np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
+    return np.floor(q[1:] - q[:-1] + 0.5).astype(np.intp)
+
+
+def _switch_bins(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The level bin of every value of ``q`` (``traces.bin_quality``, 1..5) and its step bins."""
+    return np.floor(q + 0.5).astype(np.intp), _step_bins(q)
 
 
 def _session_steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +312,7 @@ def _session_steps(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _switch_counts(lengths: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The switches of each session of the concatenated qualities ``q``, by the two rules above."""
     rows, within = _session_steps(lengths)
-    return np.bincount(rows[:-1][within & (_switch_bins(q)[1] != 0)], minlength=len(lengths))
+    return np.bincount(rows[:-1][within & (_step_bins(q) != 0)], minlength=len(lengths))
 
 
 def _count_into(out: np.ndarray, batch: _SessionBatch) -> None:

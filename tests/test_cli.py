@@ -415,18 +415,23 @@ def test_the_package_lists_every_public_name() -> None:
     assert set(hasqoe.__all__) <= set(dir(hasqoe))
 
 
-def test_protocol_runs_leave_numpy_random_unloaded(labeled_path) -> None:
-    # The split masks compute numpy's draws themselves, so no evaluate run imports numpy.random.
+def test_protocol_runs_leave_numpy_random_unloaded(labeled_path, tmp_path) -> None:
+    # The split masks compute numpy's draws themselves from pools of up to
+    # 10,000 sessions, so no evaluate run on them imports numpy.random.
     src = str(Path(hasqoe.__file__).parents[1])
+    large = str(tmp_path / "large.json")
+    io.write_dataset(generate_labeled_dataset(GeneratorConfig(rng_seed=42), 2000, paper_weights(),
+                                              noise_std=0.2).batch, large)
     common = ["--input", labeled_path, "--splits", "2", "--test-size", "20", "--test-pool", "all"]
-    runs = [["evaluate", "--refit", *common], ["evaluate", "--baseline", "guo", *common]]
+    runs = [["evaluate", "--refit", *common], ["evaluate", "--baseline", "guo", *common],
+            ["evaluate", "--input", large, "--refit", "--test-pool", "all", "--splits", "50"]]
     code = ("import sys, hasqoe.cli; "
             f"codes = [hasqoe.cli.main(argv) for argv in {runs!r}]; "
             "print(codes, 'numpy.random' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout.splitlines()[-1] == "[0, 0] False"
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_generating_leaves_numpy_random_unloaded(tmp_path) -> None:
@@ -665,13 +670,24 @@ _REFIT = ("evaluate", "--input", _PINNED_INPUT, "--refit", "--splits", "3",
 def test_gen_fit_and_evaluate_output_is_pinned(tmp_path, capsys, name, stdout, args) -> None:
     # The first five were recorded from the generator that built a trace
     # per candidate, the four refit CSV and --no-compensation pins before
-    # the reports and CSV tables shared one writer each, the rest before fit
-    # and the baselines shared one solve; fit and evaluate read the first
-    # generated file.
+    # the reports and CSV tables shared one writer each, evaluate_liu.json
+    # after fits moved to the Gram matrix, the rest before fit and the
+    # baselines shared one solve; fit and evaluate read the first generated
+    # file.
     out = tmp_path / name
     assert run_cli(*args, "--output", str(out)) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
     assert capsys.readouterr().out == ((DATA / stdout).read_text() if stdout else "")
+
+
+def test_the_liu_pin_moved_by_rounding_alone() -> None:
+    # Recorded again when liu's fit moved from its rows' SVD to its Gram
+    # matrix; these are the values that the row solve wrote.
+    report = json.loads((DATA / "evaluate_liu.json").read_text())
+    row_solve = {"pcc": 0.8720201543172511, "rmse": 0.4054936459440076,
+                 "slope": 1.1393345042078882, "intercept": -0.2750433460319963}
+    assert report.keys() == row_solve.keys()
+    assert all(abs(report[name] - value) <= 1e-12 for name, value in row_solve.items())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,7 +2,9 @@
 
 ``evaluation.split_masks`` computes numpy's
 ``default_rng(SeedSequence(seed).spawn(n)[k]).choice(pool, size, replace=False)``
-stream without loading ``numpy.random``.  These tests hold the two equal:
+stream without loading ``numpy.random``, except for a tail shuffle, which
+numpy's own generator draws from the split's stream.  These tests hold
+the two equal:
 over seeds of one to seven 32-bit words, pools on both sides of
 ``choice``'s switch from Floyd's algorithm to a tail shuffle (more than
 10000 sessions and a test set of more than ``pool // 50``), and test sizes
