@@ -159,7 +159,8 @@ def cmd_evaluate(args) -> None:
         if args.external_predictions is not None:
             predictions = _external_predictions(table, len(dataset))
         else:
-            predictions = model.fit_predict(model.matrix(dataset.batch), truths)
+            matrix = model.matrix(dataset.batch)
+            predictions = model.predict(matrix, model.fit(matrix, truths)[0])
         report = evaluate_predictions(predictions, truths, compensate=compensate)
 
     text = io.per_split_csv_text(report) if args.format == "csv" else io.json_text(report.to_dict())

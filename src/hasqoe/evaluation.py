@@ -3,11 +3,11 @@
 The metrics raise :class:`~hasqoe.errors.DegenerateMetricError` where
 they are undefined: on a constant sequence, or when a sum that they
 divide by or return is not finite.  The protocol scores any model that
-has ``matrix``, ``moments`` and ``fit_predict``, such as
-``fitting.LinearModel``.  It builds the matrix and its moments once per
-dataset, from the dataset's columnar batch, and selects each split's
-rows with a mask drawn over the dataset's tags; neither needs a
-``SessionTrace``.
+has ``matrix`` and ``split_predictions``, such as
+``fitting.LinearModel``.  It builds the matrix once per dataset, from
+the dataset's columnar batch, and draws each split's test mask over the
+batch's tags; neither needs a ``SessionTrace``.  How a model fits on a
+split's training rows is the model's own business.
 
 Split ``k`` of a protocol run draws its test set as numpy's
 ``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
@@ -184,9 +184,10 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     from the test pool (the sessions tagged ``protocol.test_pool``, or
     all); the remaining sessions form the training set.
     """
-    pool = [
-        k for k, tag in enumerate(tags) if protocol.test_pool == "all" or tag == protocol.test_pool
-    ]
+    if protocol.test_pool == "all":
+        pool = np.arange(len(tags))
+    else:
+        pool = np.flatnonzero(np.asarray(tags, dtype=object) == protocol.test_pool)
     if len(pool) < protocol.test_size:
         raise UsageError(
             f"test pool {protocol.test_pool!r} holds {len(pool)} sessions; "
@@ -195,7 +196,6 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
     if protocol.test_size >= len(tags):
         raise UsageError("test_size leaves no sessions to train on")
 
-    pool = np.array(pool)
     masks = []
     for stream in _pcg64.streams(protocol.rng_seed, protocol.n_repetitions):
         drawn = _drawn(stream, len(pool), protocol.test_size)
@@ -239,13 +239,14 @@ def run_split_protocol(
     """Run the repeated random train/test protocol.
 
     ``dataset`` is a ``fitting.LabeledDataset`` and ``model`` a
-    ``fitting.LinearModel``, or any model with ``matrix``, ``moments`` and
-    ``fit_predict``.  The statistic matrix and its moments are built once;
-    each repetition of :func:`split_masks` fits on its training rows and
-    scores its test rows.  With ``compensate=True`` a linear correction is
-    fitted on the portion named by ``compensation_on`` ("train" or "test")
-    and applied to the test predictions before scoring; on "train", it
-    needs at least 2 training sessions.
+    ``fitting.LinearModel``, or any model with ``matrix`` and
+    ``split_predictions``.  The statistic matrix is built once; for each
+    repetition of :func:`split_masks` the model predicts every row from
+    its training rows, and the test rows are scored.  With
+    ``compensate=True`` a linear correction is fitted on the portion named
+    by ``compensation_on`` ("train" or "test") and applied to the test
+    predictions before scoring; on "train", it needs at least 2 training
+    sessions.
     """
     if compensation_on not in ("train", "test"):
         raise UsageError(f"compensation_on must be 'train' or 'test', got {compensation_on!r}")
@@ -253,14 +254,13 @@ def run_split_protocol(
     if compensate and compensation_on == "train" and len(dataset) - protocol.test_size == 1:
         raise UsageError(f"test_size {protocol.test_size} leaves 1 training session; "
                          "compensation on the training set needs at least 2")
-    masks = split_masks(dataset.tags, protocol)
+    masks = split_masks(dataset.batch.tags, protocol)
     matrix = model.matrix(dataset.batch)
     labels = dataset.labels()
-    moments = model.moments(matrix, labels)
 
     per_split = []
-    for k, test in enumerate(masks):
-        predictions = model.fit_predict(matrix, labels, ~test, moments)
+    splits = zip(masks, model.split_predictions(matrix, labels, masks))
+    for k, (test, predictions) in enumerate(splits):
         reference = (~test if compensation_on == "train" else test) if compensate else None
         per_split.append(SplitMetrics(k, **_score(predictions, labels, test, reference)))
     names = ("pcc", "rmse", "slope", "intercept") if compensate else ("pcc", "rmse")

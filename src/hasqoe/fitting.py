@@ -8,18 +8,18 @@ equations: quality frequencies enter positively, down-switch, grouped
 and interruption frequencies negatively, so the solved ``w`` plugs
 straight into :class:`~hasqoe.model.ModelWeights`.
 
-:meth:`LinearModel.fit` is the one solve.  An unconstrained fit solves
-the normal equations ``XᵀX w = Xᵀy`` of its rows by LU (LAPACK ``gesv``)
-when :func:`_gram_solve` certifies ``XᵀX`` full rank, and otherwise the
-rows themselves by SVD (:func:`lstsq_min_norm`, which also serves the
-tests as the oracle); ``nnls`` on the rows gives non-negative weights.
-The split protocol builds ``XᵀX`` and ``Xᵀy`` of all rows once
-(:meth:`LinearModel.moments`), and each split subtracts those of its
-test rows.  A rank-deficient histogram fit warns, and :func:`fit` sets
-``condition_warning``.  :meth:`LinearModel.predict` is the one clamp; it
-applies to the training metrics, not while solving.  :func:`fit` and
-:func:`fit_baseline_coefficients` fit on a whole dataset, and
-``evaluation.run_split_protocol`` on each training set.
+:meth:`LinearModel.fit` is the one solve, and this module alone builds
+the moments ``XᵀX`` and ``Xᵀy``.  An unconstrained fit solves the normal
+equations ``XᵀX w = Xᵀy`` of its rows by LU (LAPACK ``gesv``) when
+:func:`_gram_solve` certifies ``XᵀX`` full rank, and otherwise the rows
+themselves by SVD (``np.linalg.lstsq``); ``nnls`` on the rows gives
+non-negative weights.  :meth:`LinearModel.split_predictions` serves the
+split protocol: it builds the moments of all rows once, and each split
+subtracts those of its test rows.  A rank-deficient histogram fit warns,
+and :func:`fit` sets ``condition_warning``.  :meth:`LinearModel.predict`
+is the one clamp; it applies to the training metrics, not while solving.
+:func:`fit` and :func:`fit_baseline_coefficients` fit on a whole dataset,
+and ``evaluation.run_split_protocol`` on each training set.
 
 A :class:`LabeledDataset` holds a batch with its labels and tags, made
 from traces or given as read from a file or made by the generator;
@@ -50,8 +50,8 @@ class LabeledDataset:
     keeps as :attr:`sessions`, or from a batch with its labels (NaN for
     none, which is an error here) and tags, such as ``io.read_dataset``
     decodes a file into.  Fitting and the split protocol read
-    :attr:`batch`, :meth:`labels` and :attr:`tags`; a dataset made from
-    a batch builds its traces only when a caller asks for them.
+    :attr:`batch` and :meth:`labels`; a dataset made from a batch builds
+    its traces only when a caller asks for them.
     """
 
     def __init__(self, sessions) -> None:
@@ -123,12 +123,6 @@ def design_matrix(sessions) -> np.ndarray:
     rows = feature_matrix(sessions)
     rows[:, EVENT_SLOTS] *= -1.0
     return rows
-
-
-def lstsq_min_norm(matrix: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimum-norm least-squares solution and the rank of the matrix."""
-    solution, _, rank, _ = np.linalg.lstsq(matrix, targets, rcond=None)
-    return solution, int(rank)
 
 
 #: The largest ``trace(G) · trace(G⁻¹)`` of a Gram matrix ``G`` that :func:`_gram_solve` accepts.
@@ -213,19 +207,10 @@ class LinearModel:
             return design_matrix(sessions)
         return baseline_matrix(sessions, self.statistics)
 
-    def moments(self, matrix, labels) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(XᵀX, Xᵀy)`` of all rows, for :meth:`fit` on many training sets of them.
-
-        None when a fit solves nothing on them: fixed weights, or ``nnls``.
-        """
-        if self.weights is not None or self.nonnegative:
-            return None
-        return _gram(matrix, labels)
-
     def fit(self, matrix, labels, train=None, moments=None) -> tuple[np.ndarray, bool]:
         """Weights solved on the ``train`` rows (default: all) and whether those are rank-deficient.
 
-        ``moments`` are :meth:`moments` of all rows, or None.  Fixed weights
+        ``moments`` are ``(XᵀX, Xᵀy)`` of all rows, or None.  Fixed weights
         come back as they are.  A histogram refit warns, at its caller's
         caller, of fewer rows than columns or rank deficiency.
         """
@@ -251,7 +236,8 @@ class LinearModel:
 
             weights, rank = nnls(matrix, labels)[0], int(np.linalg.matrix_rank(matrix))
         else:
-            weights, rank = lstsq_min_norm(matrix, labels)
+            weights, _, rank, _ = np.linalg.lstsq(matrix, labels, rcond=None)
+            rank = int(rank)  # a numpy rank would make ``condition_warning`` a ``numpy.bool_``
         if histogram and rank < n_columns:
             warnings.warn(
                 f"design matrix is rank-deficient (rank {rank} of {n_columns}); returning "
@@ -268,9 +254,17 @@ class LinearModel:
             return np.maximum(raw, MIN_MOS)
         return np.clip(raw, MIN_MOS, MAX_MOS)
 
-    def fit_predict(self, matrix, labels, train=None, moments=None) -> np.ndarray:
-        """:meth:`predict` of every row, weighted as :meth:`fit` solves on the ``train`` rows."""
-        return self.predict(matrix, self.fit(matrix, labels, train, moments)[0])
+    def split_predictions(self, matrix, labels, tests):
+        """For each held-out mask of ``tests``, every row's :meth:`predict` fitted on the rest.
+
+        A generator.  An unconstrained refit builds ``(XᵀX, Xᵀy)`` of all
+        rows once, and each split's :meth:`fit` subtracts those of its
+        held-out rows.  :meth:`fit`'s warnings point at the frame that
+        resumes the generator.
+        """
+        moments = None if self.weights is not None or self.nonnegative else _gram(matrix, labels)
+        for test in tests:
+            yield self.predict(matrix, self.fit(matrix, labels, ~test, moments)[0])
 
 
 def refit_runner(*, nonnegative: bool = False) -> LinearModel:

@@ -74,7 +74,8 @@ def statistics(*sessions) -> list[dict[str, float]]:
 def predict_all(model, sessions) -> np.ndarray:
     """Predictions of a baseline model with fixed coefficients (no labels needed)."""
     every_row = np.ones(len(sessions), dtype=bool)
-    return model.fit_predict(model.matrix(sessions), np.zeros(len(sessions)), every_row)
+    matrix = model.matrix(sessions)
+    return model.predict(matrix, model.fit(matrix, np.zeros(len(sessions)), every_row)[0])
 
 
 def test_statistics_of_stepped_session() -> None:
@@ -222,7 +223,8 @@ def test_baseline_runner_fits_on_train_when_no_coefficients() -> None:
     model = baseline_runner("liu")
     assert model.weights is None
     train = np.arange(60) >= 10
-    values = model.fit_predict(model.matrix(dataset.sessions), dataset.labels(), train)
+    matrix = model.matrix(dataset.sessions)
+    values = model.predict(matrix, model.fit(matrix, dataset.labels(), train)[0])
     assert values.shape == (60,)
     assert np.all((values >= 1.0) & (values <= 5.0))
     # the refit uses the training rows only

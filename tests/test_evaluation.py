@@ -234,6 +234,32 @@ def test_protocol_compensation_flags(dataset) -> None:
         )
 
 
+class OnlyTwoMethods:
+    """The protocol's whole duck type: ``matrix`` and ``split_predictions``."""
+
+    def __init__(self, model) -> None:
+        self._model = model
+        self.tests = []
+
+    def matrix(self, batch):
+        return self._model.matrix(batch)
+
+    def split_predictions(self, matrix, labels, tests):
+        for test in tests:
+            self.tests.append(test)
+            yield self._model.predict(matrix, self._model.fit(matrix, labels, ~test)[0])
+
+
+def test_protocol_needs_only_matrix_and_split_predictions(dataset) -> None:
+    protocol = SplitProtocol(n_repetitions=4, test_size=30, test_pool="all", rng_seed=5)
+    runner = fixed_weights_runner(paper_weights())
+    stand_in = OnlyTwoMethods(runner)
+    report = run_split_protocol(dataset, protocol, stand_in, compensate=True)
+    assert report == run_split_protocol(dataset, protocol, runner, compensate=True)
+    masks = split_masks(dataset.tags, protocol)
+    assert len(stand_in.tests) == 4 and all(map(np.array_equal, stand_in.tests, masks))
+
+
 def test_protocol_validation() -> None:
     with pytest.raises(UsageError):
         SplitProtocol(n_repetitions=0)

@@ -2,7 +2,7 @@
 
 An unconstrained refit solves ``XᵀX w = Xᵀy`` when ``fitting._gram_solve``
 certifies ``XᵀX`` full rank, and otherwise its rows by SVD, as every fit
-did before (``lstsq_min_norm``).  The oracle here is that row solve: a fit
+did before (``np.linalg.lstsq``).  The oracle here is that row solve: a fit
 with the certificate patched to refuse every Gram.  Both must give the
 same deficiency and warnings.  Where the Gram is accepted, weights and
 predictions may differ by rounding; the normal equations' error grows
@@ -21,10 +21,16 @@ from hypothesis import strategies as st
 
 from hasqoe import (GeneratorConfig, LabeledDataset, SplitProtocol, design_matrix, fit,
                     generate_labeled_dataset, paper_weights, refit_runner, run_split_protocol)
-from hasqoe import fitting
-from hasqoe.fitting import _gram, _gram_solve, _train_moments, lstsq_min_norm
+from hasqoe import evaluation, fitting
+from hasqoe.fitting import _gram, _gram_solve, _train_moments
 
 TOLERANCE = 1e-9  # relative to the largest weight, or 1
+
+
+def lstsq_min_norm(matrix, targets):
+    """The minimum-norm least-squares solution and the rank of ``matrix``."""
+    solution, _, rank, _ = np.linalg.lstsq(matrix, targets, rcond=None)
+    return solution, int(rank)
 
 
 def traced(call):
@@ -68,7 +74,7 @@ def test_a_refit_is_the_row_solve(longest, stall_prob, seed, n, train_share) -> 
     matrix, labels = model.matrix(dataset.batch), dataset.labels()
     train = np.random.default_rng(seed).random(n) < train_share
     train[seed % n] = True
-    moments = model.moments(matrix, labels)
+    moments = _gram(matrix, labels)
 
     (weights, deficient), messages = traced(lambda: model.fit(matrix, labels, train, moments))
     (expected, expected_deficient), expected_messages = on_rows(
@@ -98,6 +104,19 @@ def test_a_design_of_rank_21_warns_and_solves_on_its_rows() -> None:
     assert got[1] and expected[1]
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[0], lstsq_min_norm(matrix, labels)[0])
+
+
+def test_a_rank_deficient_protocol_refit_warns_once_at_the_protocol() -> None:
+    # Each split's fit runs inside the generator ``split_predictions``, which
+    # ``run_split_protocol`` resumes: that frame is the one the warning names.
+    config = GeneratorConfig(n_segments=(2, 30), stall_prob_per_boundary=0.2, rng_seed=3)
+    dataset = generate_labeled_dataset(config, 200, paper_weights(), noise_std=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        run_split_protocol(dataset, SplitProtocol(n_repetitions=3), refit_runner())
+    assert [str(w.message) for w in caught] == [
+        "design matrix is rank-deficient (rank 21 of 22); returning the minimum-norm solution"]
+    assert caught[0].filename == evaluation.__file__
 
 
 def test_a_full_rank_design_too_ill_conditioned_for_the_gram_solves_on_its_rows() -> None:
@@ -134,7 +153,7 @@ def test_a_split_with_fewer_training_rows_builds_their_own_gram() -> None:
                                        noise_std=0.2)
     model = refit_runner()
     matrix, labels = model.matrix(dataset.batch), dataset.labels()
-    moments = model.moments(matrix, labels)
+    moments = _gram(matrix, labels)
     train = np.zeros(300, dtype=bool)
     train[::3] = True  # 100 training rows, 200 held out
     gram, moment = _train_moments(matrix, labels, train, moments)
@@ -156,7 +175,7 @@ def test_one_training_session_fits_as_on_its_row() -> None:
     matrix, labels = generated((1, 40), 50, seed=7)
     train = np.arange(50) == 17
     model = refit_runner()
-    got, messages = traced(lambda: model.fit(matrix, labels, train, model.moments(matrix, labels)))
+    got, messages = traced(lambda: model.fit(matrix, labels, train, _gram(matrix, labels)))
     expected, expected_messages = on_rows(lambda: model.fit(matrix, labels, train))
     assert messages == expected_messages == [
         "fitting 22 weights from only 1 session; the solution will be underdetermined",
