@@ -13,9 +13,11 @@ per stream, and every draw of theirs is computed for all lanes in numpy.
 A 128-bit number is a pair of ``uint64`` arrays, its high and its low
 half; numpy's fixed-width products wrap modulo 2**64, and the high half
 of a 64-bit product is put together from 32-bit halves.  The split
-protocol takes a stream at a time from :func:`streams`, which seeds it
-in Python integers from the seed hashed once, and draws from it with
-:func:`draws32`.  Tests hold every draw equal to numpy's own.
+protocol draws its test sets with :func:`choices`, from the streams
+that :func:`streams` seeds in Python.  Label noise and ``choice``'s tail
+shuffle are numpy's own draws, which :func:`_numpy_generator`, the only
+loader of ``numpy.random``, places at a stream.  Tests hold every draw
+equal to numpy's own.
 """
 
 from __future__ import annotations
@@ -266,26 +268,27 @@ def random(lanes: Lanes, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _numpy_generator(state: int, inc: int, generator=None):
+    """numpy's own ``Generator`` at the PCG64 ``(state, inc)``: ``generator``, or a new one."""
+    if generator is None:
+        import numpy.random
+
+        generator = numpy.random.Generator(numpy.random.PCG64(0))
+    generator.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                     "state": {"state": state, "inc": inc}}
+    return generator
+
+
 def standard_normal(lanes: Lanes, skip: np.ndarray) -> np.ndarray:
     """Each lane's ``Generator.standard_normal()`` after ``skip[k]`` 64-bit draws of lane ``k``.
 
-    numpy's own generator draws these: this imports ``numpy.random`` and
-    places one PCG64 at each lane's state in turn.
+    numpy's own generator draws these, placed at each lane's state in turn.
     """
-    import numpy.random
-
-    bit_generator = numpy.random.PCG64(0)
-    generator = numpy.random.Generator(bit_generator)
+    generator = None
     values = np.empty(lanes.size)
     for k in range(lanes.size):
-        state, inc = lanes.numbers(k)
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        bit_generator.advance(int(skip[k]))
+        generator = _numpy_generator(*lanes.numbers(k), generator)
+        generator.bit_generator.advance(int(skip[k]))
         values[k] = generator.standard_normal()
     return values
 
@@ -315,3 +318,24 @@ def bounded(draws, high: int) -> int:
     while product & _MASK32 < threshold:
         product = next(draws) * span
     return product >> 32
+
+
+def choices(entropy: int, n: int, pool_size: int, size: int):
+    """Per ``k < n``, the positions ``choice(pool_size, size, replace=False)`` picks, in no order.
+
+    Draw ``k`` is that of ``default_rng(SeedSequence(entropy).spawn(n)[k])``.  Above
+    10,000 positions and ``pool_size // 50`` picks numpy shuffles the tail of the whole
+    range, which its own generator draws faster; otherwise the draw is Floyd's.
+    """
+    shuffles_tail = pool_size > 10000 and size > pool_size // 50
+    generator = None
+    for stream in streams(entropy, n):
+        if shuffles_tail:
+            generator = _numpy_generator(*stream, generator)
+            yield generator.choice(pool_size, size, replace=False)
+        else:
+            draws, drawn = draws32(*stream), set()
+            for j in range(pool_size - size, pool_size):
+                value = bounded(draws, j)
+                drawn.add(j if value in drawn else value)
+            yield list(drawn)

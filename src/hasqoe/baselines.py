@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DegenerateMetricError, UsageError
 from .model import _batch, _json_number, _json_record, _session_steps, _SessionBatch, _switch_counts
 
 MODEL_STATISTICS: dict[str, tuple[str, ...]] = {
@@ -158,7 +158,8 @@ def _check_statistics(names) -> None:
 def baseline_matrix(sessions, names) -> np.ndarray:
     """The named statistics plus an intercept column of ones, one session per row.
 
-    ``sessions`` is a sequence of traces or a ``model._SessionBatch``.
+    ``sessions`` is a sequence of traces or a ``model._SessionBatch``.  A statistic that
+    overflows the float range raises :class:`DegenerateMetricError`.
     """
     _check_statistics(names)
     batch = _batch(sessions)
@@ -167,4 +168,7 @@ def baseline_matrix(sessions, names) -> np.ndarray:
         statistics = _RunStatistics(run)
         for column, name in enumerate(names):
             matrix[rows, column] = getattr(statistics, name)
+    if not np.isfinite(matrix).all():
+        row, column = np.argwhere(~np.isfinite(matrix))[0]
+        raise DegenerateMetricError(f"session {row}: {names[column]} overflows the float range")
     return matrix

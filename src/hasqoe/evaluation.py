@@ -11,14 +11,8 @@ split's training rows is the model's own business.
 
 Split ``k`` of a protocol run draws its test set as numpy's
 ``default_rng(SeedSequence(rng_seed).spawn(n_repetitions)[k]).choice(pool,
-test_size, replace=False)`` would (PCG64 under the seed sequence), so
-results are bit-reproducible and independent of the order splits are
-executed in.  ``_pcg64.streams`` hashes the seed once in Python and
-seeds each split's stream from it as the split is drawn.  Each split's
-choice is drawn from that stream, in Python without loading
-``numpy.random``, except where ``choice`` shuffles the tail of a large
-pool: there numpy's own generator draws it.  A test holds them equal to
-numpy's.  ``rng_seed`` must be a non-negative integer.
+test_size, replace=False)`` would, through ``_pcg64.choices``, so results
+are bit-reproducible.  ``rng_seed`` must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -197,35 +191,12 @@ def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:
         raise UsageError("test_size leaves no sessions to train on")
 
     masks = []
-    for stream in _pcg64.streams(protocol.rng_seed, protocol.n_repetitions):
-        drawn = _drawn(stream, len(pool), protocol.test_size)
+    for drawn in _pcg64.choices(protocol.rng_seed, protocol.n_repetitions, len(pool),
+                                protocol.test_size):
         mask = np.zeros(len(tags), dtype=bool)
         mask[pool[drawn]] = True
         masks.append(mask)
     return masks
-
-
-def _drawn(stream: tuple[int, int], pool_size: int, size: int):
-    """The positions ``Generator.choice(pool_size, size, replace=False)`` picks, in no order.
-
-    ``stream`` is the split's PCG64 ``(state, inc)``.  For a large pool and
-    test set numpy shuffles the tail of the whole range, which its own
-    generator draws faster than Python does; otherwise the draw is Floyd's.
-    """
-    if pool_size > 10000 and size > pool_size // 50:
-        import numpy.random
-
-        state, inc = stream
-        bit_generator = numpy.random.PCG64(0)
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        return numpy.random.Generator(bit_generator).choice(pool_size, size, replace=False)
-    draws = _pcg64.draws32(*stream)
-    drawn: set[int] = set()  # Floyd's algorithm
-    for j in range(pool_size - size, pool_size):
-        value = _pcg64.bounded(draws, j)
-        drawn.add(j if value in drawn else value)
-    return list(drawn)
 
 
 def run_split_protocol(

@@ -19,6 +19,7 @@ from hasqoe import (
     DEFAULT_INTERRUPTION_EDGES,
     MODEL_STATISTICS,
     BaselineCoefficients,
+    DegenerateMetricError,
     GeneratorConfig,
     InterruptionEvent,
     LabeledDataset,
@@ -208,6 +209,18 @@ def test_fit_baseline_rejects_unknown_model() -> None:
     dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=3), 30, paper_weights())
     with pytest.raises(UsageError, match="unknown baseline model"):
         fit_baseline_coefficients(dataset, "p1203")
+
+
+def test_fit_baseline_rejects_a_statistic_that_overflows() -> None:
+    # Two finite stalls whose durations sum past the float range.
+    dataset = generate_labeled_dataset(GeneratorConfig(rng_seed=3), 30, paper_weights())
+    sessions = list(dataset.sessions)
+    stalls = (InterruptionEvent(1, 1e308),) * 2
+    sessions[3] = SessionTrace(sessions[3].segments, stalls,
+                               ground_truth_mos=sessions[3].ground_truth_mos)
+    with pytest.raises(DegenerateMetricError,
+                       match=r"^session 3: stall_duration_sum overflows the float range$"):
+        fit_baseline_coefficients(LabeledDataset(sessions), "liu")
 
 
 def test_fit_then_predict_is_bit_stable() -> None:

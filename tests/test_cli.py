@@ -319,6 +319,33 @@ def test_metrics_that_overflow_are_one_numerical_error(tmp_path, capsys, args, m
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+LIU_COEFFICIENTS = {"model": "liu", "intercept": 1.0, "coefficients": {
+    "weighted_quality_sum": 0.8, "mean_sq_down_amplitude": -0.1, "stall_duration_sum": -0.05,
+    "stall_count": -0.3}}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[], ["--splits", "2", "--test-pool", "all", "--test-size", "5"], ["--coefficients", "liu"]],
+)
+def test_baseline_statistics_that_overflow_are_one_numerical_error(tmp_path, capfd, labeled_path,
+                                                                    args) -> None:
+    # Each stall is finite, but their sum is not.  LAPACK writes its complaints about an
+    # infinite matrix to a file descriptor, past sys.stdout and sys.stderr, so both are read there.
+    sessions = json.loads(Path(labeled_path).read_text())
+    sessions[0]["interruptions"] = [{"after_segment": 1, "duration_s": 1e308}] * 2
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(sessions))
+    coefficients = tmp_path / "liu.json"
+    coefficients.write_text(json.dumps(LIU_COEFFICIENTS))
+    args = [str(coefficients) if arg == "liu" else arg for arg in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("evaluate", "--input", str(data), "--baseline", "liu", *args) == 3
+    assert capfd.readouterr() == (
+        "", "error: session 0: stall_duration_sum overflows the float range\n")
+
+
 def test_gen_inf_label_is_validation_error(tmp_path, capsys) -> None:
     # Every score overflows to +inf, which the clip would turn into a label of 5.0.
     out = tmp_path / "out.json"

@@ -3,7 +3,8 @@
 Module-level imports between package modules form no cycle, so no module
 needs a function-level import to break one.  The only function-level
 package import is of ``traces``, which is deferred to keep the scalar
-session classes off the CLI's path.
+session classes off the CLI's path.  Only ``_pcg64`` loads
+``numpy.random``.
 """
 
 import ast
@@ -32,6 +33,22 @@ def package_imports(tree: ast.AST):
             yield from visit(child, in_function)
 
     return visit(tree, False)
+
+
+def uses_numpy_random(tree: ast.AST) -> bool:
+    """Whether ``tree`` imports ``numpy.random`` or reads a ``random`` attribute of numpy."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.random") for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                (node.module or "").startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            return True
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            return True
+    return False
 
 
 def import_graph() -> dict[str, dict[str, set[str]]]:
@@ -86,3 +103,14 @@ def test_importing_evaluation_loads_neither_fitting_nor_baselines() -> None:
     assert result.stdout == (
         "['hasqoe', 'hasqoe._pcg64', 'hasqoe.errors', 'hasqoe.evaluation', 'hasqoe.model']\n"
     )
+
+
+def test_only_pcg64_loads_numpy_random() -> None:
+    spellings = ["import numpy.random", "import numpy.random as npr", "from numpy import random",
+                 "from numpy.random import PCG64", "def f():\n    return np.random.PCG64",
+                 "x = numpy.random"]
+    assert all(uses_numpy_random(ast.parse(code)) for code in spellings)
+    assert not uses_numpy_random(ast.parse("import random\nfrom numpy import linalg\nx.random"))
+    users = {name for name in MODULES
+             if uses_numpy_random(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")))}
+    assert users == {"_pcg64"}
