@@ -10,14 +10,16 @@ outputs the XSL-RR hash of the new state, 64 bits.
 
 The generator holds many streams at once as :class:`Lanes`, one lane
 per stream, and every draw of theirs is computed for all lanes in numpy.
-A 128-bit number is a pair of ``uint64`` arrays, its high and its low
-half; numpy's fixed-width products wrap modulo 2**64, and the high half
-of a 64-bit product is put together from 32-bit halves.  The split
-protocol draws its test sets with :func:`choices`, from the streams
-that :func:`streams` seeds in Python.  Label noise and ``choice``'s tail
-shuffle are numpy's own draws, which :func:`_numpy_generator`, the only
-loader of ``numpy.random``, places at a stream.  Tests hold every draw
-equal to numpy's own.
+A lane's 128-bit number is a pair of ``uint64`` arrays, its high and its
+low half; numpy's fixed-width products wrap modulo 2**64, and the high
+half of a 64-bit product is put together from 32-bit halves.  A value
+that every lane shares (the multiplier, the seed-hashing constants, the
+jump table of :func:`random`) is a Python integer, split into a pair
+where the lanes need it.  The split protocol draws its test sets with
+:func:`choices`, from the streams that :func:`streams` seeds in Python.
+Label noise and ``choice``'s tail shuffle are numpy's own draws, which
+:func:`_numpy_generator`, the only loader of ``numpy.random``, places at
+a stream.  Tests hold every draw equal to numpy's own.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from .errors import UsageError
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _halves(value: int) -> tuple[int, int]:
-    return value >> 64, value & _MASK64
 
 
 def _mul_high(a, b):
@@ -57,7 +55,7 @@ def _add(a, b):
     return a[0] + b[0] + (low < b[1]), low
 
 
-_MULTIPLIER_HALVES = _halves(_MULTIPLIER)
+_MULTIPLIER_HALVES = _MULTIPLIER >> 64, _MULTIPLIER & _MASK64
 
 
 def _step(state, inc):
@@ -219,25 +217,19 @@ _CHUNK_ROWS = 16384
 def _jumps(n: int):
     """``(A, G)`` for ``r < n``: ``_ROW * r`` steps take each state ``s`` to ``A[r] s + G[r] inc``.
 
-    The table doubles from ``r = 0`` (no steps): the jump of ``h`` rows
-    after each entry ``r < h`` gives entry ``h + r``.
+    Entry ``r`` is entry ``r - 1`` followed by the jump of one row, in Python
+    integers; the table is split into (high, low) pairs once, at the end.
     """
-    scale = np.zeros(1, np.uint64), np.ones(1, np.uint64)
-    shift = np.zeros(1, np.uint64), np.zeros(1, np.uint64)
-    jump_scale, jump_shift = 1, 0  # the jump of one row, then of as many rows as the table holds
+    row_scale, row_shift = 1, 0
     for _ in range(_ROW):
-        jump_scale, jump_shift = jump_scale * _MULTIPLIER, jump_shift * _MULTIPLIER + 1
-    jump_scale, jump_shift = jump_scale & _MASK128, jump_shift & _MASK128
-    while len(scale[1]) < n:
-        factor = _halves(jump_scale)
-        scale = tuple(map(np.concatenate, zip(scale, _mul(scale, factor))))
-        moved = _add(_mul(shift, factor), _halves(jump_shift))
-        shift = tuple(map(np.concatenate, zip(shift, moved)))
-        jump_scale, jump_shift = (
-            jump_scale * jump_scale & _MASK128,
-            (jump_scale * jump_shift + jump_shift) & _MASK128,
-        )
-    return scale, shift
+        row_scale, row_shift = row_scale * _MULTIPLIER, row_shift * _MULTIPLIER + 1
+    row_scale, row_shift = row_scale & _MASK128, row_shift & _MASK128
+    scale, shift = [1], [0]
+    while len(scale) < n:
+        scale.append(scale[-1] * row_scale & _MASK128)
+        shift.append((shift[-1] * row_scale + row_shift) & _MASK128)
+    return tuple((np.array([value >> 64 for value in table], np.uint64),
+                  np.array([value & _MASK64 for value in table], np.uint64)) for table in (scale, shift))
 
 
 def random(lanes: Lanes, counts: np.ndarray) -> np.ndarray:

@@ -145,12 +145,12 @@ def evaluate_predictions(predictions, truths, *, compensate: bool = False) -> Ev
 class SplitProtocol:
     """Repeated random train/test split definition.
 
-    ``test_pool`` selects which sessions may enter test sets: ``"all"``
-    or a tag value that session traces carry.  Training sets are always
-    the full complement of the drawn test set.  ``n_repetitions`` is at
-    most 2**32, and ``rng_seed`` a non-negative integer.  The three integer
-    fields are read as ``GeneratorConfig`` reads its own: ``3`` or ``3.0``,
-    not ``2.5`` or ``True``.
+    ``test_pool`` selects which sessions may enter test sets: the string
+    ``"all"``, or a tag string that session traces carry.  Training sets
+    are always the full complement of the drawn test set.
+    ``n_repetitions`` is at most 2**32, and ``rng_seed`` a non-negative
+    integer.  The three integer fields are read as ``GeneratorConfig``
+    reads its own: ``3`` or ``3.0``, not ``2.5`` or ``True``.
     """
 
     n_repetitions: int = 50
@@ -169,6 +169,8 @@ class SplitProtocol:
             raise UsageError(f"test_size {self.test_size} must be >= 2 for PCC")
         if self.rng_seed < 0:
             raise UsageError(f"rng_seed {self.rng_seed} must be >= 0")
+        if not isinstance(self.test_pool, str):
+            raise UsageError(f"'test_pool' must be a string, got {self.test_pool!r}")
 
 
 def split_masks(tags, protocol: SplitProtocol) -> list[np.ndarray]:

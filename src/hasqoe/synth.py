@@ -354,6 +354,7 @@ def generate_columns(
     consecutive substreams, and the first ``n_sessions`` kept are the
     dataset, so session k is the same whatever ``n_sessions``.
     """
+    n_sessions = _json_integer(n_sessions, "'n_sessions'")
     if n_sessions < 1:
         raise UsageError(f"n_sessions {n_sessions} must be >= 1")
     if not 0.0 <= noise_std < math.inf:  # NaN fails

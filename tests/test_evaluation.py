@@ -283,6 +283,13 @@ def test_protocol_integers_are_whole_numbers(field, value, message) -> None:
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("test_pool", [["multi-factor"], ["a", "b"], None, 5])
+def test_protocol_test_pool_must_be_a_string(test_pool) -> None:
+    with pytest.raises(UsageError) as raised:
+        SplitProtocol(test_pool=test_pool)
+    assert str(raised.value) == f"'test_pool' must be a string, got {test_pool!r}"
+
+
 def test_protocol_integers_read_whole_floats_as_ints() -> None:
     protocol = SplitProtocol(n_repetitions=3.0, test_size=20.0, rng_seed=2.0)
     assert protocol == SplitProtocol(n_repetitions=3, test_size=20, rng_seed=2)

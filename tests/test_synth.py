@@ -332,6 +332,28 @@ def test_generator_usage_errors() -> None:
         StallDurations("weibull")
 
 
+@pytest.mark.parametrize("n_sessions, message", [
+    (2.5, "'n_sessions' must be a whole number, got 2.5"),
+    (True, "'n_sessions' must be a number, got True"),
+    ("3", "'n_sessions' must be a number, got '3'"),
+])
+def test_n_sessions_must_be_a_whole_number(n_sessions, message) -> None:
+    with pytest.raises(UsageError) as raised:
+        generate_sessions(GeneratorConfig(), n_sessions)
+    assert str(raised.value) == message
+    with pytest.raises(UsageError) as raised:
+        generate_labeled_dataset(GeneratorConfig(), n_sessions, paper_weights())
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n_sessions", [3.0, np.int64(3)])
+def test_n_sessions_reads_whole_numbers_as_ints(n_sessions) -> None:
+    config = GeneratorConfig(rng_seed=7)
+    assert generate_sessions(config, n_sessions) == generate_sessions(config, 3)
+    labeled = generate_labeled_dataset(config, n_sessions, paper_weights()).sessions
+    assert labeled == generate_labeled_dataset(config, 3, paper_weights()).sessions
+
+
 @pytest.mark.parametrize(
     ("kwargs", "message"),
     [
